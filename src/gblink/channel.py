@@ -3,14 +3,15 @@ reference BER curve, and the 60 GHz free-space link budget.
 
 SNR bookkeeping convention (the one place it is defined):
 
-  * `awgn` interprets `NoiseSpec.ebn0_db` as energy per *information* bit
-    over N0 and converts through `code_rate` (information bits per channel
-    bit): per-quadrature noise variance sigma^2 = 1 / (2 * code_rate *
-    10^(ebn0/10)) on unit-energy symbols.
+  * `noise_sigma(ebn0_db, code_rate)` interprets `ebn0_db` as energy per
+    *information* bit over N0 and converts through `code_rate` (information
+    bits per channel bit): per-quadrature noise variance sigma^2 =
+    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` takes
+    that sigma and the generator that pins the noise realization.
   * `snr_at_distance` returns the ratio referenced to *channel* bits at the
     875 Mbps serial rate (one bit per symbol, so it equals Es/N0).  Feed it
-    to `awgn` with code_rate=1, or subtract 10*log10(code_rate) to convert
-    to an information-bit ratio.
+    to `noise_sigma` with code_rate=1, or subtract 10*log10(code_rate) to
+    convert to an information-bit ratio.
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples; noiseless symbols stay on the real axis.
@@ -25,12 +26,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Eb/N0 operating point plus the seed that pins the noise realization."""
-    ebn0_db: float
-    seed: int
+_BSC_CHUNK_BITS = 1 << 16  # 512 kB of uniforms per draw
 
 
 @dataclass(frozen=True)
@@ -54,26 +50,35 @@ def noise_sigma(ebn0_db: float, code_rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * code_rate * ebn0))
 
 
-def awgn(symbols: np.ndarray, spec: NoiseSpec, code_rate: float) -> np.ndarray:
-    """Add complex white Gaussian noise for the requested Eb/N0."""
-    s = np.asarray(symbols)
-    sigma = noise_sigma(spec.ebn0_db, code_rate)
-    if sigma == 0.0:
-        return s.astype(np.complex128)
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(0.0, sigma, s.size) + 1j * rng.normal(0.0, sigma, s.size)
-    return s + noise
+def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Add complex white Gaussian noise of per-quadrature deviation sigma.
+
+    Draws all in-phase samples, then all quadrature samples; sigma == 0
+    draws nothing and returns the symbols as complex samples.
+    """
+    out = np.asarray(symbols).astype(np.complex128)
+    if sigma > 0.0:
+        out.real += rng.normal(0.0, sigma, out.shape)
+        out.imag += rng.normal(0.0, sigma, out.shape)
+    return out
 
 
 def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Flip each bit independently with probability p."""
+    """Flip each bit independently with probability p.
+
+    Uniforms are drawn _BSC_CHUNK_BITS at a time to bound the temporaries;
+    Generator.random yields the same stream whatever the chunking.
+    """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    b = np.asarray(bits, dtype=np.uint8)
+    out = np.array(bits, dtype=np.uint8)
     if p == 0:
-        return b.copy()
+        return out
     rng = np.random.default_rng(seed)
-    return b ^ (rng.random(b.size) < p)
+    for lo in range(0, out.size, _BSC_CHUNK_BITS):
+        chunk = out[lo: lo + _BSC_CHUNK_BITS]
+        chunk ^= rng.random(chunk.size) < p
+    return out
 
 
 def dbpsk_ber_theory(ebn0_db: float) -> float:

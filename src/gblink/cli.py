@@ -11,6 +11,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -61,14 +62,14 @@ def _parse_gammas(text: str) -> range:
     return range(int(lo), int(lo) + 1)
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _out_path(args: argparse.Namespace) -> str:
-    return getattr(args, "out", "-") or "-"
+@contextlib.contextmanager
+def _output(path: str):
+    """The --out target: standard output for "-" (or empty), else a new file."""
+    if path in ("", "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -108,8 +109,8 @@ def _add_link_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, help="flip probability for the bsc channel")
     p.add_argument("--distance", type=float, help="Tx-Rx distance in m for the distance channel")
     p.add_argument("--frames", type=int,
-                   help="frames per run; default auto-sizes for ~100 expected "
-                        "raw error events at the operating point, capped at 20000")
+                   help="frames per run; default auto-sizes for ~100 expected raw error "
+                        f"events at the operating point, capped at {harness.FRAMES_CAP}")
     p.add_argument("--gamma", type=int, help="sync threshold (default per frame kind)")
     p.add_argument("--seed", type=int, help="master seed; required for every run")
     p.add_argument("--uncoded", action="store_const", const=True, default=None,
@@ -127,9 +128,6 @@ def _add_link_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output file (default stdout)")
 
 
-_AUTO_FRAMES_CAP = 20_000  # hard cap for the auto-sized default
-
-
 def _auto_frames(opts: dict, kind, budget: LinkBudget) -> int:
     """Smallest frame count giving ~100 expected raw error events, capped."""
     if opts["channel"] == "bsc":
@@ -142,7 +140,7 @@ def _auto_frames(opts: dict, kind, budget: LinkBudget) -> int:
             es_n0 = channel.snr_at_distance(budget, opts["distance"],
                                             kind.channel_rate_bps)
         ber = channel.dbpsk_ber_theory(es_n0)
-    return harness.frames_for_target_errors(kind, ber, target=100, cap=_AUTO_FRAMES_CAP)
+    return harness.frames_for_target_errors(kind, ber)
 
 
 def _experiment_config(opts: dict) -> tuple[harness.ExperimentConfig, float]:
@@ -175,12 +173,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     opts = _merge(args, _LINK_SPEC)
     cfg, param = _experiment_config(opts)
     report = harness.run_link(cfg)
-    fp, close = _open_out(_out_path(args))
-    try:
+    with _output(args.out) as fp:
         harness.write_sweep_csv([(param, report)], fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -190,17 +184,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec["sweep_param"] = (str, "channel")
     spec["jobs"] = (int, 1)
     opts = _merge(args, spec)
-    if not opts["sweep"]:
-        raise ValueError("--sweep requires at least one value")
     cfg, _ = _experiment_config(opts)
-    cfg = dataclasses.replace(cfg, sweep=tuple(opts["sweep"]), sweep_param=opts["sweep_param"])
-    rows = harness.sweep(cfg, jobs=opts["jobs"])
-    fp, close = _open_out(_out_path(args))
-    try:
+    rows = harness.sweep(cfg, opts["sweep"], opts["sweep_param"], jobs=opts["jobs"])
+    with _output(args.out) as fp:
         harness.write_sweep_csv(rows, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -208,32 +195,26 @@ def _cmd_sync_table(args: argparse.Namespace) -> int:
     kind = FRAME_KINDS[args.kind.upper()]
     gammas = _parse_gammas(args.gammas) if args.gammas else range(0, kind.preamble_bits + 1)
     rows = sync.tradeoff_table(kind, args.p, gammas)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         sync.write_tradeoff_csv(rows, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
 def _cmd_fifo(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.cycles):
+        raise ValueError(f"--cycles must be finite, got {args.cycles}")
     cfg = elastic.FifoConfig(
         capacity_bytes=args.capacity, upper_threshold=args.upper,
         lower_threshold=args.lower, write_clock_hz=args.write_hz,
         read_clock_hz=args.read_hz, resume_latency_cycles=args.latency)
     stats = elastic.simulate_fifo(cfg, int(args.cycles), args.pattern, args.seed)
     record = dataclasses.asdict(stats)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         if args.format == "json":
             fp.write(json.dumps(record, sort_keys=True) + "\n")
         else:
             fp.write(",".join(record) + "\n")
             fp.write(",".join(str(v) for v in record.values()) + "\n")
-    finally:
-        if close:
-            fp.close()
     return 0
 
 

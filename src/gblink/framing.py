@@ -164,82 +164,71 @@ def select_scrambler(preamble: np.ndarray, candidates: list[bytes]) -> bytes:
     return candidates[int(np.argmin(scores))]
 
 
-def scramble(data: bytes, seq: bytes) -> bytes:
-    """XOR with the cyclically repeated sequence (involution).
+def scramble(data: np.ndarray, seq: bytes) -> np.ndarray:
+    """XOR uint8 data along its last axis with the cyclically repeated
+    sequence (an involution).
 
     The P32 body is padded to a multiple of the sequence length by its dummy
     byte; the P64 body (510 bytes, 8-byte sequence) ends mid-repetition and
     the tail is simply truncated.
     """
-    arr = np.frombuffer(data, dtype=np.uint8)
-    s = np.frombuffer(seq, dtype=np.uint8)
-    reps = -(-arr.size // s.size)
-    return (arr ^ np.tile(s, reps)[:arr.size]).tobytes()
-
-
-def build_frame(payload: bytes, kind: FrameKind) -> bytes:
-    """Assemble one on-air frame: preamble || scrambled codeword(s) (+ dummy)."""
-    if len(payload) != kind.payload_bytes:
-        raise ValueError(f"payload must be {kind.payload_bytes} bytes, got {len(payload)}")
-    body = b"".join(
-        rs.rs_encode(payload[i * rs.MESSAGE_BYTES:(i + 1) * rs.MESSAGE_BYTES])
-        for i in range(kind.codewords_per_frame)
-    ) + b"\x00" * kind.dummy_bytes
-    preamble = np.packbits(gen_preamble(kind)).tobytes()
-    return preamble + scramble(body, gen_scrambler_seq(kind))
+    arr = np.asarray(data, dtype=np.uint8)
+    return arr ^ np.resize(np.frombuffer(seq, dtype=np.uint8), arr.shape[-1])
 
 
 def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
-    """Batch build: (B, payload_bytes) uint8 -> (B, frame_bytes) uint8."""
+    """Batch build: (B, payload_bytes) uint8 -> (B, frame_bytes) uint8.
+
+    A frame is the preamble followed by the scrambled body: the RS codewords
+    of the payload's 239-byte slices, then the dummy byte(s).
+    """
     payloads = np.atleast_2d(np.asarray(payloads, dtype=np.uint8))
     if payloads.shape[1] != kind.payload_bytes:
         raise ValueError(f"payloads must have {kind.payload_bytes} columns")
     nfrm = payloads.shape[0]
     msgs = payloads.reshape(nfrm * kind.codewords_per_frame, rs.MESSAGE_BYTES)
-    codewords = rs.encode_blocks(msgs).reshape(nfrm, kind.codewords_per_frame * rs.BLOCK_BYTES)
-    body = np.concatenate(
-        [codewords, np.zeros((nfrm, kind.dummy_bytes), dtype=np.uint8)], axis=1)
-    seq = np.frombuffer(gen_scrambler_seq(kind), dtype=np.uint8)
-    reps = -(-body.shape[1] // seq.size)
-    body ^= np.tile(seq, reps)[: body.shape[1]]
-    preamble = np.packbits(gen_preamble(kind))
+    body = np.zeros((nfrm, kind.body_bytes), dtype=np.uint8)
+    body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES] = rs.encode_blocks(msgs).reshape(nfrm, -1)
     frames = np.empty((nfrm, kind.frame_bytes), dtype=np.uint8)
-    frames[:, : kind.preamble_bytes] = preamble
-    frames[:, kind.preamble_bytes:] = body
+    frames[:, : kind.preamble_bytes] = np.packbits(gen_preamble(kind))
+    frames[:, kind.preamble_bytes:] = scramble(body, gen_scrambler_seq(kind))
     return frames
 
 
-def parse_frame(frame: bytes, kind: FrameKind) -> tuple[bytes, int]:
-    """Descramble and RS-decode a byte-aligned frame.
+def frame_codewords(frames: np.ndarray, kind: FrameKind) -> np.ndarray:
+    """Descramble (F, frame_bytes) frames into their (F * codewords, 255)
+    received codewords, the inverse of the body assembly in build_frames;
+    columns [0, 239) hold the uncorrected (pass-through) message bytes."""
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
+    if frames.shape[1] != kind.frame_bytes:
+        raise ValueError(f"frames must have {kind.frame_bytes} columns, got {frames.shape[1]}")
+    body = scramble(frames[:, kind.preamble_bytes:], gen_scrambler_seq(kind))
+    return body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES].reshape(-1, rs.BLOCK_BYTES)
 
-    Returns (payload, total corrected bytes); raises FrameError if any
-    codeword is uncorrectable.  Preamble content is the synchronizer's
-    business and is not re-checked here.
+
+def parse_frames(frames: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descramble and RS-decode byte-aligned frames.
+
+    Returns (payloads, corrected, ok): (F, payload_bytes) uint8, the corrected
+    byte count per frame and the per-frame success mask.  A frame with any
+    uncorrectable codeword is not ok; it counts 0 corrections and its payload
+    row is the uncorrected message bytes of every codeword.  Preamble content
+    is the synchronizer's business and is not re-checked here.
     """
-    if len(frame) != kind.frame_bytes:
-        raise ValueError(f"frame must be {kind.frame_bytes} bytes, got {len(frame)}")
-    body = scramble(frame[kind.preamble_bytes:], gen_scrambler_seq(kind))
-    payload = bytearray()
-    corrected = 0
-    for i in range(kind.codewords_per_frame):
-        block = body[i * rs.BLOCK_BYTES:(i + 1) * rs.BLOCK_BYTES]
-        try:
-            msg, nerr = rs.rs_decode(block)
-        except rs.RsDecodeFailure as exc:
-            raise FrameError(f"codeword {i}: {exc}") from exc
-        payload.extend(msg)
-        corrected += nerr
-    return bytes(payload), corrected
+    codewords = frame_codewords(frames, kind)
+    messages, corrected, ok = rs.decode_blocks(codewords)
+    ncw = kind.codewords_per_frame
+    ok = ok.reshape(-1, ncw).all(axis=1)
+    failed = np.repeat(~ok, ncw)
+    messages[failed] = codewords[failed, : rs.MESSAGE_BYTES]
+    corrected = np.where(ok, corrected.reshape(-1, ncw).sum(axis=1), 0)
+    return messages.reshape(-1, kind.payload_bytes), corrected, ok
 
 
-def write_frames(path, frames: np.ndarray) -> None:
-    """Write frames as flat binary, no headers."""
-    np.asarray(frames, dtype=np.uint8).tofile(path)
-
-
-def read_frames(path, kind: FrameKind) -> np.ndarray:
-    """Read flat binary frames written by write_frames."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size % kind.frame_bytes:
-        raise ValueError(f"file size {raw.size} is not a multiple of {kind.frame_bytes}")
-    return raw.reshape(-1, kind.frame_bytes)
+def parse_frame(frame: bytes, kind: FrameKind) -> tuple[bytes, int]:
+    """Single-frame parse_frames: returns (payload, corrected bytes) and
+    raises FrameError if any codeword is uncorrectable."""
+    payloads, corrected, ok = parse_frames(np.frombuffer(frame, dtype=np.uint8), kind)
+    if not ok[0]:
+        raise FrameError("frame has an uncorrectable codeword")
+    return payloads[0].tobytes(), int(corrected[0])

@@ -10,17 +10,21 @@ order or in parallel.
 
 Accounting: frame positions are known out-of-band, so synchronizer output is
 *compared* against the truth rather than trusted.  Raw errors are demodulated
-channel bits vs. transmitted channel bits over the frame spans.  Coded errors
-compare delivered payloads against the truth; frames that miss sync or fail
-RS decoding contribute their uncorrected (pass-through) payload bits, which
-keeps coded vs. raw comparable in any noise regime, and are counted in the
-frame error rate.
+channel bits vs. transmitted channel bits over the frame spans.  Frames at
+located sync starts are decoded in one `framing.parse_frames` batch.  Frames
+that miss sync or hold any uncorrectable codeword deliver their uncorrected
+(pass-through) payload, count none of their corrections and count as frame
+errors; the pass-through keeps coded vs. raw comparable in any noise regime.
+Coded errors are one popcount of delivered XOR true payload bytes.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` produces a per-channel-bit ratio from the link budget and
-feeds it straight in at rate 1; `BscChannel` flips serialized channel bits
-directly, bypassing the modem.
+feeds it straight in at rate 1.  Both become a noise deviation through
+`channel.noise_sigma` and run `modem.bpsk_map` -> `channel.awgn` ->
+`modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips serialized
+channel bits directly, bypassing the modem.  Channels reject values outside
+their domain (NaN, -inf dB, non-finite distances) when constructed.
 """
 
 from __future__ import annotations
@@ -38,22 +42,38 @@ from .framing import FrameKind, P32
 from .sync import CorrelatorBankConfig, FrameSynchronizer
 
 _CHUNK_SYMBOLS = 1 << 21
+FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
+
+# set-bit count of every byte value, for the coded-error popcount
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class AwgnChannel:
-    ebn0_db: float
+    ebn0_db: float  # +inf is the noiseless channel
+
+    def __post_init__(self):
+        if math.isnan(self.ebn0_db) or self.ebn0_db == -math.inf:
+            raise ValueError(f"Eb/N0 must be a number of dB above -inf, got {self.ebn0_db}")
 
 
 @dataclass(frozen=True)
 class BscChannel:
     p: float
 
+    def __post_init__(self):
+        if not 0 <= self.p <= 1:
+            raise ValueError(f"BSC p must be in [0, 1], got {self.p}")
+
 
 @dataclass(frozen=True)
 class DistanceChannel:
     distance_m: float
     budget: channel_mod.LinkBudget = field(default_factory=channel_mod.LinkBudget)
+
+    def __post_init__(self):
+        if not 0 < self.distance_m < math.inf:
+            raise ValueError(f"distance must be positive and finite, got {self.distance_m}")
 
 
 Channel = AwgnChannel | BscChannel | DistanceChannel
@@ -66,8 +86,6 @@ class ExperimentConfig:
     master_seed: int
     frame_kind: FrameKind = P32
     gamma: int | None = None
-    sweep: tuple[float, ...] | None = None
-    sweep_param: str = "channel"
     uncoded: bool = False
     bit_offset: int = 0
 
@@ -76,15 +94,6 @@ class ExperimentConfig:
             raise ValueError("frames must be >= 1")
         if not 0 <= self.bit_offset < 8:
             raise ValueError("bit_offset must be in [0, 8)")
-        if self.sweep_param not in ("channel", "gamma"):
-            raise ValueError(f"unknown sweep parameter {self.sweep_param!r}")
-        gamma = self.gamma if self.gamma is not None else self.frame_kind.default_gamma
-        if not 0 <= gamma <= self.frame_kind.preamble_bits:
-            raise ValueError("gamma out of range")
-        if isinstance(self.channel, BscChannel) and not 0 <= self.channel.p <= 1:
-            raise ValueError("BSC p must be in [0, 1]")
-        if isinstance(self.channel, DistanceChannel) and self.channel.distance_m <= 0:
-            raise ValueError("distance must be positive")
 
 
 @dataclass
@@ -97,7 +106,6 @@ class LinkReport:
     frames: int
     sync_losses: int
     corrected_bytes_total: int
-    wall_seed: int
 
     @property
     def raw_ber(self) -> float:
@@ -123,18 +131,16 @@ class LinkReport:
 
 
 def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Differential chain over AWGN, chunked; one reference symbol leads."""
+    """Differential chain over AWGN in chunks of _CHUNK_SYMBOLS; a +1
+    reference symbol leads, then each chunk's last symbol leads the next."""
     enc = modem.diff_encode(tx_bits)
     out = np.empty(tx_bits.size, dtype=np.uint8)
-    carry = 1.0 + 0.0j  # reference symbol
+    prev = np.ones(1, dtype=np.complex128)
     for lo in range(0, enc.size, _CHUNK_SYMBOLS):
-        sym = modem.bpsk_map(enc[lo: lo + _CHUNK_SYMBOLS])
-        if sigma > 0.0:
-            sym = sym + (rng.normal(0.0, sigma, sym.size)
-                         + 1j * rng.normal(0.0, sigma, sym.size))
-        out[lo] = 1 if (sym[0] * np.conj(carry)).real < 0 else 0
-        out[lo + 1: lo + sym.size] = (np.real(sym[1:] * np.conj(sym[:-1])) < 0)
-        carry = sym[-1]
+        sym = channel_mod.awgn(modem.bpsk_map(enc[lo: lo + _CHUNK_SYMBOLS]), sigma, rng)
+        out[lo] = modem.diff_demod(np.concatenate((prev, sym[:1])))[0]
+        out[lo + 1: lo + sym.size] = modem.diff_demod(sym)
+        prev = sym[-1:]
     return out
 
 
@@ -142,15 +148,13 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     """Run one seeded link experiment and account errors against ground truth."""
     cfg.validate()
     kind = cfg.frame_kind
-    gamma = cfg.gamma if cfg.gamma is not None else kind.default_gamma
+    bank = CorrelatorBankConfig(kind, cfg.gamma if cfg.gamma is not None else kind.default_gamma)
     frame_bits = kind.frame_bits
-    payload_bits = kind.payload_bytes * 8
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
     payload_rng = np.random.default_rng(payload_ss)
     payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
-    frames = framing.build_frames(payloads, kind)
-    frame_stream = np.unpackbits(frames.reshape(-1))
+    frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
 
     junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
     # a trailing preamble stands in for the next frame of the continuous
@@ -175,82 +179,60 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     hi = lo + cfg.frames * frame_bits
     raw_errors = int(np.count_nonzero(rx_bits[lo:hi] != tx_bits[lo:hi]))
 
-    synchronizer = FrameSynchronizer(CorrelatorBankConfig(kind, gamma))
-    located, sync_losses = synchronizer.locate_frames(rx_bits)
-    located_set = set(located)
+    located, sync_losses = FrameSynchronizer(bank).locate_frames(rx_bits)
+    found = np.isin(lo + frame_bits * np.arange(cfg.frames), located)
 
-    coded_errors = 0
-    frame_errors = 0
-    corrected_total = 0
-    for i in range(cfg.frames):
-        start = lo + i * frame_bits
-        rx_frame = np.packbits(rx_bits[start: start + frame_bits]).tobytes()
-        delivered: bytes | None = None
-        if start in located_set:
-            try:
-                delivered, nerr = framing.parse_frame(rx_frame, kind)
-                corrected_total += nerr
-            except framing.FrameError:
-                delivered = None
-        if delivered is None:
-            frame_errors += 1
-            delivered = _passthrough_payload(rx_frame, kind)
-        diff = np.frombuffer(delivered, np.uint8) ^ payloads[i]
-        coded_errors += int(np.unpackbits(diff).sum())
+    # frames that miss sync deliver their pass-through payload; parse_frames
+    # gives the pass-through for frames that fail RS decoding
+    rx_frames = np.packbits(rx_bits[lo:hi]).reshape(cfg.frames, kind.frame_bytes)
+    delivered = np.empty_like(payloads)
+    parsed, corrected, ok = framing.parse_frames(rx_frames[found], kind)
+    delivered[found] = parsed
+    missed = framing.frame_codewords(rx_frames[~found], kind)[:, : rs.MESSAGE_BYTES]
+    delivered[~found] = missed.reshape(-1, kind.payload_bytes)
 
     report = LinkReport(
         raw_errors=raw_errors,
         raw_bits=cfg.frames * frame_bits,
-        coded_errors=coded_errors,
-        coded_bits=cfg.frames * payload_bits,
-        frame_errors=frame_errors,
+        coded_errors=int(_POPCOUNT[delivered ^ payloads].sum(dtype=np.int64)),
+        coded_bits=cfg.frames * kind.payload_bytes * 8,
+        frame_errors=cfg.frames - int(ok.sum()),
         frames=cfg.frames,
         sync_losses=sync_losses,
-        corrected_bytes_total=corrected_total,
-        wall_seed=cfg.master_seed,
+        corrected_bytes_total=int(corrected.sum()),
     )
     report.validate()
     return report
 
 
-def _passthrough_payload(frame: bytes, kind: FrameKind) -> bytes:
-    """Uncorrected message bytes of a frame that missed sync or failed RS."""
-    body = framing.scramble(frame[kind.preamble_bytes:], framing.gen_scrambler_seq(kind))
-    return b"".join(
-        body[i * rs.BLOCK_BYTES: i * rs.BLOCK_BYTES + rs.MESSAGE_BYTES]
-        for i in range(kind.codewords_per_frame)
-    )
-
-
-def _point_config(cfg: ExperimentConfig, value: float, index: int) -> ExperimentConfig:
+def _point_config(cfg: ExperimentConfig, param: str, value: float, index: int) -> ExperimentConfig:
     seed = int(np.random.SeedSequence((cfg.master_seed, index)).generate_state(1, np.uint64)[0])
-    if cfg.sweep_param == "gamma":
-        return replace(cfg, gamma=int(value), sweep=None, master_seed=seed)
+    if param == "gamma":
+        return replace(cfg, gamma=int(value), master_seed=seed)
     if isinstance(cfg.channel, AwgnChannel):
         chan: Channel = AwgnChannel(ebn0_db=value)
     elif isinstance(cfg.channel, BscChannel):
         chan = BscChannel(p=value)
     else:
         chan = DistanceChannel(distance_m=value, budget=cfg.channel.budget)
-    return replace(cfg, channel=chan, sweep=None, master_seed=seed)
+    return replace(cfg, channel=chan, master_seed=seed)
 
 
-def _run_point(args: tuple[ExperimentConfig, float, int]) -> LinkReport:
-    cfg, value, index = args
-    return run_link(_point_config(cfg, value, index))
-
-
-def sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[float, LinkReport]]:
-    """One run_link per sweep value; row order follows the value list."""
-    if not cfg.sweep:
-        raise ValueError("sweep list is empty")
-    work = [(cfg, v, i) for i, v in enumerate(cfg.sweep)]
+def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channel",
+          jobs: int = 1) -> list[tuple[float, LinkReport]]:
+    """One run_link per value of `param` ("channel" or "gamma"); row order
+    follows the value list."""
+    if not values:
+        raise ValueError("a sweep needs at least one value")
+    if param not in ("channel", "gamma"):
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    configs = [_point_config(cfg, param, v, i) for i, v in enumerate(values)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_point, work))
+            reports = list(pool.map(run_link, configs))
     else:
-        reports = [_run_point(w) for w in work]
-    return list(zip(cfg.sweep, reports))
+        reports = [run_link(c) for c in configs]
+    return list(zip(values, reports))
 
 
 def write_sweep_csv(rows: list[tuple[float, LinkReport]], fp) -> None:
@@ -261,21 +243,10 @@ def write_sweep_csv(rows: list[tuple[float, LinkReport]], fp) -> None:
                          repr(rep.frame_error_rate), rep.sync_losses])
 
 
-def uncoded_ber_theory_gap(report: LinkReport, ebn0_db: float) -> float:
-    """Relative deviation of a measured raw BER from the DBPSK reference."""
-    theory = channel_mod.dbpsk_ber_theory(ebn0_db)
-    return abs(report.raw_ber - theory) / theory
-
-
-def expected_errors(frames: int, kind: FrameKind, ber: float) -> float:
-    """Expected raw error count for sizing Monte Carlo runs."""
-    return frames * kind.frame_bits * ber
-
-
-def frames_for_target_errors(kind: FrameKind, ber: float, target: int = 100,
-                             cap: int = 200_000) -> int:
-    """Frame count giving ~target expected error events at a raw BER, capped."""
+def frames_for_target_errors(kind: FrameKind, ber: float, target: int = 100) -> int:
+    """Frame count giving ~target expected error events at a raw BER, capped
+    at FRAMES_CAP."""
     if ber <= 0:
-        return cap
+        return FRAMES_CAP
     need = math.ceil(target / (kind.frame_bits * ber))
-    return max(1, min(cap, need))
+    return max(1, min(FRAMES_CAP, need))

@@ -55,10 +55,13 @@ def diff_demod(samples: np.ndarray) -> np.ndarray:
 
     samples[0] is the reference symbol, so the output is one bit shorter than
     the input.  Accepts real or complex samples; the decision statistic is
-    Re(s_k * conj(s_{k-1})), which for real inputs is the plain sign product.
+    Re(s_k * conj(s_{k-1})), computed in real arithmetic as
+    re_k * re_{k-1} + im_k * im_{k-1}.
     """
     s = np.asarray(samples)
     if s.size < 2:
         raise ValueError("need at least two samples (reference + data)")
-    stat = np.real(s[1:] * np.conj(s[:-1]))
+    re, im = s.real, s.imag
+    stat = re[1:] * re[:-1]
+    stat += im[1:] * im[:-1]
     return (stat < 0).astype(np.uint8)

@@ -62,30 +62,11 @@ def gf256_div(a: int, b: int) -> int:
     return _EXP[(_LOG[a] - _LOG[b]) % 255]
 
 
-def gf256_pow(a: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] * n) % 255]
-
-
-def gf256_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("GF(256) inverse of zero")
-    return _EXP[255 - _LOG[a]]
-
-
 def _generator_poly() -> list[int]:
     """prod_{i=0}^{15} (x - alpha^i), coefficients highest power first, monic."""
     g = [1]
-    for i in range(PARITY_BYTES):
-        root = _EXP[i]
-        nxt = [0] * (len(g) + 1)
-        for j, c in enumerate(g):
-            nxt[j] ^= gf256_mul(c, 1)
-            nxt[j + 1] ^= gf256_mul(c, root)
-        g = nxt
+    for i in range(PARITY_BYTES):  # g(x) * (x - alpha^i) = x * g(x) + alpha^i * g(x)
+        g = [hi ^ gf256_mul(lo, _EXP[i]) for hi, lo in zip(g + [0], [0] + g)]
     return g
 
 
@@ -105,6 +86,11 @@ _GEN_TAIL = np.array(GENERATOR_POLY[1:], dtype=np.uint8)
 # degree carried by byte j of a block.
 _degrees = (BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)) % 255
 _SYND_POW = _EXP_NP[(np.arange(PARITY_BYTES, dtype=np.int64)[:, None] * _degrees[None, :]) % 255]
+
+# Blocks per syndromes_blocks call in decode_blocks: the (B, 16, 255) gather
+# stays ~260 kB, and on a 400-block batch 64-block chunks take about as long
+# as one call over the whole batch.
+_SYND_CHUNK = 64
 
 
 def encode_blocks(messages: np.ndarray) -> np.ndarray:
@@ -134,10 +120,7 @@ def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
 
 def rs_encode(message: bytes) -> bytes:
     """Encode a 239-byte message into a systematic 255-byte codeword."""
-    if len(message) != MESSAGE_BYTES:
-        raise ValueError(f"message must be {MESSAGE_BYTES} bytes, got {len(message)}")
-    block = encode_blocks(np.frombuffer(message, dtype=np.uint8)[None, :])
-    return block[0].tobytes()
+    return encode_blocks(np.frombuffer(message, dtype=np.uint8))[0].tobytes()
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:
@@ -182,46 +165,31 @@ def _find_error_positions(lam: list[int]) -> list[int]:
     degs = np.arange(len(lam), dtype=np.int64)
     points = np.arange(255, dtype=np.int64)
     vals = np.bitwise_xor.reduce(_MUL[coeffs[:, None], _EXP_NP[(degs[:, None] * points[None, :]) % 255]], axis=0)
-    positions = []
-    for e in np.nonzero(vals == 0)[0]:
-        # Lambda(alpha^e) == 0 means locator X = alpha^(-e); byte p has X = alpha^(254-p).
-        p = BLOCK_BYTES - 1 - ((255 - int(e)) % 255)
-        if 0 <= p < BLOCK_BYTES:
-            positions.append(p)
-    return positions
+    # Lambda(alpha^e) == 0 means locator X = alpha^(-e); byte p has X = alpha^(254-p).
+    return [BLOCK_BYTES - 1 - (255 - int(e)) % 255 for e in np.flatnonzero(vals == 0)]
 
 
-def rs_decode(received: bytes) -> tuple[bytes, int]:
-    """Decode a 255-byte block; returns (message, corrected byte count).
-
-    Raises RsDecodeFailure whenever the syndromes reveal an uncorrectable
-    block (more than 8 byte errors, in all but a vanishing fraction of cases).
-    """
-    if len(received) != BLOCK_BYTES:
-        raise ValueError(f"received must be {BLOCK_BYTES} bytes, got {len(received)}")
-    block = np.frombuffer(received, dtype=np.uint8).copy()
-    synd = syndromes_blocks(block[None, :])[0]
-    if not synd.any():
-        return block[:MESSAGE_BYTES].tobytes(), 0
-
+def _correct(block: np.ndarray, synd: np.ndarray) -> int | None:
+    """Correct one block with nonzero syndromes in place (Berlekamp-Massey,
+    Chien, Forney); returns the corrected byte count, or None when the block
+    is uncorrectable (more than 8 byte errors, in all but a vanishing
+    fraction of cases)."""
     synd_list = [int(s) for s in synd]
     lam = _berlekamp_massey(synd_list)
     nerrs = len(lam) - 1
     if nerrs == 0 or nerrs > CORRECTABLE_BYTES:
-        raise RsDecodeFailure(f"error count {nerrs} exceeds correction capability")
+        return None
     positions = _find_error_positions(lam)
     if len(positions) != nerrs:
-        raise RsDecodeFailure("error locator does not split over the field")
+        return None  # the error locator does not split over the field
 
     # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^16,
     # e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1).
     omega = [0] * PARITY_BYTES
-    for i in range(nerrs + 1):
-        if i >= len(lam) or lam[i] == 0:
-            continue
+    for i, li in enumerate(lam):
         for j in range(PARITY_BYTES - i):
-            if synd_list[j]:
-                omega[i + j] ^= gf256_mul(lam[i], synd_list[j])
+            if li and synd_list[j]:
+                omega[i + j] ^= gf256_mul(li, synd_list[j])
     lam_odd = lam[1::2]  # Lambda'(x) = sum of odd-degree terms / x in GF(2^m)
 
     for p in positions:
@@ -236,10 +204,50 @@ def rs_decode(received: bytes) -> tuple[bytes, int]:
             if c:
                 dlam ^= _EXP[(_LOG[c] + (2 * i) * xinv_log) % 255]
         if dlam == 0:
-            raise RsDecodeFailure("degenerate locator derivative")
-        mag = gf256_mul(_EXP[x_log], gf256_div(om, dlam))
-        block[p] ^= mag
+            return None  # degenerate locator derivative
+        block[p] ^= gf256_mul(_EXP[x_log], gf256_div(om, dlam))
 
     if syndromes_blocks(block[None, :])[0].any():
-        raise RsDecodeFailure("correction did not land on a codeword")
-    return block[:MESSAGE_BYTES].tobytes(), nerrs
+        return None  # the correction did not land on a codeword
+    return nerrs
+
+
+def decode_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode a (N, 255) uint8 batch into (N, 239) messages, per-block
+    corrected byte counts and the per-block success mask.
+
+    Failed rows keep their uncorrected message bytes and count 0.  Syndromes
+    are computed _SYND_CHUNK blocks at a time, so temporaries do not grow
+    with N; only blocks with nonzero syndromes run the scalar corrector.
+    """
+    blk = np.asarray(blocks, dtype=np.uint8)
+    if blk.ndim != 2 or blk.shape[1] != BLOCK_BYTES:
+        raise ValueError(f"blocks must be (N, {BLOCK_BYTES}), got {blk.shape}")
+    nblk = blk.shape[0]
+    synd = np.empty((nblk, PARITY_BYTES), dtype=np.uint8)
+    for lo in range(0, nblk, _SYND_CHUNK):
+        synd[lo: lo + _SYND_CHUNK] = syndromes_blocks(blk[lo: lo + _SYND_CHUNK])
+    messages = blk[:, :MESSAGE_BYTES].copy()
+    corrected = np.zeros(nblk, dtype=np.int64)
+    ok = np.ones(nblk, dtype=bool)
+    for r in np.flatnonzero(synd.any(axis=1)):
+        block = blk[r].copy()
+        nerrs = _correct(block, synd[r])
+        if nerrs is None:
+            ok[r] = False
+        else:
+            messages[r] = block[:MESSAGE_BYTES]
+            corrected[r] = nerrs
+    return messages, corrected, ok
+
+
+def rs_decode(received: bytes) -> tuple[bytes, int]:
+    """Decode a 255-byte block; returns (message, corrected byte count).
+
+    Raises RsDecodeFailure whenever the syndromes reveal an uncorrectable
+    block (more than 8 byte errors, in all but a vanishing fraction of cases).
+    """
+    messages, corrected, ok = decode_blocks(np.frombuffer(received, dtype=np.uint8)[None, :])
+    if not ok[0]:
+        raise RsDecodeFailure("block has more errors than the code can correct")
+    return messages[0].tobytes(), int(corrected[0])

@@ -6,43 +6,53 @@ import numpy as np
 import pytest
 
 from gblink import channel
-from gblink.channel import LinkBudget, NoiseSpec
+from gblink.channel import LinkBudget
+
+
+def rng(seed):
+    return np.random.default_rng(seed)
 
 
 class TestAwgn:
     def test_infinite_snr_is_identity(self):
         sym = np.ones(100)
-        out = channel.awgn(sym, NoiseSpec(math.inf, 1), code_rate=1.0)
+        out = channel.awgn(sym, channel.noise_sigma(math.inf, 1.0), rng(1))
         assert np.array_equal(out.real, sym) and not out.imag.any()
 
     def test_noise_variance_per_quadrature(self):
-        spec = NoiseSpec(5.0, 99)
         sigma2 = 1 / (2 * 1.0 * 10 ** 0.5)
-        out = channel.awgn(np.ones(1_000_000), spec, code_rate=1.0)
+        out = channel.awgn(np.ones(1_000_000), channel.noise_sigma(5.0, 1.0), rng(99))
         for component in (out.real - 1.0, out.imag):
             assert abs(np.var(component) / sigma2 - 1) < 0.01
 
     def test_code_rate_scales_variance(self):
-        spec = NoiseSpec(5.0, 7)
         rate = 239 / 260
-        out = channel.awgn(np.ones(500_000), spec, code_rate=rate)
+        out = channel.awgn(np.ones(500_000), channel.noise_sigma(5.0, rate), rng(7))
         sigma2 = 1 / (2 * rate * 10 ** 0.5)
         assert abs(np.var(out.real - 1.0) / sigma2 - 1) < 0.02
 
     def test_deterministic_given_seed(self):
         sym = np.ones(1000)
-        a = channel.awgn(sym, NoiseSpec(8.0, 42), 1.0)
-        b = channel.awgn(sym, NoiseSpec(8.0, 42), 1.0)
-        c = channel.awgn(sym, NoiseSpec(8.0, 43), 1.0)
+        sigma = channel.noise_sigma(8.0, 1.0)
+        a = channel.awgn(sym, sigma, rng(42))
+        b = channel.awgn(sym, sigma, rng(42))
+        c = channel.awgn(sym, sigma, rng(43))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_preserves_length(self):
-        assert channel.awgn(np.ones(123), NoiseSpec(3.0, 1), 0.5).size == 123
+        assert channel.awgn(np.ones(123), channel.noise_sigma(3.0, 0.5), rng(1)).size == 123
 
     def test_code_rate_validation(self):
         with pytest.raises(ValueError):
-            channel.awgn(np.ones(4), NoiseSpec(3.0, 1), 0.0)
+            channel.noise_sigma(3.0, 0.0)
+
+    def test_draw_order_in_phase_then_quadrature(self):
+        sym = np.array([1.0, -1.0, 1.0])
+        out = channel.awgn(sym, 0.5, rng(3))
+        draws = rng(3).normal(0.0, 0.5, 6)
+        assert np.array_equal(out.real, sym + draws[:3])
+        assert np.array_equal(out.imag, draws[3:])
 
 
 class TestBsc:
@@ -65,6 +75,12 @@ class TestBsc:
     def test_deterministic(self):
         bits = np.zeros(10_000, np.uint8)
         assert np.array_equal(channel.bsc(bits, 0.1, 9), channel.bsc(bits, 0.1, 9))
+
+    def test_chunked_draws_match_one_draw(self):
+        n = 2 * channel._BSC_CHUNK_BITS + 12345
+        bits = np.random.default_rng(1).integers(0, 2, n).astype(np.uint8)
+        flips = np.random.default_rng(4).random(n) < 0.01
+        assert np.array_equal(channel.bsc(bits, 0.01, 4), bits ^ flips)
 
     def test_validation(self):
         with pytest.raises(ValueError):

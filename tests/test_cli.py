@@ -145,3 +145,28 @@ def test_distance_channel(tmp_path):
     fields = out.read_text().splitlines()[1].split(",")
     assert float(fields[0]) == 30.0
     assert float(fields[1]) == 0.0  # 30 m with defaults is loss-free
+
+
+def _assert_clean_error(args, capsys):
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("gblink: error:")
+    assert captured.out == ""
+
+
+def test_nan_ebn0_rejected(capsys):
+    _assert_clean_error(["run", "--ebn0", "nan", "--frames", "5", "--seed", "1"], capsys)
+    _assert_clean_error(["run", "--ebn0", "nan", "--seed", "1"], capsys)
+
+
+def test_minus_inf_ebn0_rejected(capsys):
+    _assert_clean_error(["run", "--ebn0=-inf", "--frames", "5", "--seed", "1"], capsys)
+
+
+def test_nan_distance_rejected(capsys):
+    _assert_clean_error(["run", "--channel", "distance", "--distance", "nan",
+                         "--frames", "5", "--seed", "1"], capsys)
+
+
+def test_infinite_fifo_cycles_rejected(capsys):
+    _assert_clean_error(["fifo", "--cycles", "inf"], capsys)

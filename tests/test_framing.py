@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gblink import framing, sync
+from gblink import framing, rs, sync
 from gblink.framing import P32, P64
 
 # Worst-case score per cyclic phase of the P32 scrambler candidate set,
@@ -99,32 +99,47 @@ def test_select_scrambler_empty():
         framing.select_scrambler(framing.gen_preamble(P32), [])
 
 
+def as_array(data: bytes) -> np.ndarray:
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+def build_frame(payload: bytes, kind) -> bytes:
+    return framing.build_frames(as_array(payload), kind)[0].tobytes()
+
+
 class TestScramble:
     def test_involution(self):
         rng = np.random.default_rng(0)
-        data = rng.integers(0, 256, 256, dtype=np.uint8).tobytes()
+        data = rng.integers(0, 256, 256, dtype=np.uint8)
         seq = framing.gen_scrambler_seq(P32)
-        assert framing.scramble(framing.scramble(data, seq), seq) == data
+        assert np.array_equal(framing.scramble(framing.scramble(data, seq), seq), data)
 
     def test_zeros_give_sequence(self):
         seq = framing.gen_scrambler_seq(P32)
-        assert framing.scramble(bytes(12), seq) == seq * 3
+        assert framing.scramble(np.zeros(12, np.uint8), seq).tobytes() == seq * 3
 
     def test_sequence_gives_zeros(self):
         seq = framing.gen_scrambler_seq(P64)
-        assert framing.scramble(seq * 4, seq) == bytes(32)
+        assert not framing.scramble(as_array(seq * 4), seq).any()
 
     def test_truncated_tail(self):
         # P64 bodies are 510 bytes against an 8-byte sequence
         seq = framing.gen_scrambler_seq(P64)
-        out = framing.scramble(bytes(510), seq)
-        assert out == (seq * 64)[:510]
+        out = framing.scramble(np.zeros(510, np.uint8), seq)
+        assert out.tobytes() == (seq * 64)[:510]
+
+    def test_rows_scrambled_along_last_axis(self):
+        seq = framing.gen_scrambler_seq(P32)
+        data = np.random.default_rng(1).integers(0, 256, (3, 10), dtype=np.uint8)
+        out = framing.scramble(data, seq)
+        for row_in, row_out in zip(data, out):
+            assert np.array_equal(row_out, framing.scramble(row_in, seq))
 
 
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
 class TestFrameRoundTrip:
     def test_zero_payload(self, kind):
-        frame = framing.build_frame(bytes(kind.payload_bytes), kind)
+        frame = build_frame(bytes(kind.payload_bytes), kind)
         assert len(frame) == kind.frame_bytes
         assert frame[: kind.preamble_bytes] == np.packbits(framing.gen_preamble(kind)).tobytes()
         # zero payload encodes to the all-zero codeword, so the body is the
@@ -138,7 +153,7 @@ class TestFrameRoundTrip:
         rng = np.random.default_rng(5)
         for _ in range(50):
             payload = rng.integers(0, 256, kind.payload_bytes, dtype=np.uint8).tobytes()
-            frame = framing.build_frame(payload, kind)
+            frame = build_frame(payload, kind)
             assert framing.parse_frame(frame, kind) == (payload, 0)
 
     def test_round_trip_bulk(self, kind):
@@ -146,16 +161,16 @@ class TestFrameRoundTrip:
         n = 10_000 // (2 if kind is P64 else 1)
         payloads = rng.integers(0, 256, (n, kind.payload_bytes), dtype=np.uint8)
         frames = framing.build_frames(payloads, kind)
+        parsed, corrected, ok = framing.parse_frames(frames, kind)
+        assert np.array_equal(parsed, payloads) and ok.all() and not corrected.any()
         for i in range(0, n, max(1, n // 200)):
-            payload, corrected = framing.parse_frame(frames[i].tobytes(), kind)
-            assert payload == payloads[i].tobytes() and corrected == 0
-        # spot equality with the scalar builder
-        assert frames[0].tobytes() == framing.build_frame(payloads[0].tobytes(), kind)
+            payload, nerr = framing.parse_frame(frames[i].tobytes(), kind)
+            assert payload == payloads[i].tobytes() and nerr == 0
 
     def test_corrections_reported(self, kind):
         rng = np.random.default_rng(8)
         payload = rng.integers(0, 256, kind.payload_bytes, dtype=np.uint8).tobytes()
-        frame = bytearray(framing.build_frame(payload, kind))
+        frame = bytearray(build_frame(payload, kind))
         body = range(kind.preamble_bytes, kind.preamble_bytes + 255)
         for pos in rng.choice(list(body), 5, replace=False):
             frame[pos] ^= int(rng.integers(1, 256))
@@ -166,7 +181,7 @@ class TestFrameRoundTrip:
     def test_unparseable_frame(self, kind):
         rng = np.random.default_rng(9)
         payload = rng.integers(0, 256, kind.payload_bytes, dtype=np.uint8).tobytes()
-        frame = bytearray(framing.build_frame(payload, kind))
+        frame = bytearray(build_frame(payload, kind))
         for pos in rng.choice(range(kind.preamble_bytes, kind.preamble_bytes + 255),
                               20, replace=False):
             frame[pos] ^= int(rng.integers(1, 256))
@@ -175,9 +190,11 @@ class TestFrameRoundTrip:
 
     def test_length_validation(self, kind):
         with pytest.raises(ValueError):
-            framing.build_frame(bytes(10), kind)
+            framing.build_frames(np.zeros((1, 10), np.uint8), kind)
         with pytest.raises(ValueError):
             framing.parse_frame(bytes(10), kind)
+        with pytest.raises(ValueError):
+            framing.parse_frames(np.zeros((2, kind.frame_bytes + 1), np.uint8), kind)
 
 
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
@@ -185,23 +202,43 @@ class TestFrameRoundTrip:
 def test_preamble_never_inside_scrambled_body(kind, fill):
     """Constant payloads are the scrambler's worst case; even then no bit
     alignment of the body may look like the sync word."""
-    frame = framing.build_frame(bytes([fill]) * kind.payload_bytes, kind)
+    frame = build_frame(bytes([fill]) * kind.payload_bytes, kind)
     body_bits = np.unpackbits(np.frombuffer(frame[kind.preamble_bytes:], np.uint8))
     counts = sync.match_counts(body_bits, framing.gen_preamble(kind))
     assert int(counts.max()) < kind.default_gamma
 
 
-def test_frame_file_round_trip(tmp_path):
+def test_parse_frames_one_failed_codeword_passes_frame_through():
+    """P64: one codeword uncorrectable, the other corrected.  The frame is not
+    ok, counts no corrections and delivers both codewords uncorrected."""
     rng = np.random.default_rng(10)
-    payloads = rng.integers(0, 256, (7, P32.payload_bytes), dtype=np.uint8)
-    frames = framing.build_frames(payloads, P32)
-    path = tmp_path / "frames.bin"
-    framing.write_frames(path, frames)
-    assert path.stat().st_size == 7 * P32.frame_bytes  # flat layout, no headers
-    back = framing.read_frames(path, P32)
-    assert np.array_equal(back, frames)
-    for i in range(7):
-        payload, _ = framing.parse_frame(back[i].tobytes(), P32)
-        assert payload == payloads[i].tobytes()
-    with pytest.raises(ValueError):
-        framing.read_frames(path, P64)
+    payloads = rng.integers(0, 256, (3, P64.payload_bytes), dtype=np.uint8)
+    frames = framing.build_frames(payloads, P64)
+    pre = P64.preamble_bytes
+    frames[1, pre + rng.choice(255, 20, replace=False)] ^= 0x5A        # codeword 0 fails
+    frames[1, pre + 255 + rng.choice(255, 3, replace=False)] ^= 0x81  # codeword 1 corrects
+    frames[2, pre + rng.choice(510, 6, replace=False)] ^= 0x11
+    parsed, corrected, ok = framing.parse_frames(frames, P64)
+    assert ok.tolist() == [True, False, True]
+    assert corrected.tolist() == [0, 0, 6]
+    assert np.array_equal(parsed[[0, 2]], payloads[[0, 2]])
+    passthrough = framing.frame_codewords(frames[1], P64)[:, :239].reshape(-1)
+    assert np.array_equal(parsed[1], passthrough)
+    assert not np.array_equal(parsed[1, 239:], payloads[1, 239:])
+    with pytest.raises(framing.FrameError):
+        framing.parse_frame(frames[1].tobytes(), P64)
+
+
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+def test_parse_frames_empty_batch(kind):
+    parsed, corrected, ok = framing.parse_frames(np.zeros((0, kind.frame_bytes), np.uint8), kind)
+    assert parsed.shape == (0, kind.payload_bytes) and corrected.size == 0 and ok.size == 0
+
+
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+def test_frame_codewords_inverts_body_assembly(kind):
+    rng = np.random.default_rng(12)
+    payloads = rng.integers(0, 256, (4, kind.payload_bytes), dtype=np.uint8)
+    codewords = framing.frame_codewords(framing.build_frames(payloads, kind), kind)
+    msgs = payloads.reshape(-1, 239)
+    assert np.array_equal(codewords, rs.encode_blocks(msgs))

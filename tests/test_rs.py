@@ -59,8 +59,12 @@ def test_gf_div_pow_inv():
     for a, b in rng.integers(1, 256, (200, 2)):
         a, b = int(a), int(b)
         assert rs.gf256_mul(rs.gf256_div(a, b), b) == a
-        assert rs.gf256_mul(a, rs.gf256_inv(a)) == 1
-    assert rs.gf256_pow(0x02, 255) == 1
+        assert rs.gf256_mul(a, rs.gf256_div(1, a)) == 1
+    # alpha = 0x02 generates the multiplicative group: order exactly 255
+    powers = [1]
+    for _ in range(255):
+        powers.append(rs.gf256_mul(powers[-1], 0x02))
+    assert powers[255] == 1 and len(set(powers[:255])) == 255
     with pytest.raises(ZeroDivisionError):
         rs.gf256_div(1, 0)
 
@@ -179,3 +183,30 @@ def test_batch_encode_matches_scalar():
     blocks = rs.encode_blocks(msgs)
     for i in range(32):
         assert blocks[i].tobytes() == rs.rs_encode(msgs[i].tobytes())
+
+
+def test_decode_blocks_mixed_batch():
+    """A batch spanning several syndrome chunks, mixing clean, correctable
+    and uncorrectable rows; failed rows keep their uncorrected bytes."""
+    rng = np.random.default_rng(19)
+    n = 150
+    msgs = rng.integers(0, 256, (n, 239), dtype=np.uint8)
+    blocks = rs.encode_blocks(msgs)
+    weights = rng.choice([0, 0, 3, 8, 20], n)
+    for i, w in enumerate(weights):
+        pos = rng.choice(255, w, replace=False)
+        blocks[i, pos] ^= rng.integers(1, 256, w).astype(np.uint8)
+    messages, corrected, ok = rs.decode_blocks(blocks)
+    assert messages.shape == (n, 239) and corrected.shape == ok.shape == (n,)
+    good = weights <= 8
+    assert ok[good].all() and np.array_equal(corrected[good], weights[good])
+    assert np.array_equal(messages[good], msgs[good])
+    assert not ok[~good].any() and not corrected[~good].any()
+    assert np.array_equal(messages[~good], blocks[~good, :239])
+
+
+def test_decode_blocks_empty_batch():
+    messages, corrected, ok = rs.decode_blocks(np.zeros((0, 255), np.uint8))
+    assert messages.shape == (0, 239) and corrected.size == 0 and ok.size == 0
+    with pytest.raises(ValueError):
+        rs.decode_blocks(np.zeros((2, 254), np.uint8))
