@@ -10,6 +10,14 @@ fixtures stay stable.
 Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 (first transmitted byte), matching the shift-register encoder ordering.
 
+Decoding is batch-first.  Syndromes and the Chien search are GF(2)-linear in
+the bits of their input, so each is one float32 matmul on unpacked bits
+(`_gf2_apply`).  Blocks with nonzero syndromes go through one corrector over
+the whole batch: inversionless Berlekamp-Massey (Sarwate & Shanbhag, "High-
+speed architectures for Reed-Solomon decoders", IEEE TVLSI 2001) in 16 fixed
+steps, the matmul Chien search, Forney's formula at the located roots, and a
+re-check that each corrected block is a codeword.
+
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
 """
@@ -72,25 +80,49 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-# Full 256x256 product table; the batch encoder and syndrome computation are
-# pure table gathers, which is what keeps 1e5-block runs in seconds.
+# Full 256x256 product table; the batch encoder and the batch corrector are
+# table gathers over it.
 _EXP_NP = np.array(_EXP, dtype=np.uint8)
+_LOG_NP = np.array(_LOG, dtype=np.int64)
 _MUL = np.zeros((256, 256), dtype=np.uint8)
-_nz = np.arange(1, 256)
-_logs = np.array(_LOG, dtype=np.int64)
-_MUL[1:, 1:] = _EXP_NP[(_logs[_nz][:, None] + _logs[_nz][None, :]) % 255]
+_MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
 
 _GEN_TAIL = np.array(GENERATOR_POLY[1:], dtype=np.uint8)
 
-# _SYND_POW[i, j] = alpha^(i * deg_j) where deg_j = 254 - j is the polynomial
-# degree carried by byte j of a block.
-_degrees = (BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)) % 255
-_SYND_POW = _EXP_NP[(np.arange(PARITY_BYTES, dtype=np.int64)[:, None] * _degrees[None, :]) % 255]
+_ROWS = 64  # rows per step of the batch kernels: temporaries stay under 600 kB
 
-# Blocks per syndromes_blocks call in decode_blocks: the (B, 16, 255) gather
-# stays ~260 kB, and on a 400-block batch 64-block chunks take about as long
-# as one call over the whole batch.
-_SYND_CHUNK = 64
+
+def _gf2_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """The (8 n_in, 8 n_out) 0/1 matrix of y_k = sum_j coeffs[j, k] x_j over
+    GF(2^8), acting on unpackbits (MSB first) rows: a product by a constant
+    is linear over GF(2) in the bits of x_j."""
+    basis = (1 << np.arange(7, -1, -1)).astype(np.uint8)
+    images = _MUL[coeffs[:, None, :], basis[None, :, None]]  # (n_in, 8, n_out)
+    bits = np.unpackbits(images[..., None], axis=-1)  # (n_in, 8, n_out, 8)
+    return bits.reshape(8 * coeffs.shape[0], 8 * coeffs.shape[1]).astype(np.float32)
+
+
+def _gf2_apply(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply a `_gf2_matrix` to a (N, n_in) uint8 batch, _ROWS rows at a time.
+
+    The float32 matmul counts the ones feeding each output bit; counts stay
+    below 2^24, so they are exact and their parity is the GF(2) sum.
+    """
+    out = np.empty((values.shape[0], matrix.shape[1] // 8), dtype=np.uint8)
+    for lo in range(0, values.shape[0], _ROWS):
+        counts = np.unpackbits(values[lo: lo + _ROWS], axis=1).astype(np.float32) @ matrix
+        out[lo: lo + _ROWS] = np.packbits((counts.astype(np.uint16) & 1).astype(np.uint8), axis=1)
+    return out
+
+
+# Syndromes: S_i = sum_j r_j alpha^(i deg_j), where deg_j = 254 - j is the
+# polynomial degree carried by byte j of a block.
+_degrees = BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)
+_SYND_BITS = _gf2_matrix(_EXP_NP[(_degrees[:, None] * np.arange(PARITY_BYTES)) % 255])
+# Chien search: column p evaluates Lambda at X_p^-1 = alpha^(p + 1), the
+# inverse locator of byte p, so a zero in column p puts an error on byte p.
+_CHIEN_LOGS = np.arange(1, BLOCK_BYTES + 1, dtype=np.int64)
+_CHIEN_BITS = _gf2_matrix(_EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * _CHIEN_LOGS) % 255])
 
 
 def encode_blocks(messages: np.ndarray) -> np.ndarray:
@@ -114,8 +146,7 @@ def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
     blk = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     if blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must have {BLOCK_BYTES} columns, got {blk.shape[1]}")
-    prods = _MUL[blk[:, None, :], _SYND_POW[None, :, :]]
-    return np.bitwise_xor.reduce(prods, axis=2)
+    return _gf2_apply(blk, _SYND_BITS)
 
 
 def rs_encode(message: bytes) -> bytes:
@@ -123,121 +154,87 @@ def rs_encode(message: bytes) -> bytes:
     return encode_blocks(np.frombuffer(message, dtype=np.uint8))[0].tobytes()
 
 
-def _berlekamp_massey(synd: list[int]) -> list[int]:
-    """Error locator Lambda(x) from the syndromes, ascending coefficients."""
-    lam = [1]
-    prev = [1]
-    shift = 1
-    b = 1
-    errors = 0
+def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inversionless Berlekamp-Massey over a (R, 16) syndrome batch.
+
+    Returns the error locators Lambda (R, 9), ascending coefficients, each
+    scaled by a nonzero constant, and their lengths L.  Every row takes the
+    same 16 steps; `np.where` picks the register update, so there is no
+    division and no branch per row.  Coefficients above x^8 are dropped: a
+    row needs them only once its length passes 8, and lengths never shrink,
+    so such a row fails the length check in `_correct_rows`.
+    """
+    rows = synd.shape[0]
+    lam = np.zeros((rows, CORRECTABLE_BYTES + 1), dtype=np.uint8)
+    lam[:, 0] = 1
+    prev = lam.copy()  # the correction polynomial B(x)
+    gamma = np.ones(rows, dtype=np.uint8)  # discrepancy at the last length change
+    length = np.zeros(rows, dtype=np.int64)
+    shifted = np.zeros_like(prev)
     for r in range(PARITY_BYTES):
-        delta = synd[r]
-        for i in range(1, errors + 1):
-            if i < len(lam) and lam[i]:
-                delta ^= gf256_mul(lam[i], synd[r - i])
-        if delta == 0:
-            shift += 1
-            continue
-        coef = gf256_div(delta, b)
-        update = lam[:]
-        xb = [0] * shift + [gf256_mul(coef, c) for c in prev]
-        if len(xb) > len(update):
-            update += [0] * (len(xb) - len(update))
-        for i, c in enumerate(xb):
-            update[i] ^= c
-        if 2 * errors <= r:
-            prev = lam
-            lam = update
-            errors = r + 1 - errors
-            b = delta
-            shift = 1
-        else:
-            lam = update
-            shift += 1
-    while len(lam) > 1 and lam[-1] == 0:
-        lam.pop()
-    return lam
+        n = min(r, CORRECTABLE_BYTES) + 1
+        delta = np.bitwise_xor.reduce(_MUL[lam[:, :n], synd[:, r::-1][:, :n]], axis=1)
+        shifted[:, 1:] = prev[:, :-1]  # x B(x)
+        grow = (delta != 0) & (2 * length <= r)
+        new = _MUL[gamma[:, None], lam] ^ _MUL[delta[:, None], shifted]
+        prev = np.where(grow[:, None], lam, shifted)
+        gamma = np.where(grow, delta, gamma)
+        length = np.where(grow, r + 1 - length, length)
+        lam = new
+    return lam, length
 
 
-def _find_error_positions(lam: list[int]) -> list[int]:
-    """Chien search: byte positions whose locators are roots of Lambda."""
-    coeffs = np.array(lam, dtype=np.uint8)
-    degs = np.arange(len(lam), dtype=np.int64)
-    points = np.arange(255, dtype=np.int64)
-    vals = np.bitwise_xor.reduce(_MUL[coeffs[:, None], _EXP_NP[(degs[:, None] * points[None, :]) % 255]], axis=0)
-    # Lambda(alpha^e) == 0 means locator X = alpha^(-e); byte p has X = alpha^(254-p).
-    return [BLOCK_BYTES - 1 - (255 - int(e)) % 255 for e in np.flatnonzero(vals == 0)]
+def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correct a (R, 255) batch of blocks with nonzero syndromes.
 
+    Returns the corrected blocks, the corrected byte counts and the success
+    mask.  A row succeeds when its locator has 1-8 distinct roots among the
+    byte positions (Chien), every root has a nonzero locator derivative, and
+    the blocks corrected by Forney's formula have zero syndromes.
+    """
+    lam, length = _locators(synd)
+    roots = _gf2_apply(lam, _CHIEN_BITS) == 0
+    good = (length <= CORRECTABLE_BYTES) & (roots.sum(axis=1) == length)
+    rows, pos = np.nonzero(roots & good[:, None])
 
-def _correct(block: np.ndarray, synd: np.ndarray) -> int | None:
-    """Correct one block with nonzero syndromes in place (Berlekamp-Massey,
-    Chien, Forney); returns the corrected byte count, or None when the block
-    is uncorrectable (more than 8 byte errors, in all but a vanishing
-    fraction of cases)."""
-    synd_list = [int(s) for s in synd]
-    lam = _berlekamp_massey(synd_list)
-    nerrs = len(lam) - 1
-    if nerrs == 0 or nerrs > CORRECTABLE_BYTES:
-        return None
-    positions = _find_error_positions(lam)
-    if len(positions) != nerrs:
-        return None  # the error locator does not split over the field
-
-    # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^16,
-    # e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1).
-    omega = [0] * PARITY_BYTES
-    for i, li in enumerate(lam):
-        for j in range(PARITY_BYTES - i):
-            if li and synd_list[j]:
-                omega[i + j] ^= gf256_mul(li, synd_list[j])
-    lam_odd = lam[1::2]  # Lambda'(x) = sum of odd-degree terms / x in GF(2^m)
-
-    for p in positions:
-        x_log = (BLOCK_BYTES - 1 - p) % 255
-        xinv_log = (255 - x_log) % 255
-        om = 0
-        for i, c in enumerate(omega):
-            if c:
-                om ^= _EXP[(_LOG[c] + i * xinv_log) % 255]
-        dlam = 0
-        for i, c in enumerate(lam_odd):
-            if c:
-                dlam ^= _EXP[(_LOG[c] + (2 * i) * xinv_log) % 255]
-        if dlam == 0:
-            return None  # degenerate locator derivative
-        block[p] ^= gf256_mul(_EXP[x_log], gf256_div(om, dlam))
-
-    if syndromes_blocks(block[None, :])[0].any():
-        return None  # the correction did not land on a codeword
-    return nerrs
+    # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^8
+    # (deg Omega < L <= 8), e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1), and
+    # Lambda'(x) is the odd-degree part of Lambda divided by x.
+    omega = np.zeros((synd.shape[0], CORRECTABLE_BYTES), dtype=np.uint8)
+    for i in range(CORRECTABLE_BYTES):
+        omega[:, i:] ^= _MUL[lam[:, i: i + 1], synd[:, : CORRECTABLE_BYTES - i]]
+    powers = _EXP_NP[(np.arange(CORRECTABLE_BYTES) * _CHIEN_LOGS[pos][:, None]) % 255]
+    om = np.bitwise_xor.reduce(_MUL[omega[rows], powers], axis=1)
+    dlam = np.bitwise_xor.reduce(_MUL[lam[rows, 1::2], powers[:, ::2]], axis=1)
+    good[rows[dlam == 0]] = False
+    value = _EXP_NP[(BLOCK_BYTES - 1 - pos + _LOG_NP[om] - _LOG_NP[dlam]) % 255]
+    fixed = blocks.copy()
+    fixed[rows, pos] ^= np.where(om == 0, 0, value)
+    good[good] = ~syndromes_blocks(fixed[good]).any(axis=1)
+    return fixed, length, good
 
 
 def decode_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a (N, 255) uint8 batch into (N, 239) messages, per-block
     corrected byte counts and the per-block success mask.
 
-    Failed rows keep their uncorrected message bytes and count 0.  Syndromes
-    are computed _SYND_CHUNK blocks at a time, so temporaries do not grow
-    with N; only blocks with nonzero syndromes run the scalar corrector.
+    Failed rows keep their uncorrected message bytes and count 0.  Rows with
+    nonzero syndromes are corrected _ROWS at a time.
     """
     blk = np.asarray(blocks, dtype=np.uint8)
     if blk.ndim != 2 or blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must be (N, {BLOCK_BYTES}), got {blk.shape}")
-    nblk = blk.shape[0]
-    synd = np.empty((nblk, PARITY_BYTES), dtype=np.uint8)
-    for lo in range(0, nblk, _SYND_CHUNK):
-        synd[lo: lo + _SYND_CHUNK] = syndromes_blocks(blk[lo: lo + _SYND_CHUNK])
+    synd = syndromes_blocks(blk)
     messages = blk[:, :MESSAGE_BYTES].copy()
-    corrected = np.zeros(nblk, dtype=np.int64)
-    ok = np.ones(nblk, dtype=bool)
-    for r in np.flatnonzero(synd.any(axis=1)):
-        block = blk[r].copy()
-        nerrs = _correct(block, synd[r])
-        if nerrs is None:
-            ok[r] = False
-        else:
-            messages[r] = block[:MESSAGE_BYTES]
-            corrected[r] = nerrs
+    corrected = np.zeros(blk.shape[0], dtype=np.int64)
+    ok = np.ones(blk.shape[0], dtype=bool)
+    errored = np.flatnonzero(synd.any(axis=1))
+    for lo in range(0, errored.size, _ROWS):
+        idx = errored[lo: lo + _ROWS]
+        fixed, nerrs, good = _correct_rows(blk[idx], synd[idx])
+        messages[idx[good]] = fixed[good, :MESSAGE_BYTES]
+        corrected[idx[good]] = nerrs[good]
+        ok[idx[~good]] = False
     return messages, corrected, ok
 
 

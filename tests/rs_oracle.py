@@ -1,0 +1,142 @@
+"""Scalar RS(255, 239) decoder, kept as the reference for `rs.decode_blocks`.
+
+One block at a time in plain Python: a syndrome table gather, textbook
+Berlekamp-Massey with field division, a Chien search over the 255 field
+points and Forney's formula, then a re-check that the corrected block is a
+codeword.  It shares only the field tables and constants with `gblink.rs`,
+which are checked on their own against carry-less multiplication.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gblink import rs
+from gblink.rs import (_EXP, _EXP_NP, _LOG, _MUL, BLOCK_BYTES, CORRECTABLE_BYTES, MESSAGE_BYTES,
+                       PARITY_BYTES, gf256_div, gf256_mul)
+
+# _SYND_POW[i, j] = alpha^(i * deg_j) where deg_j = 254 - j is the polynomial
+# degree carried by byte j of a block.
+_degrees = (BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)) % 255
+_SYND_POW = _EXP_NP[(np.arange(PARITY_BYTES, dtype=np.int64)[:, None] * _degrees[None, :]) % 255]
+
+
+def syndromes(block: np.ndarray) -> np.ndarray:
+    """S_i = r(alpha^i), i = 0..15, of one 255-byte block."""
+    return np.bitwise_xor.reduce(_MUL[block[None, :], _SYND_POW], axis=1)
+
+
+def _berlekamp_massey(synd: list[int]) -> list[int]:
+    """Error locator Lambda(x) from the syndromes, ascending coefficients."""
+    lam = [1]
+    prev = [1]
+    shift = 1
+    b = 1
+    errors = 0
+    for r in range(PARITY_BYTES):
+        delta = synd[r]
+        for i in range(1, errors + 1):
+            if i < len(lam) and lam[i]:
+                delta ^= gf256_mul(lam[i], synd[r - i])
+        if delta == 0:
+            shift += 1
+            continue
+        coef = gf256_div(delta, b)
+        update = lam[:]
+        xb = [0] * shift + [gf256_mul(coef, c) for c in prev]
+        if len(xb) > len(update):
+            update += [0] * (len(xb) - len(update))
+        for i, c in enumerate(xb):
+            update[i] ^= c
+        if 2 * errors <= r:
+            prev = lam
+            lam = update
+            errors = r + 1 - errors
+            b = delta
+            shift = 1
+        else:
+            lam = update
+            shift += 1
+    while len(lam) > 1 and lam[-1] == 0:
+        lam.pop()
+    return lam
+
+
+def _find_error_positions(lam: list[int]) -> list[int]:
+    """Chien search: byte positions whose locators are roots of Lambda."""
+    coeffs = np.array(lam, dtype=np.uint8)
+    degs = np.arange(len(lam), dtype=np.int64)
+    points = np.arange(255, dtype=np.int64)
+    vals = np.bitwise_xor.reduce(_MUL[coeffs[:, None], _EXP_NP[(degs[:, None] * points[None, :]) % 255]], axis=0)
+    # Lambda(alpha^e) == 0 means locator X = alpha^(-e); byte p has X = alpha^(254-p).
+    return [BLOCK_BYTES - 1 - (255 - int(e)) % 255 for e in np.flatnonzero(vals == 0)]
+
+
+def _correct(block: np.ndarray, synd: np.ndarray) -> int | None:
+    """Correct one block with nonzero syndromes in place (Berlekamp-Massey,
+    Chien, Forney); returns the corrected byte count, or None when the block
+    is uncorrectable (more than 8 byte errors, in all but a vanishing
+    fraction of cases)."""
+    synd_list = [int(s) for s in synd]
+    lam = _berlekamp_massey(synd_list)
+    nerrs = len(lam) - 1
+    if nerrs == 0 or nerrs > CORRECTABLE_BYTES:
+        return None
+    positions = _find_error_positions(lam)
+    if len(positions) != nerrs:
+        return None  # the error locator does not split over the field
+
+    # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^16,
+    # e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1).
+    omega = [0] * PARITY_BYTES
+    for i, li in enumerate(lam):
+        for j in range(PARITY_BYTES - i):
+            if li and synd_list[j]:
+                omega[i + j] ^= gf256_mul(li, synd_list[j])
+    lam_odd = lam[1::2]  # Lambda'(x) = sum of odd-degree terms / x in GF(2^m)
+
+    for p in positions:
+        x_log = (BLOCK_BYTES - 1 - p) % 255
+        xinv_log = (255 - x_log) % 255
+        om = 0
+        for i, c in enumerate(omega):
+            if c:
+                om ^= _EXP[(_LOG[c] + i * xinv_log) % 255]
+        dlam = 0
+        for i, c in enumerate(lam_odd):
+            if c:
+                dlam ^= _EXP[(_LOG[c] + (2 * i) * xinv_log) % 255]
+        if dlam == 0:
+            return None  # degenerate locator derivative
+        block[p] ^= gf256_mul(_EXP[x_log], gf256_div(om, dlam))
+
+    if syndromes(block).any():
+        return None  # the correction did not land on a codeword
+    return nerrs
+
+
+def rs_decode(received: bytes) -> tuple[bytes, int]:
+    """Decode one 255-byte block; returns (message, corrected byte count) or
+    raises rs.RsDecodeFailure, the contract of `rs.rs_decode`."""
+    block = np.frombuffer(received, dtype=np.uint8).copy()
+    synd = syndromes(block)
+    nerrs = _correct(block, synd) if synd.any() else 0
+    if nerrs is None:
+        raise rs.RsDecodeFailure("block has more errors than the code can correct")
+    return block[:MESSAGE_BYTES].tobytes(), nerrs
+
+
+def decode_rows(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-by-row `rs_decode` in the shape `rs.decode_blocks` returns: failed
+    rows keep their uncorrected message bytes and count 0."""
+    messages = blocks[:, :MESSAGE_BYTES].copy()
+    corrected = np.zeros(len(blocks), dtype=np.int64)
+    ok = np.ones(len(blocks), dtype=bool)
+    for r, block in enumerate(blocks):
+        try:
+            msg, corrected[r] = rs_decode(block.tobytes())
+        except rs.RsDecodeFailure:
+            ok[r] = False
+        else:
+            messages[r] = np.frombuffer(msg, dtype=np.uint8)
+    return messages, corrected, ok

@@ -1,8 +1,10 @@
 """CLI surface tests: subcommands, config files, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from gblink import cli, sync
 
@@ -123,9 +125,12 @@ def test_invalid_gamma_exits_nonzero(capsys):
 
 
 def test_console_script_entry_point():
+    # the child does not inherit pytest's `pythonpath`, so point it at src/
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "gblink.cli", "sync-table", "--gammas", "28:28"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma,")
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import rs_oracle
 from gblink import channel, framing, harness, modem, rs
 from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
@@ -248,7 +249,7 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
             msgs, failures = [], 0
             for c in range(kind.codewords_per_frame):
                 try:
-                    msgs.append(rs.rs_decode(body[c * 255: (c + 1) * 255].tobytes()))
+                    msgs.append(rs_oracle.rs_decode(body[c * 255: (c + 1) * 255].tobytes()))
                 except rs.RsDecodeFailure:
                     failures += 1
             partial += failures == 1 and kind.codewords_per_frame == 2

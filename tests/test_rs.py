@@ -1,11 +1,15 @@
 """GF(2^8) and RS(255,239) tests, checked against independent oracles:
-carry-less multiplication with polynomial reduction for the field, and plain
-polynomial long division for the encoder parity.
+carry-less multiplication with polynomial reduction for the field, plain
+polynomial long division for the encoder parity, and the scalar decoder in
+`rs_oracle` for the batch decoder.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rs_oracle
 from gblink import rs
 
 
@@ -133,15 +137,17 @@ def test_decode_round_trip_random_weights():
     rng = np.random.default_rng(7)
     msgs = rng.integers(0, 256, (2000, 239), dtype=np.uint8)
     blocks = rs.encode_blocks(msgs)
+    weights = np.zeros(msgs.shape[0], dtype=np.int64)
     for i in range(msgs.shape[0]):
-        w = int(rng.integers(0, 9))
-        blk = blocks[i].copy()
+        w = weights[i] = int(rng.integers(0, 9))
         if w:
             pos = rng.choice(255, w, replace=False)
-            blk[pos] ^= rng.integers(1, 256, w).astype(np.uint8)
-        decoded, corrected = rs.rs_decode(blk.tobytes())
-        assert decoded == msgs[i].tobytes()
-        assert corrected == w
+            blocks[i, pos] ^= rng.integers(1, 256, w).astype(np.uint8)
+    decoded, corrected, ok = rs.decode_blocks(blocks)
+    for i in range(msgs.shape[0]):
+        assert ok[i]
+        assert decoded[i].tobytes() == msgs[i].tobytes()
+        assert corrected[i] == weights[i]
 
 
 def test_decode_twenty_errors_detected():
@@ -150,17 +156,14 @@ def test_decode_twenty_errors_detected():
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 256, 239, dtype=np.uint8).tobytes()
     cw = np.frombuffer(rs.rs_encode(msg), np.uint8)
-    trials, detected = 10_000, 0
-    for _ in range(trials):
-        blk = cw.copy()
+    trials = 10_000
+    blocks = np.tile(cw, (trials, 1))
+    for blk in blocks:
         pos = rng.choice(255, 20, replace=False)
         blk[pos] ^= rng.integers(1, 256, 20).astype(np.uint8)
-        try:
-            decoded, _ = rs.rs_decode(blk.tobytes())
-            if decoded != msg:
-                detected += 1  # wrong answer would be a silent miscorrection
-        except rs.RsDecodeFailure:
-            detected += 1
+    decoded, _, ok = rs.decode_blocks(blocks)
+    # a wrong message with ok set would be a silent miscorrection
+    detected = int(np.count_nonzero(~ok | (decoded != np.frombuffer(msg, np.uint8)).any(axis=1)))
     rate = detected / trials
     print(f"20-error detection rate: {rate:.5f}")
     assert rate > 0.999
@@ -210,3 +213,70 @@ def test_decode_blocks_empty_batch():
     assert messages.shape == (0, 239) and corrected.size == 0 and ok.size == 0
     with pytest.raises(ValueError):
         rs.decode_blocks(np.zeros((2, 254), np.uint8))
+
+
+def _corrupt(rng, n: int, max_errors: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random codewords with 0..max_errors random byte errors each."""
+    blocks = rs.encode_blocks(rng.integers(0, 256, (n, 239), dtype=np.uint8))
+    weights = rng.integers(0, max_errors + 1, n)
+    for blk, w in zip(blocks, weights):
+        blk[rng.choice(255, w, replace=False)] ^= rng.integers(1, 256, w).astype(np.uint8)
+    return blocks, weights
+
+
+def _assert_matches_oracle(blocks: np.ndarray) -> np.ndarray:
+    messages, corrected, ok = rs.decode_blocks(blocks)
+    ref_messages, ref_corrected, ref_ok = rs_oracle.decode_rows(blocks)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(corrected, ref_corrected)
+    assert np.array_equal(messages, ref_messages)
+    return ok
+
+
+def test_syndromes_match_table_gather():
+    blocks, _ = _corrupt(np.random.default_rng(23), 300, 20)
+    expected = np.stack([rs_oracle.syndromes(blk) for blk in blocks])
+    assert np.array_equal(rs.syndromes_blocks(blocks), expected)
+
+
+def test_decode_blocks_matches_oracle_seeded():
+    """Every row of a batch with 0-20 byte errors per block: messages,
+    corrected counts and success agree with the scalar decoder."""
+    blocks, weights = _corrupt(np.random.default_rng(29), 3000, 20)
+    ok = _assert_matches_oracle(blocks)
+    assert ok[weights <= 8].all() and not ok[weights >= 12].any()
+
+
+@st.composite
+def _corrupted_block(draw) -> np.ndarray:
+    message = np.frombuffer(draw(st.binary(min_size=239, max_size=239)), np.uint8)
+    positions = draw(st.lists(st.integers(0, 254), max_size=20, unique=True))
+    values = draw(st.lists(st.integers(1, 255), min_size=len(positions),
+                           max_size=len(positions)))
+    block = rs.encode_blocks(message)[0]
+    block[positions] ^= np.array(values, dtype=np.uint8)
+    return block
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_corrupted_block(), min_size=1, max_size=80))
+def test_decode_blocks_matches_oracle_hypothesis(blocks):
+    _assert_matches_oracle(np.stack(blocks))
+
+
+def test_crafted_miscorrection():
+    """The codeword of the unit message is the generator polynomial (17
+    nonzero bytes).  Nine of its bytes on the all-zero codeword are nine
+    errors away from the sent word but eight from the unit codeword, so a
+    bounded-distance decoder reports a successful 8-byte correction to the
+    wrong message."""
+    unit = bytes(238) + b"\x01"
+    g = np.frombuffer(rs.rs_encode(unit), np.uint8)
+    support = np.flatnonzero(g)
+    assert support.size == 17 and g[support].tolist() == rs.GENERATOR_POLY
+    received = np.zeros(255, np.uint8)
+    received[support[:9]] = g[support[:9]]
+    messages, corrected, ok = rs.decode_blocks(received[None, :])
+    assert ok[0] and corrected[0] == 8
+    assert messages[0].tobytes() == unit != bytes(239)
+    assert rs_oracle.rs_decode(received.tobytes()) == (unit, 8)
