@@ -1,4 +1,4 @@
-"""Discrete-event simulation of the dual-clock elastic FIFO with
+"""Event-stepped simulation of the dual-clock elastic FIFO with
 threshold-driven start/stop flow control.
 
 The two clocks are mapped onto one integer tick timeline: frequencies are
@@ -21,8 +21,19 @@ Semantics
   * `duration_cycles` counts read-clock cycles from t = 0; the simulation
     horizon is the last of those ticks.
 
-Long stretches are advanced analytically (closed-form event counting plus a
-monotone crossing search) rather than cycle by cycle; the results are
+Stepping is one event loop over write ticks.  While the writer's state holds,
+occupancy is an exact integer function of the two tick counters, for either
+sign of drift: with every tick writing, a commit at write tick k leaves
+base + 1 + floor(k (pr - pw) / pr) bytes and read m leaves
+base + floor(m (pr - pw) / pw), where base is fixed at the start of the
+stretch.  Each step solves these in closed form for the next event that needs
+the per-tick rules (priming, the upper threshold, overflow at capacity,
+resume at the lower threshold, the horizon), stops earlier where a burst, gap
+or stop-latency counter runs out, and applies the write ticks and every read
+between them at once.  An event tick then runs alone.  Underflows need no
+event: reads can only find the FIFO empty while occupancy after reads falls,
+so once starved it passes each write straight to the next read, and its
+underflows are counted as reads minus the bytes it had.  The results are
 bit-identical to naive per-tick stepping, which the test suite checks against
 an independent reference simulator.
 
@@ -43,8 +54,6 @@ TICK_SCALE = 100
 _BURST_BYTES = (64, 1523)
 _BURST_GAP_CYCLES = (12, 256)
 
-_JUMP_MIN_WRITES = 32  # below this a plain per-tick loop is cheaper
-
 
 @dataclass(frozen=True)
 class FifoConfig:
@@ -58,8 +67,11 @@ class FifoConfig:
     def validate(self) -> None:
         if not 0 < self.lower_threshold < self.upper_threshold < self.capacity_bytes:
             raise ValueError("need 0 < lower < upper < capacity")
-        if self.write_clock_hz <= 0 or self.read_clock_hz <= 0:
-            raise ValueError("clock frequencies must be positive")
+        for name in ("write_clock_hz", "read_clock_hz"):
+            ticks = getattr(self, name) * TICK_SCALE
+            if not (math.isfinite(ticks) and round(ticks) >= 1):
+                raise ValueError(f"{name} must be finite and round to at least "
+                                 f"1/{TICK_SCALE} Hz, got {getattr(self, name)}")
         if self.resume_latency_cycles < 0:
             raise ValueError("resume latency must be non-negative")
 
@@ -97,242 +109,153 @@ class _Sim:
         self.cfg = cfg
         self.pw, self.pr = _periods(cfg)
         self.t_end = (duration_cycles - 1) * self.pr
-        self.bursty = write_pattern == "bursty"
+        self.k_last = self.t_end // self.pw   # last write tick within the horizon
         self.rng = np.random.default_rng(seed)
+        self.lengths: list[int] = []
         self.stats = FifoStats()
 
-        self.kw = 0                 # next write-clock tick index
+        self.kw = 0                 # next write tick; every read before it is applied
         self.occ = 0
         self.state = _ACTIVE
         self.latency_left = 0
         self.primed = False
         self.next_read = 0          # next unprocessed read tick index (once primed)
-        self.burst_left = 0 if self.bursty else -1   # -1 = unbounded
+        self.bursty = write_pattern == "bursty"
+        # bursty: one of burst_left and gap_left is positive; continuous: -1
+        self.burst_left = self._draw() if self.bursty else -1
         self.gap_left = 0
 
-    # -- read-side bulk processing -------------------------------------------
+    def _draw(self) -> int:
+        """The next burst or gap length.  They alternate, burst first, so they
+        are drawn ahead in pairs: one `integers` call with per-element bounds
+        yields the values the scalar calls would, in the same order."""
+        if not self.lengths:
+            low, high = zip(_BURST_BYTES, _BURST_GAP_CYCLES)
+            self.lengths = self.rng.integers(low * 256, high * 256).tolist()[::-1]
+        return self.lengths.pop()
 
-    def _reads_upto(self, t: int) -> None:
-        """Apply every pending read tick <= t (no writes may lie in between)."""
-        if not self.primed:
+    def _quiet_ticks(self) -> tuple[int, bool]:
+        """The number of write ticks from kw on that hold no occupancy event,
+        and whether each of them commits a byte.  The stretch may end on a
+        burst, gap or latency boundary, which `_count` applies."""
+        cfg, kw, occ, pw, pr = self.cfg, self.kw, self.occ, self.pw, self.pr
+        paused = self.state == _PAUSED
+        writing = not paused and self.burst_left != 0
+        k = self.k_last                       # the last tick runs on its own
+        if self.state == _STOPPING:
+            k = min(k, kw + self.latency_left)
+        if self.bursty and not paused:
+            k = min(k, kw + (self.burst_left if writing else self.gap_left))
+        if writing:
+            # the first tick whose commit lifts occupancy to `level`: priming,
+            # the upper threshold while active, a write finding the FIFO full
+            level = cfg.upper_threshold if self.state == _ACTIVE else cfg.capacity_bytes + 1
+            if not self.primed:
+                k = min(k, kw + min(level, cfg.capacity_bytes // 2) - occ - 1)
+            elif occ + 1 >= level:
+                k = kw
+            elif pw < pr:
+                # occupancy before write tick j is base + j - ceil(j pw / pr),
+                # so a commit at j leaves base + 1 + floor(j (pr - pw) / pr)
+                base = occ + self.next_read - kw
+                k = min(k, -(-(level - base - 1) * pr // (pr - pw)))
+        elif paused and self.primed:
+            # the read that brings occupancy down to the lower threshold, and
+            # the first write tick after it
+            m = self.next_read + occ - cfg.lower_threshold - 1
+            k = min(k, max(kw, m * pr // pw + 1))
+        return k - kw, writing
+
+    def _advance(self, n: int, writing: bool) -> None:
+        """Apply the occupancy of n quiet write ticks from kw on, committing a
+        byte on each if `writing`, and of every read before the next tick.
+
+        Over a quiet stretch occupancy after commits and after reads is
+        monotone, and its first values set no new extreme: when commits do
+        not rise, a read comes between the previous commit and the first, and
+        a write comes between the previous read and the first.  So only the
+        last commit and the last read are recorded.  Only with a faster reader
+        or an idle writer can a read find the FIFO empty, and then occupancy
+        after reads only falls: from the first such read on, every read
+        leaves the FIFO empty, and max(0, reads - occupancy - writes) reads
+        find it so.
+        """
+        st, pw, pr = self.stats, self.pw, self.pr
+        k0, occ0, m0 = self.kw, self.occ, self.next_read
+        w = n if writing else 0               # bytes committed
+        self.kw = k1 = k0 + n
+        if w:
+            st.bytes_written += w
+            top = occ0 + w
+            if self.primed:                   # less the reads before the last write
+                top -= -(-(k1 - 1) * pw // pr) - m0
+            st.max_occupancy = max(st.max_occupancy, top)
+        reads = min(k1 * pw - 1, self.t_end) // pr + 1 - m0 if self.primed else 0
+        if reads <= 0:
+            self.occ += w
             return
-        hi = min(t, self.t_end)
-        m_hi = hi // self.pr
-        count = m_hi - self.next_read + 1
-        if count <= 0:
-            return
-        delivered = min(count, self.occ)
-        gaps = count - delivered
-        self.occ -= delivered
-        st = self.stats
-        st.output_bytes += delivered
+        self.next_read = m0 + reads
+        low = occ0 - reads                    # left by the last read, before clamping
+        if w:
+            low += (self.next_read - 1) * pr // pw - k0 + 1   # writes up to it
+        if st.min_occupancy_after_priming is None or low < st.min_occupancy_after_priming:
+            st.min_occupancy_after_priming = max(0, low)
+        net = occ0 + w - reads
+        gaps = max(0, -net)                   # reads that found the FIFO empty
+        self.occ = net + gaps
+        st.output_bytes += reads - gaps
         st.underflow_events += gaps
         st.output_gaps_after_priming += gaps
-        if st.min_occupancy_after_priming is None or self.occ < st.min_occupancy_after_priming:
-            st.min_occupancy_after_priming = self.occ
-        self.next_read = m_hi + 1
 
-    def _pending_reads_before(self, t: int) -> int:
-        """Pending read ticks strictly earlier than t, within the horizon."""
-        if not self.primed:
-            return 0
-        hi = min(t - 1, self.t_end)
-        return max(0, hi // self.pr - self.next_read + 1)
-
-    # -- write-side primitives -------------------------------------------------
-
-    def _commit_write(self, t: int) -> None:
-        st = self.stats
-        if self.occ < self.cfg.capacity_bytes:
-            self.occ += 1
-            st.bytes_written += 1
-            if self.occ > st.max_occupancy:
-                st.max_occupancy = self.occ
-        else:
-            st.overflow_events += 1
-        if not self.primed and self.occ >= self.cfg.capacity_bytes // 2:
-            self.primed = True
-            self.next_read = -(-t // self.pr)  # first read tick at or after t
-            st.min_occupancy_after_priming = self.occ
-        if self.state == _ACTIVE and self.occ >= self.cfg.upper_threshold:
-            st.stop_assertions += 1
-            if self.cfg.resume_latency_cycles == 0:
+    def _count(self, n: int, writing: bool) -> None:
+        """Count n write ticks off the burst, gap and stop-latency counters."""
+        if writing:
+            if self.bursty:
+                self.burst_left -= n
+                if self.burst_left == 0:
+                    self.gap_left = self._draw()
+        elif self.state != _PAUSED:
+            self.gap_left -= n
+            if self.gap_left == 0:
+                self.burst_left = self._draw()
+        if self.state == _STOPPING:
+            self.latency_left -= n
+            if self.latency_left == 0:
                 self.state = _PAUSED
-            else:
-                self.state = _STOPPING
-                self.latency_left = self.cfg.resume_latency_cycles
 
-    def _maybe_start_burst(self) -> bool:
-        """True if the writer has payload for this cycle."""
-        if not self.bursty:
-            return True
-        if self.burst_left > 0:
-            return True
-        if self.gap_left > 0:
-            return False
-        self.burst_left = int(self.rng.integers(*_BURST_BYTES))
-        return True
-
-    def _slow_tick(self) -> None:
-        t = self.kw * self.pw
-        self._reads_upto(t - 1)
-        stopping = self.state == _STOPPING
-        if self._maybe_start_burst():
-            self._commit_write(t)
-            if self.burst_left > 0:
-                self.burst_left -= 1
-                if self.bursty and self.burst_left == 0:
-                    self.gap_left = int(self.rng.integers(*_BURST_GAP_CYCLES))
-        elif self.gap_left > 0:
-            self.gap_left -= 1
-        if stopping:
-            self.latency_left -= 1
-            if self.latency_left <= 0:
-                self.state = _PAUSED
-        self._reads_upto(t)
-        self.kw += 1
-
-    # -- analytic stretches ----------------------------------------------------
-
-    def _writes_until_end(self) -> int:
-        return (self.t_end - self.kw * self.pw) // self.pw + 1
-
-    def _jump_prefill(self) -> bool:
-        """Advance a write-only stretch before the reader has started."""
-        cap = self.cfg.capacity_bytes
-        bounds = [cap // 2 - self.occ,            # priming trigger
-                  self._writes_until_end()]
-        if self.state == _ACTIVE:
-            bounds.append(self.cfg.upper_threshold - self.occ)
-        if self.bursty:
-            bounds.append(self.burst_left)
-        n = min(b for b in bounds) - 1            # leave the boundary write to _slow_tick
-        if n < _JUMP_MIN_WRITES:
-            return False
-        self.occ += n
-        self.stats.bytes_written += n
-        if self.occ > self.stats.max_occupancy:
-            self.stats.max_occupancy = self.occ
-        if self.burst_left > 0:
-            self.burst_left -= n
-        self.kw += n
-        return True
-
-    def _jump_fill(self) -> bool:
-        """Advance a writer-faster writing stretch with the reader running.
-
-        Preconditions checked by the caller: ACTIVE state, payload available,
-        primed, pw < pr, occ >= 1.  Under those, every read in the stretch
-        finds data and occupancy at write commits is non-decreasing, so the
-        first threshold crossing is found by bisection.
-        """
-        w0 = self.kw * self.pw
-        bound = self._writes_until_end()
-        if self.bursty:
-            bound = min(bound, self.burst_left)
-        if bound < _JUMP_MIN_WRITES:
-            return False
-
-        occ0 = self.occ
-        upper = self.cfg.upper_threshold
-
-        def occ_at_commit(i: int) -> int:
-            return occ0 + (i + 1) - self._pending_reads_before(w0 + i * self.pw)
-
-        crossing = occ_at_commit(bound - 1) >= upper
-        if crossing:
-            lo, hi = 0, bound - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if occ_at_commit(mid) >= upper:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            n = lo + 1
-        else:
-            n = bound
-
-        t_last = w0 + (n - 1) * self.pw
-        reads = self._pending_reads_before(t_last)
-        st = self.stats
-        if reads:
-            u0 = self.next_read * self.pr
-            writes_by_u0 = (u0 - w0) // self.pw + 1 if u0 >= w0 else 0
-            dip = occ0 + writes_by_u0 - 1
-            if st.min_occupancy_after_priming is None or dip < st.min_occupancy_after_priming:
-                st.min_occupancy_after_priming = dip
-        self.occ = occ0 + n - reads
-        st.bytes_written += n
-        st.output_bytes += reads
-        self.next_read += reads
-        if self.occ > st.max_occupancy:
-            st.max_occupancy = self.occ
-        if self.burst_left > 0:
-            self.burst_left -= n
-            if self.bursty and self.burst_left == 0:
-                self.gap_left = int(self.rng.integers(*_BURST_GAP_CYCLES))
-        self.kw += n
-        if crossing:
-            st.stop_assertions += 1
-            if self.cfg.resume_latency_cycles == 0:
-                self.state = _PAUSED
-            else:
-                self.state = _STOPPING
-                self.latency_left = self.cfg.resume_latency_cycles
-        self._reads_upto(t_last)
-        return True
-
-    def _run_paused(self) -> bool:
-        """Idle until the resume condition; returns False when the run ends."""
-        self._reads_upto(self.kw * self.pw - 1)
-        lower = self.cfg.lower_threshold
-        if self.occ <= lower:
+    def _tick(self) -> None:
+        """Run write tick kw with the per-tick rules, then the reads before the next."""
+        cfg, st = self.cfg, self.stats
+        if self.state == _PAUSED and self.occ <= cfg.lower_threshold:
             self.state = _ACTIVE
-            return True
-        if not self.primed:
-            return False  # occupancy can never drop: idle to the end
-        m_trig = self.next_read + (self.occ - lower) - 1
-        t_trig = m_trig * self.pr
-        if t_trig > self.t_end:
-            return False
-        resume_kw = t_trig // self.pw + 1
-        if resume_kw * self.pw > self.t_end:
-            return False
-        self._reads_upto(resume_kw * self.pw - 1)
-        self.state = _ACTIVE
-        self.kw = resume_kw
-        return True
-
-    def _run_gap(self) -> None:
-        """Skip the writer's idle burst gap in one step."""
-        g = self.gap_left
-        t_next = (self.kw + g) * self.pw
-        self._reads_upto(min(t_next - 1, self.t_end))
-        self.gap_left = 0
-        self.kw += g
-
-    # -- main loop ---------------------------------------------------------------
+        writing = self.state != _PAUSED and self.burst_left != 0
+        self._count(1, writing)
+        if writing:
+            if self.occ < cfg.capacity_bytes:
+                self.occ += 1
+                st.bytes_written += 1
+                st.max_occupancy = max(st.max_occupancy, self.occ)
+            else:
+                st.overflow_events += 1
+            if not self.primed and self.occ >= cfg.capacity_bytes // 2:
+                self.primed = True
+                self.next_read = -(-self.kw * self.pw // self.pr)  # first read at or after now
+                st.min_occupancy_after_priming = self.occ
+            if self.state == _ACTIVE and self.occ >= cfg.upper_threshold:
+                st.stop_assertions += 1
+                self.state = _STOPPING if cfg.resume_latency_cycles else _PAUSED
+                self.latency_left = cfg.resume_latency_cycles
+        self.kw += 1
+        self._advance(0, False)
 
     def run(self) -> FifoStats:
-        while True:
-            if self.kw * self.pw > self.t_end:
-                self._reads_upto(self.t_end)
-                break
-            if self.state == _PAUSED:
-                if not self._run_paused():
-                    self._reads_upto(self.t_end)
-                    break
-                continue
-            if self.bursty and self.state == _ACTIVE and self.burst_left == 0 and self.gap_left > 0:
-                self._run_gap()
-                continue
-            if self.state == _ACTIVE and (self.burst_left != 0 or not self.bursty):
-                if not self.primed:
-                    if self._jump_prefill():
-                        continue
-                elif self.pw < self.pr and self.occ >= 1 and self._jump_fill():
-                    continue
-            self._slow_tick()
+        while self.kw <= self.k_last:
+            n, writing = self._quiet_ticks()
+            if n:
+                self._advance(n, writing)
+                self._count(n, writing)
+            else:
+                self._tick()
         self.stats.final_occupancy = self.occ
         return self.stats
 
@@ -340,4 +263,9 @@ class _Sim:
 def simulate_fifo(cfg: FifoConfig, duration_cycles: int,
                   write_pattern: str = "continuous", seed: int = 0) -> FifoStats:
     """Run the dual-clock FIFO for `duration_cycles` read-clock cycles."""
-    return _Sim(cfg, duration_cycles, write_pattern, seed).run()
+    st = _Sim(cfg, duration_cycles, write_pattern, seed).run()
+    if st.bytes_written != st.output_bytes + st.final_occupancy:
+        raise RuntimeError(f"FIFO simulation lost bytes: {st}")
+    if st.max_occupancy > cfg.capacity_bytes:
+        raise RuntimeError(f"FIFO simulation exceeded capacity: {st}")
+    return st

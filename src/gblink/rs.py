@@ -10,13 +10,13 @@ fixtures stay stable.
 Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 (first transmitted byte), matching the shift-register encoder ordering.
 
-Decoding is batch-first.  Syndromes and the Chien search are GF(2)-linear in
-the bits of their input, so each is one float32 matmul on unpacked bits
-(`_gf2_apply`).  Blocks with nonzero syndromes go through one corrector over
-the whole batch: inversionless Berlekamp-Massey (Sarwate & Shanbhag, "High-
-speed architectures for Reed-Solomon decoders", IEEE TVLSI 2001) in 16 fixed
-steps, the matmul Chien search, Forney's formula at the located roots, and a
-re-check that each corrected block is a codeword.
+Encoding and decoding are batch-first.  Parity, syndromes and the Chien
+search are GF(2)-linear in the bits of their input, so each is one float32
+matmul on unpacked bits (`_gf2_apply`).  Blocks with nonzero syndromes go
+through one corrector over the whole batch: inversionless Berlekamp-Massey
+(Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders",
+IEEE TVLSI 2001) in 16 fixed steps, the matmul Chien search, Forney's formula
+at the located roots, and a re-check that each corrected block is a codeword.
 
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
@@ -80,14 +80,12 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-# Full 256x256 product table; the batch encoder and the batch corrector are
-# table gathers over it.
+# Full 256x256 product table; the GF(2) bit matrices are built from it and
+# the batch corrector gathers from it.
 _EXP_NP = np.array(_EXP, dtype=np.uint8)
 _LOG_NP = np.array(_LOG, dtype=np.int64)
 _MUL = np.zeros((256, 256), dtype=np.uint8)
 _MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
-
-_GEN_TAIL = np.array(GENERATOR_POLY[1:], dtype=np.uint8)
 
 _ROWS = 64  # rows per step of the batch kernels: temporaries stay under 600 kB
 
@@ -115,6 +113,22 @@ def _gf2_apply(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parity_rows() -> np.ndarray:
+    """Row j is the parity of message byte j alone, x^(254 - j) mod g(x), as
+    16 coefficients highest first; a message's parity is the sum of its
+    bytes' rows scaled by the bytes.  Built up from x^16 mod g, the tail of
+    the monic g, by x r mod g: shift r up one degree and fold the carried
+    x^16 coefficient back in through the tail."""
+    tail = np.array(GENERATOR_POLY[1:], dtype=np.uint8)
+    rows = [tail]
+    for _ in range(MESSAGE_BYTES - 1):
+        r = rows[-1]
+        rows.append(np.append(r[1:], 0) ^ _MUL[r[0], tail])
+    return np.array(rows[::-1])
+
+
+_PARITY_BITS = _gf2_matrix(_parity_rows())
+
 # Syndromes: S_i = sum_j r_j alpha^(i deg_j), where deg_j = 254 - j is the
 # polynomial degree carried by byte j of a block.
 _degrees = BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)
@@ -130,15 +144,7 @@ def encode_blocks(messages: np.ndarray) -> np.ndarray:
     msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     if msgs.shape[1] != MESSAGE_BYTES:
         raise ValueError(f"messages must have {MESSAGE_BYTES} columns, got {msgs.shape[1]}")
-    nblk = msgs.shape[0]
-    parity = np.zeros((nblk, PARITY_BYTES), dtype=np.uint8)
-    for j in range(MESSAGE_BYTES):
-        feedback = msgs[:, j] ^ parity[:, 0]
-        shifted = np.empty_like(parity)
-        shifted[:, :-1] = parity[:, 1:]
-        shifted[:, -1] = 0
-        parity = shifted ^ _MUL[feedback[:, None], _GEN_TAIL[None, :]]
-    return np.concatenate([msgs, parity], axis=1)
+    return np.concatenate([msgs, _gf2_apply(msgs, _PARITY_BITS)], axis=1)
 
 
 def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:

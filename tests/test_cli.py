@@ -175,3 +175,9 @@ def test_nan_distance_rejected(capsys):
 
 def test_infinite_fifo_cycles_rejected(capsys):
     _assert_clean_error(["fifo", "--cycles", "inf"], capsys)
+
+
+def test_bad_fifo_clocks_rejected(capsys):
+    _assert_clean_error(["fifo", "--read-hz", "inf", "--cycles", "100"], capsys)
+    _assert_clean_error(["fifo", "--write-hz", "nan", "--cycles", "100"], capsys)
+    _assert_clean_error(["fifo", "--write-hz", "1e-3", "--cycles", "100"], capsys)

@@ -5,6 +5,8 @@ per-tick reference that walks the merged clock timeline one event at a time.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gblink.elastic import FifoConfig, FifoStats, _periods, simulate_fifo
 
@@ -121,6 +123,57 @@ def test_matches_per_tick_reference(cfg, duration, pattern, seed):
         reference_simulate(cfg, duration, pattern, seed)
 
 
+@st.composite
+def small_fifo_cases(draw):
+    capacity = draw(st.integers(4, 100))
+    lower = draw(st.integers(1, capacity - 2))
+    upper = draw(st.integers(lower + 1, capacity - 1))
+    # clocks between 50 and 200 MHz in 1 MHz steps (short tick periods, so
+    # crossings often land exactly on a tick) or 10 kHz steps; the read clock
+    # is slower, equal or faster
+    step = draw(st.sampled_from([10**6, 10**4]))
+    lo, hi = 50 * 10**6 // step, 200 * 10**6 // step
+    write_steps = draw(st.integers(lo, hi))
+    side = draw(st.sampled_from([-1, 0, 1]))
+    read_steps = min(hi, max(lo, write_steps + side * draw(st.integers(1, hi - lo))))
+    cfg = FifoConfig(capacity_bytes=capacity, upper_threshold=upper, lower_threshold=lower,
+                     write_clock_hz=write_steps * step, read_clock_hz=read_steps * step,
+                     resume_latency_cycles=draw(st.integers(0, 200)))
+    return (cfg, draw(st.integers(1, 5_000)), draw(st.sampled_from(["continuous", "bursty"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fifo_cases())
+def test_matches_per_tick_reference_hypothesis(case):
+    assert simulate_fifo(*case) == reference_simulate(*case)
+
+
+@pytest.mark.parametrize("read_hz", [125e6, 130e6], ids=["equal", "reader-faster"])
+def test_long_run_closed_form(read_hz):
+    """1e8 read cycles with a writer that never reaches the upper threshold:
+    it writes on every tick up to the horizon, and after priming at half
+    capacity each write is matched (equal clocks) or outrun by a read."""
+    cfg = FifoConfig(read_clock_hz=read_hz)
+    cycles = 10**8
+    stats = simulate_fifo(cfg, cycles)
+    pw, pr = _periods(cfg)
+    assert stats.bytes_written == (cycles - 1) * pr // pw + 1
+    assert stats.bytes_written == stats.output_bytes + stats.final_occupancy
+    assert stats.output_gaps_after_priming == stats.underflow_events
+    assert stats.stop_assertions == 0 and stats.overflow_events == 0
+    # priming is the write that fills half the FIFO; from the next read tick
+    # on, every read delivers a byte or is an underflow
+    half = cfg.capacity_bytes // 2
+    assert stats.output_bytes + stats.underflow_events == cycles - -(-(half - 1) * pw // pr)
+    if pw == pr:
+        assert stats.max_occupancy == half
+        assert half - 1 <= stats.min_occupancy_after_priming <= stats.final_occupancy <= half
+        assert stats.underflow_events == 0
+    else:
+        assert stats.min_occupancy_after_priming == 0 and stats.underflow_events > 0
+
+
 def test_default_config_regression_fixture():
     """Frozen result of the default configuration over 50k read cycles; any
     change to the event semantics shows up here first."""
@@ -199,3 +252,8 @@ def test_validation():
         simulate_fifo(FifoConfig(), 0)
     with pytest.raises(ValueError):
         simulate_fifo(FifoConfig(), 100, "weird")
+    for field, bad in [("read_clock_hz", float("inf")), ("write_clock_hz", float("nan")),
+                       ("write_clock_hz", 1e-3), ("read_clock_hz", -1.0),
+                       ("write_clock_hz", 1e307)]:
+        with pytest.raises(ValueError, match=field):
+            simulate_fifo(FifoConfig(**{field: bad}), 100)
