@@ -14,8 +14,8 @@ from .harness import (AwgnChannel, BscChannel, DistanceChannel, ExperimentConfig
                       LinkReport, run_link, sweep)
 from .modem import bpsk_map, deserialize, diff_decode, diff_demod, diff_encode, serialize
 from .rs import RsDecodeFailure, decode_blocks, rs_decode, rs_encode
-from .sync import (CorrelatorBankConfig, FrameSynchronizer, SyncProbabilities,
-                   SyncResult, correlate, detect, p_false, p_miss, tradeoff_table)
+from .sync import (CorrelatorBankConfig, FrameSynchronizer, SyncProbabilities, correlate,
+                   p_false, p_miss, tradeoff_table)
 
 __version__ = "0.1.0"
 
@@ -23,9 +23,9 @@ __all__ = [
     "AwgnChannel", "BscChannel", "CorrelatorBankConfig", "DistanceChannel",
     "ExperimentConfig", "FRAME_KINDS", "FifoConfig", "FifoStats", "FrameError",
     "FrameKind", "FrameSynchronizer", "LinkBudget", "LinkReport", "P32", "P64",
-    "RsDecodeFailure", "SyncProbabilities", "SyncResult", "awgn", "bpsk_map", "bsc",
+    "RsDecodeFailure", "SyncProbabilities", "awgn", "bpsk_map", "bsc",
     "build_frames", "correlate", "dbpsk_ber_theory", "decode_blocks", "deserialize",
-    "detect", "diff_decode", "diff_demod", "diff_encode", "gen_preamble",
+    "diff_decode", "diff_demod", "diff_encode", "gen_preamble",
     "gen_scrambler_seq", "noise_sigma", "p_false", "p_miss", "parse_frame", "parse_frames",
     "rs_decode", "rs_encode", "rs_residual_ber", "run_link", "scramble",
     "select_scrambler", "serialize", "simulate_fifo", "snr_at_distance", "sweep",

@@ -39,6 +39,14 @@ class LinkBudget:
     noise_figure_db: float = 8.0
     extra_loss_db: float = 0.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
+            raise ValueError("carrier_hz and bandwidth_hz must be positive, got "
+                             f"{self.carrier_hz} and {self.bandwidth_hz}")
+
 
 def noise_sigma(ebn0_db: float, code_rate: float) -> float:
     """Per-quadrature noise standard deviation for unit-energy symbols."""

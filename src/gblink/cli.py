@@ -128,18 +128,13 @@ def _add_link_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-", help="output file (default stdout)")
 
 
-def _auto_frames(opts: dict, kind, budget: LinkBudget) -> int:
+def _auto_frames(chan: harness.Channel, kind, uncoded: bool) -> int:
     """Smallest frame count giving ~100 expected raw error events, capped."""
-    if opts["channel"] == "bsc":
-        ber = opts["p"]
+    if isinstance(chan, harness.BscChannel):
+        ber = chan.p
     else:
-        if opts["channel"] == "awgn":
-            es_n0 = opts["ebn0"] + (0.0 if opts["uncoded"]
-                                    else 10 * math.log10(kind.code_rate))
-        else:
-            es_n0 = channel.snr_at_distance(budget, opts["distance"],
-                                            kind.channel_rate_bps)
-        ber = channel.dbpsk_ber_theory(es_n0)
+        ebn0_db, code_rate = harness.noise_point(chan, kind, uncoded)
+        ber = channel.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
     return harness.frames_for_target_errors(kind, ber)
 
 
@@ -161,7 +156,9 @@ def _experiment_config(opts: dict) -> tuple[harness.ExperimentConfig, float]:
     else:
         chan = harness.DistanceChannel(opts["distance"], budget)
         param = opts["distance"]
-    frames = opts["frames"] if opts["frames"] is not None else _auto_frames(opts, kind, budget)
+    frames = opts["frames"]
+    if frames is None:
+        frames = _auto_frames(chan, kind, opts["uncoded"])
     cfg = harness.ExperimentConfig(
         channel=chan, frames=frames, master_seed=opts["seed"],
         frame_kind=kind, gamma=opts["gamma"],

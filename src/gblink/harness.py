@@ -20,7 +20,8 @@ Coded errors are one popcount of delivered XOR true payload bytes.
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` produces a per-channel-bit ratio from the link budget and
-feeds it straight in at rate 1.  Both become a noise deviation through
+feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
+for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma` and run `modem.bpsk_map` -> `channel.awgn` ->
 `modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips serialized
 channel bits directly, bypassing the modem.  Channels reject values outside
@@ -130,6 +131,17 @@ class LinkReport:
             raise ValueError("negative counters")
 
 
+def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
+                uncoded: bool) -> tuple[float, float]:
+    """(Eb/N0 in dB, code rate) of a modem channel, the arguments of
+    `channel.noise_sigma`; the ratio per channel bit is ebn0 + 10*log10(rate)."""
+    if isinstance(chan, DistanceChannel):
+        # the link budget already references its ratio to channel bits
+        return channel_mod.snr_at_distance(chan.budget, chan.distance_m,
+                                           kind.channel_rate_bps), 1.0
+    return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
+
+
 def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Differential chain over AWGN in chunks of _CHUNK_SYMBOLS; a +1
     reference symbol leads, then each chunk's last symbol leads the next."""
@@ -165,14 +177,7 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
         seed = int(chan_ss.generate_state(1, np.uint64)[0])
         rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
     else:
-        if isinstance(cfg.channel, DistanceChannel):
-            ebn0_db = channel_mod.snr_at_distance(cfg.channel.budget, cfg.channel.distance_m,
-                                                  kind.channel_rate_bps)
-            code_rate = 1.0  # already referenced to channel bits
-        else:
-            ebn0_db = cfg.channel.ebn0_db
-            code_rate = 1.0 if cfg.uncoded else kind.code_rate
-        sigma = channel_mod.noise_sigma(ebn0_db, code_rate)
+        sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
         rx_bits = _demodulate_awgn(tx_bits, sigma, np.random.default_rng(chan_ss))
 
     lo = cfg.bit_offset
@@ -208,6 +213,8 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
 def _point_config(cfg: ExperimentConfig, param: str, value: float, index: int) -> ExperimentConfig:
     seed = int(np.random.SeedSequence((cfg.master_seed, index)).generate_state(1, np.uint64)[0])
     if param == "gamma":
+        if not float(value).is_integer():
+            raise ValueError(f"gamma must be an integer, got {value}")
         return replace(cfg, gamma=int(value), master_seed=seed)
     if isinstance(cfg.channel, AwgnChannel):
         chan: Channel = AwgnChannel(ebn0_db=value)

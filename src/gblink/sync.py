@@ -1,11 +1,12 @@
 """Byte/frame synchronization by preamble correlation, plus exact analytic
 miss-detection and false-alarm probabilities.
 
-Detection uses two banks of 8 match-count correlators, one per bit offset
+Acquisition uses two banks of 8 match-count correlators, one per bit offset
 within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
-P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).
+P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Tracking re-checks every
+preamble on the flywheel grid after lock with one `correlate` call per lock.
 
 The correlation metric is the match count (Hamming similarity), in [0, N]:
 the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
@@ -34,19 +35,6 @@ class CorrelatorBankConfig:
         if not 0 <= self.gamma <= self.kind.preamble_bits:
             raise ValueError("gamma out of range")
 
-    @property
-    def span_bytes(self) -> int:
-        return self.kind.span_bytes
-
-
-@dataclass(frozen=True)
-class SyncResult:
-    locked: bool
-    bit_offset: int
-    frame_start_bit: int
-    score_bank1: int
-    score_bank2: int
-
 
 @dataclass(frozen=True)
 class SyncProbabilities:
@@ -55,13 +43,14 @@ class SyncProbabilities:
     p_false_double: float
 
 
-def correlate(window: np.ndarray, preamble: np.ndarray) -> int:
-    """Number of matching bit positions."""
-    w = np.asarray(window, dtype=np.uint8)
+def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray:
+    """Number of bit positions matching the preamble, along the last axis of
+    a (..., n) array of windows; a single window gives a scalar count."""
+    w = np.asarray(windows, dtype=np.uint8)
     p = np.asarray(preamble, dtype=np.uint8)
-    if w.size != p.size:
-        raise ValueError(f"window length {w.size} != preamble length {p.size}")
-    return int(np.sum(w == p))
+    if w.shape[-1:] != p.shape:
+        raise ValueError(f"window length {w.shape[-1:]} != preamble length {p.shape}")
+    return np.count_nonzero(w == p, axis=-1)
 
 
 def match_counts(bits: np.ndarray, preamble: np.ndarray) -> np.ndarray:
@@ -71,12 +60,11 @@ def match_counts(bits: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     return (preamble.size + np.correlate(x, p, mode="valid")) >> 1
 
 
-def _scan(bits: np.ndarray, cfg: CorrelatorBankConfig, from_bit: int) -> SyncResult:
-    """First dual-bank lock at or after from_bit; unlocked if none."""
-    kind = cfg.kind
-    n = kind.preamble_bits
-    frame_bits = kind.frame_bits
-    preamble = gen_preamble(kind)
+def _scan(bits: np.ndarray, cfg: CorrelatorBankConfig, preamble: np.ndarray,
+          from_bit: int) -> int:
+    """Start bit of the first dual-bank lock at or after from_bit, or -1."""
+    n = preamble.size
+    frame_bits = cfg.kind.frame_bits
     # byte-major scan over (byte, offset) pairs is a plain scan over bit
     # positions; the last usable bank-1 position keeps bank 2 inside the stream
     last = bits.size - (frame_bits + n)
@@ -89,29 +77,19 @@ def _scan(bits: np.ndarray, cfg: CorrelatorBankConfig, from_bit: int) -> SyncRes
         ok = (counts[:npos] >= cfg.gamma) & (counts[frame_bits: frame_bits + npos] >= cfg.gamma)
         hits = np.nonzero(ok)[0]
         if hits.size:
-            i = pos + int(hits[0])
-            return SyncResult(True, i % 8, i, int(counts[hits[0]]),
-                              int(counts[hits[0] + frame_bits]))
+            return pos + int(hits[0])
         pos = hi
-    return SyncResult(False, 0, -1, 0, 0)
-
-
-def detect(stream: np.ndarray, cfg: CorrelatorBankConfig) -> SyncResult:
-    """Scan a bit stream for the first dual-bank preamble lock."""
-    bits = np.asarray(stream, dtype=np.uint8)
-    need = cfg.span_bytes * 8 + 7
-    if bits.size < need:
-        raise ValueError(f"stream too short: {bits.size} bits < {need}")
-    return _scan(bits, cfg, 0)
+    return -1
 
 
 class FrameSynchronizer:
-    """Acquisition plus per-frame tracking over one demodulated bit stream.
+    """Acquisition plus flywheel tracking over a demodulated bit stream.
 
     After lock the preamble is re-verified every frame against gamma; one miss
     is ridden out (the frame is still delivered at the flywheel position), two
-    consecutive misses declare sync lost and acquisition restarts.  Instances
-    hold per-stream scan state; use one per stream.
+    consecutive misses declare sync lost and acquisition restarts one bit
+    after the second missed preamble.  Instances hold only the configuration
+    and its preamble, so one may serve any number of streams.
     """
 
     def __init__(self, cfg: CorrelatorBankConfig):
@@ -121,34 +99,24 @@ class FrameSynchronizer:
     def locate_frames(self, bits: np.ndarray) -> tuple[list[int], int]:
         """Returns (frame start bit positions, sync loss count)."""
         bits = np.asarray(bits, dtype=np.uint8)
-        kind = self.cfg.kind
-        n = kind.preamble_bits
-        frame_bits = kind.frame_bits
+        frame_bits = self.cfg.kind.frame_bits
         starts: list[int] = []
         losses = 0
         pos = 0
-        while bits.size - pos >= frame_bits + n:
-            res = _scan(bits, self.cfg, pos)
-            if not res.locked:
+        while (s := _scan(bits, self.cfg, self._preamble, pos)) >= 0:
+            # every frame on the flywheel grid whose whole span is in the stream
+            grid = s + frame_bits * np.arange((bits.size - s) // frame_bits)
+            windows = np.lib.stride_tricks.sliding_window_view(bits, self._preamble.size)[grid]
+            hit = correlate(windows, self._preamble) >= self.cfg.gamma
+            double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
+            if double_miss.size == 0:
+                starts.extend(grid.tolist())
                 break
-            s = res.frame_start_bit
-            miss_streak = 0
-            lost = False
-            while s + frame_bits <= bits.size:
-                if correlate(bits[s: s + n], self._preamble) >= self.cfg.gamma:
-                    miss_streak = 0
-                    starts.append(s)
-                else:
-                    miss_streak += 1
-                    if miss_streak >= 2:
-                        losses += 1
-                        lost = True
-                        break
-                    starts.append(s)
-                s += frame_bits
-            if not lost:
-                return starts, losses
-            pos = s + 1
+            # frames up to the first miss of the pair are delivered
+            lost = int(double_miss[0]) + 1
+            starts.extend(grid[:lost].tolist())
+            losses += 1
+            pos = int(grid[lost]) + 1
         return starts, losses
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gblink import cli, sync
 
 
@@ -152,6 +154,23 @@ def test_distance_channel(tmp_path):
     assert float(fields[1]) == 0.0  # 30 m with defaults is loss-free
 
 
+@pytest.mark.parametrize("argv,frames", [
+    (["--ebn0", "10"], 945),
+    (["--ebn0", "10", "--uncoded"], 2118),
+    (["--ebn0", "10", "--kind", "p64"], 492),
+    (["--channel", "distance", "--distance", "30", "--extra-loss", "15"], 199),
+    (["--channel", "distance", "--distance", "30"], 20000),
+    (["--channel", "bsc", "--p", "1e-5"], 4808),
+    (["--channel", "bsc", "--p", "1e-3"], 49),
+], ids=["awgn-coded", "awgn-uncoded", "awgn-coded-p64", "distance", "distance-capped",
+        "bsc", "bsc-1e-3"])
+def test_auto_frames_pinned(argv, frames):
+    """Without --frames, the run is sized for ~100 expected raw error events."""
+    args = cli.build_parser().parse_args(["run", "--seed", "1"] + argv)
+    cfg, _ = cli._experiment_config(cli._merge(args, cli._LINK_SPEC))
+    assert cfg.frames == frames
+
+
 def _assert_clean_error(args, capsys):
     assert run_cli(args) == 2
     captured = capsys.readouterr()
@@ -171,6 +190,19 @@ def test_minus_inf_ebn0_rejected(capsys):
 def test_nan_distance_rejected(capsys):
     _assert_clean_error(["run", "--channel", "distance", "--distance", "nan",
                          "--frames", "5", "--seed", "1"], capsys)
+
+
+@pytest.mark.parametrize("flag", ["--tx-power=nan", "--tx-gain=inf", "--noise-figure=nan",
+                                  "--carrier-hz=0", "--extra-loss=inf"])
+def test_bad_link_budget_rejected(flag, capsys):
+    _assert_clean_error(["run", "--channel", "distance", "--distance", "30", "--frames", "50",
+                         "--seed", "1", flag], capsys)
+
+
+@pytest.mark.parametrize("value", ["28.7", "inf"])
+def test_non_integral_gamma_sweep_rejected(value, capsys):
+    _assert_clean_error(["sweep", "--channel", "bsc", "--p", "1e-3", "--frames", "20",
+                         "--seed", "1", "--sweep-param", "gamma", "--sweep", value], capsys)
 
 
 def test_infinite_fifo_cycles_rejected(capsys):

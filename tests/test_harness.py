@@ -151,6 +151,9 @@ def test_sweep_gamma_param():
     assert len(rows) == 3
     for _, rep in rows:
         rep.validate()
+    for bad in (28.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gamma.*{bad}"):
+            sweep(cfg, (28.0, bad), "gamma")
 
 
 def test_sweep_csv_deterministic_bytes():

@@ -1,11 +1,14 @@
-"""Synchronizer tests: correlators, dual-bank detection, tracking, and the
-analytic probabilities against exhaustive and exact-rational oracles."""
+"""Synchronizer tests: correlators, dual-bank detection, tracking against a
+per-frame reference loop, and the analytic probabilities against exhaustive
+and exact-rational oracles."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gblink import channel, framing, sync
 from gblink.framing import P32, P64
@@ -27,6 +30,49 @@ def build_stream(kind, payload_seed, nframes, prefix_bits=0):
     return np.concatenate([junk, bits])
 
 
+def locate(stream, kind, gamma):
+    return FrameSynchronizer(CorrelatorBankConfig(kind, gamma)).locate_frames(stream)
+
+
+def reference_locate_frames(bits, cfg):
+    """Frame-at-a-time tracker: after each dual-bank lock, check one preamble
+    per frame, ride out a single miss, and after two misses in a row count a
+    loss and re-acquire one bit past the second missed preamble."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    pre = framing.gen_preamble(cfg.kind)
+    n, frame_bits = pre.size, cfg.kind.frame_bits
+    last = bits.size - (frame_bits + n)
+    if last < 0:
+        return [], 0
+    counts = (np.lib.stride_tricks.sliding_window_view(bits, n) == pre).sum(axis=1)
+    locks = np.flatnonzero((counts[: last + 1] >= cfg.gamma)
+                           & (counts[frame_bits: frame_bits + last + 1] >= cfg.gamma))
+    starts: list[int] = []
+    losses = 0
+    pos = 0
+    while True:
+        later = locks[locks >= pos]
+        if later.size == 0:
+            return starts, losses
+        s = int(later[0])
+        miss_streak = 0
+        lost = False
+        while s + frame_bits <= bits.size:
+            if np.count_nonzero(bits[s: s + n] == pre) >= cfg.gamma:
+                miss_streak = 0
+            else:
+                miss_streak += 1
+                if miss_streak >= 2:
+                    losses += 1
+                    lost = True
+                    break
+            starts.append(s)
+            s += frame_bits
+        if not lost:
+            return starts, losses
+        pos = s + 1
+
+
 class TestCorrelate:
     def test_self_match(self):
         pre = framing.gen_preamble(P32)
@@ -45,52 +91,66 @@ class TestCorrelate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sync.correlate(np.zeros(8, np.uint8), framing.gen_preamble(P32))
+        with pytest.raises(ValueError):
+            sync.correlate(np.zeros((3, 8), np.uint8), framing.gen_preamble(P32))
+
+    def test_batch_counts_last_axis(self):
+        pre = framing.gen_preamble(P64)
+        windows = np.random.default_rng(10).integers(0, 2, (3, 5, 64)).astype(np.uint8)
+        windows[1, 2] = pre
+        counts = sync.correlate(windows, pre)
+        assert counts.shape == (3, 5)
+        assert counts[1, 2] == 64
+        for idx in np.ndindex(3, 5):
+            assert counts[idx] == sync.correlate(windows[idx], pre)
 
 
 class TestDetect:
+    """First dual-bank lock, read as the first start locate_frames returns."""
+
     def test_clean_lock_at_zero(self):
         stream = build_stream(P32, 1, 3)
-        res = sync.detect(stream, CorrelatorBankConfig(P32, 28))
-        assert res.locked
-        assert res.frame_start_bit == 0 and res.bit_offset == 0
-        assert res.score_bank1 == 32 and res.score_bank2 == 32
+        starts, losses = locate(stream, P32, 28)
+        assert starts[:1] == [0] and losses == 0
+        banks = np.stack([stream[:32], stream[P32.frame_bits: P32.frame_bits + 32]])
+        assert sync.correlate(banks, framing.gen_preamble(P32)).tolist() == [32, 32]
 
     @pytest.mark.parametrize("offset", range(8))
     def test_shift_equivariant(self, offset):
         stream = build_stream(P32, 2, 3, prefix_bits=offset)
-        res = sync.detect(stream, CorrelatorBankConfig(P32, 28))
-        assert res.locked
-        assert res.bit_offset == offset
-        assert res.frame_start_bit == offset
+        assert locate(stream, P32, 28)[0][:1] == [offset]
 
     def test_p64(self):
         stream = build_stream(P64, 3, 3, prefix_bits=5)
-        res = sync.detect(stream, CorrelatorBankConfig(P64, 49))
-        assert res.locked and res.frame_start_bit == 5 and res.score_bank1 == 64
+        assert locate(stream, P64, 49)[0][:1] == [5]
 
     def test_stream_too_short(self):
-        with pytest.raises(ValueError):
-            sync.detect(np.zeros(100, np.uint8), CorrelatorBankConfig(P32, 28))
+        assert locate(np.zeros(100, np.uint8), P32, 28) == ([], 0)
+        assert locate(np.zeros(0, np.uint8), P32, 28) == ([], 0)
+        # one frame plus all but the last bit of the next preamble: bank 2
+        # never fits, so nothing locks; the missing bit makes it lock
+        one = build_stream(P32, 11, 1)
+        pre = framing.gen_preamble(P32)
+        assert locate(np.concatenate([one, pre[:-1]]), P32, 28) == ([], 0)
+        assert locate(np.concatenate([one, pre]), P32, 28) == ([0], 0)
 
     def test_no_lock_on_random_data(self):
         rng = np.random.default_rng(4)
         stream = rng.integers(0, 2, P32.span_bytes * 8 + 1000).astype(np.uint8)
-        res = sync.detect(stream, CorrelatorBankConfig(P32, 28))
-        assert not res.locked and res.frame_start_bit == -1
+        assert locate(stream, P32, 28) == ([], 0)
 
     def test_single_bank_not_enough(self):
         """One preamble with garbage where the second should be must not lock."""
         rng = np.random.default_rng(5)
         pre = framing.gen_preamble(P32)
         stream = np.concatenate([pre, rng.integers(0, 2, P32.span_bytes * 8).astype(np.uint8)])
-        res = sync.detect(stream, CorrelatorBankConfig(P32, 28))
-        assert not res.locked
+        assert locate(stream, P32, 28) == ([], 0)
 
     def test_gamma_boundary(self):
         stream = build_stream(P32, 6, 3)
         stream[3] ^= 1  # one bit error in the first preamble
-        assert sync.detect(stream, CorrelatorBankConfig(P32, 32)).frame_start_bit != 0
-        assert sync.detect(stream, CorrelatorBankConfig(P32, 31)).frame_start_bit == 0
+        assert locate(stream, P32, 32)[0][:1] != [0]
+        assert locate(stream, P32, 31)[0][:1] == [0]
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -121,6 +181,46 @@ class TestTracking:
         assert losses == 1
         # frame 4 rides the flywheel, frame 5 is lost, 6..9 re-acquired
         assert starts == [i * fb for i in (0, 1, 2, 3, 4, 6, 7, 8, 9)]
+
+    def test_reacquire_one_bit_after_second_miss(self):
+        """Preambles of frames 4-6 moved one bit late score 17 of 32 on the
+        grid, so frames 4 and 5 miss and sync is lost; acquisition restarts
+        one bit after frame 5 and locks on the moved preambles of 5 and 6."""
+        pre = framing.gen_preamble(P32)
+        stream = np.concatenate([build_stream(P32, 14, 10), pre])
+        fb = P32.frame_bits
+        for i in (4, 5, 6):
+            stream[i * fb + 1: i * fb + 33] = pre
+        starts, losses = locate(stream, P32, 28)
+        assert losses == 2
+        assert starts == [i * fb for i in range(5)] + [i * fb + 1 for i in (5, 6, 7)] + [9 * fb]
+        assert (starts, losses) == reference_locate_frames(stream, CorrelatorBankConfig(P32, 28))
+
+
+_FRAMES = {kind: build_stream(kind, 20, 60) for kind in (P32, P64)}
+
+
+@st.composite
+def _noisy_streams(draw):
+    kind = draw(st.sampled_from([P32, P64]))
+    n = kind.preamble_bits
+    gamma = draw(st.integers(3 * n // 4, n))
+    nframes = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    junk = rng.integers(0, 2, draw(st.integers(0, 40))).astype(np.uint8)
+    # the trailing preamble gives the last frame its bank-2 window, as in run_link
+    tail = framing.gen_preamble(kind)[: n if draw(st.booleans()) else 0]
+    clean = np.concatenate([junk, _FRAMES[kind][: nframes * kind.frame_bits], tail])
+    p = draw(st.floats(0.0, 0.5))
+    return kind, gamma, channel.bsc(clean, p, int(rng.integers(2 ** 32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_noisy_streams())
+def test_locate_frames_matches_reference(case):
+    kind, gamma, bits = case
+    cfg = CorrelatorBankConfig(kind, gamma)
+    assert FrameSynchronizer(cfg).locate_frames(bits) == reference_locate_frames(bits, cfg)
 
 
 class TestPfalse:
