@@ -6,7 +6,7 @@ within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
 P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Tracking re-checks every
-preamble on the flywheel grid after lock with one `correlate` call per lock.
+preamble on the flywheel grid after lock, one `correlate` call per block.
 
 The correlation metric is the match count (Hamming similarity), in [0, N]:
 the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
@@ -24,6 +24,7 @@ import numpy as np
 from .framing import FrameKind, gen_preamble
 
 _SCAN_CHUNK_BYTES = 4096
+_TRACK_FIRST_FRAMES = 16
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class SyncProbabilities:
     p_false_double: float
 
 
-def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray:
+def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray | np.integer:
     """Number of bit positions matching the preamble, along the last axis of
-    a (..., n) array of windows; a single window gives a scalar count."""
+    a (..., n) array of windows; a single window gives a numpy integer."""
     w = np.asarray(windows, dtype=np.uint8)
     p = np.asarray(preamble, dtype=np.uint8)
     if w.shape[-1:] != p.shape:
@@ -104,19 +105,25 @@ class FrameSynchronizer:
         losses = 0
         pos = 0
         while (s := _scan(bits, self.cfg, self._preamble, pos)) >= 0:
-            # every frame on the flywheel grid whose whole span is in the stream
-            grid = s + frame_bits * np.arange((bits.size - s) // frame_bits)
-            windows = np.lib.stride_tricks.sliding_window_view(bits, self._preamble.size)[grid]
-            hit = correlate(windows, self._preamble) >= self.cfg.gamma
-            double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
+            # the flywheel grid, checked in blocks that double in length so a lock
+            # costs what it tracks; blocks overlap by one frame to see edge pairs
+            count = (bits.size - s) // frame_bits
+            windows = np.lib.stride_tricks.sliding_window_view(bits, self._preamble.size)
+            lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
+            while True:
+                grid = s + frame_bits * np.arange(lo, hi)
+                hit = correlate(windows[grid], self._preamble) >= self.cfg.gamma
+                double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
+                if double_miss.size or hi == count:
+                    break
+                lo, hi = hi - 1, min(2 * hi, count)
+            # frames up to the first miss of a pair are delivered
+            end = s + (lo + int(double_miss[0]) + 1 if double_miss.size else count) * frame_bits
+            starts.extend(range(s, end, frame_bits))
             if double_miss.size == 0:
-                starts.extend(grid.tolist())
                 break
-            # frames up to the first miss of the pair are delivered
-            lost = int(double_miss[0]) + 1
-            starts.extend(grid[:lost].tolist())
             losses += 1
-            pos = int(grid[lost]) + 1
+            pos = end + 1
         return starts, losses
 
 
@@ -164,16 +171,11 @@ def p_false(n: int, gamma: int) -> tuple[float, float]:
     return q, q * q
 
 
-def sync_probabilities(n: int, gamma: int, p: float) -> SyncProbabilities:
-    q1, q2 = p_false(n, gamma)
-    return SyncProbabilities(p_miss(n, gamma, p), q1, q2)
-
-
 def tradeoff_table(kind: FrameKind, p: float,
                    gammas: range | list[int]) -> list[tuple[int, SyncProbabilities]]:
     """One (gamma, probabilities) row per threshold, for the trade-off curves."""
     n = kind.preamble_bits
-    return [(g, sync_probabilities(n, g, p)) for g in gammas]
+    return [(g, SyncProbabilities(p_miss(n, g, p), *p_false(n, g))) for g in gammas]
 
 
 def write_tradeoff_csv(rows: list[tuple[int, SyncProbabilities]], fp) -> None:

@@ -4,6 +4,7 @@ and exact-rational oracles."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,11 +217,31 @@ def _noisy_streams(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_noisy_streams())
-def test_locate_frames_matches_reference(case):
+@given(_noisy_streams(), st.integers(1, 24))
+def test_locate_frames_matches_reference(case, first_block):
+    """Any first tracking block length, so miss pairs fall on block edges."""
     kind, gamma, bits = case
     cfg = CorrelatorBankConfig(kind, gamma)
-    assert FrameSynchronizer(cfg).locate_frames(bits) == reference_locate_frames(bits, cfg)
+    with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
+        assert FrameSynchronizer(cfg).locate_frames(bits) == reference_locate_frames(bits, cfg)
+
+
+@pytest.mark.parametrize("first_block", [1, 2, 3, 4])
+def test_miss_pair_on_every_block_edge(first_block):
+    """A miss pair at each position after the first lock of a 40-frame stream,
+    against short blocks: the pair straddles a block edge for some positions
+    and is never skipped."""
+    fb = P32.frame_bits
+    base = np.concatenate([build_stream(P32, 21, 40), framing.gen_preamble(P32)])
+    cfg = CorrelatorBankConfig(P32, 28)
+    with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
+        for i in range(2, 39):
+            stream = base.copy()
+            for j in (i, i + 1):
+                stream[j * fb: j * fb + 12] ^= 1
+            got = FrameSynchronizer(cfg).locate_frames(stream)
+            assert got == reference_locate_frames(stream, cfg)
+            assert got[1] == 1 and i * fb in got[0] and (i + 1) * fb not in got[0]
 
 
 class TestPfalse:
