@@ -9,11 +9,11 @@ from .channel import (LinkBudget, awgn, bsc, dbpsk_ber_theory, noise_sigma,
 from .elastic import FifoConfig, FifoStats, simulate_fifo
 from .framing import (FRAME_KINDS, P32, P64, FrameError, FrameKind, build_frames,
                       gen_preamble, gen_scrambler_seq, parse_frame, parse_frames,
-                      scramble, select_scrambler)
+                      scramble)
 from .harness import (AwgnChannel, BscChannel, DistanceChannel, ExperimentConfig,
                       LinkReport, run_link, sweep)
-from .modem import bpsk_map, deserialize, diff_decode, diff_demod, diff_encode, serialize
-from .rs import RsDecodeFailure, decode_blocks, rs_decode, rs_encode
+from .modem import bpsk_map, diff_demod, diff_encode
+from .rs import RsDecodeFailure, decode_blocks, rs_decode
 from .sync import (CorrelatorBankConfig, FrameSynchronizer, SyncProbabilities, correlate,
                    p_false, p_miss, tradeoff_table)
 
@@ -24,10 +24,8 @@ __all__ = [
     "ExperimentConfig", "FRAME_KINDS", "FifoConfig", "FifoStats", "FrameError",
     "FrameKind", "FrameSynchronizer", "LinkBudget", "LinkReport", "P32", "P64",
     "RsDecodeFailure", "SyncProbabilities", "awgn", "bpsk_map", "bsc",
-    "build_frames", "correlate", "dbpsk_ber_theory", "decode_blocks", "deserialize",
-    "diff_decode", "diff_demod", "diff_encode", "gen_preamble",
-    "gen_scrambler_seq", "noise_sigma", "p_false", "p_miss", "parse_frame", "parse_frames",
-    "rs_decode", "rs_encode", "rs_residual_ber", "run_link", "scramble",
-    "select_scrambler", "serialize", "simulate_fifo", "snr_at_distance", "sweep",
-    "tradeoff_table",
+    "build_frames", "correlate", "dbpsk_ber_theory", "decode_blocks", "diff_demod",
+    "diff_encode", "gen_preamble", "gen_scrambler_seq", "noise_sigma", "p_false",
+    "p_miss", "parse_frame", "parse_frames", "rs_decode", "rs_residual_ber", "run_link",
+    "scramble", "simulate_fifo", "snr_at_distance", "sweep", "tradeoff_table",
 ]

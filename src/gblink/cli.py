@@ -39,13 +39,19 @@ def _parse_config_file(path: str) -> dict[str, str]:
 def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
     """Resolve option values: CLI flag, else config file, else default."""
     file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - set(spec))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key(s) {', '.join(unknown)}")
     out = {}
     for key, (convert, default) in spec.items():
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             out[key] = cli_val
         elif key in file_values:
-            out[key] = convert(file_values[key])
+            try:
+                out[key] = convert(file_values[key])
+            except (ValueError, KeyError):
+                raise ValueError(f"{args.config}: bad value for {key}: {file_values[key]!r}") from None
         else:
             out[key] = default
     return out
@@ -57,9 +63,10 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 def _parse_gammas(text: str) -> range:
     lo, _, hi = text.partition(":")
-    if hi:
-        return range(int(lo), int(hi) + 1)
-    return range(int(lo), int(lo) + 1)
+    first, last = int(lo), int(hi or lo)
+    if last < first:
+        raise ValueError(f"--gammas {text}: range runs backwards")
+    return range(first, last + 1)
 
 
 @contextlib.contextmanager
@@ -79,6 +86,18 @@ def _to_bool(text: str) -> bool:
     return _BOOL[text.strip().lower()]
 
 
+# link-budget option -> (LinkBudget field, help text); the defaults are the
+# dataclass's own
+_BUDGET_OPTIONS = {
+    "tx_power": ("tx_power_dbm", "dBm"),
+    "tx_gain": ("tx_gain_dbi", "dBi"),
+    "rx_gain": ("rx_gain_dbi", "dBi"),
+    "carrier_hz": ("carrier_hz", "Hz"),
+    "bandwidth_hz": ("bandwidth_hz", "Hz"),
+    "noise_figure": ("noise_figure_db", "dB"),
+    "extra_loss": ("extra_loss_db", "dB, e.g. 15 for the blockage scenario"),
+}
+
 _LINK_SPEC = {
     "kind": (str, "p32"),
     "channel": (str, "awgn"),
@@ -90,13 +109,7 @@ _LINK_SPEC = {
     "seed": (int, None),
     "uncoded": (_to_bool, False),
     "bit_offset": (int, 0),
-    "tx_power": (float, 0.0),
-    "tx_gain": (float, 22.4),
-    "rx_gain": (float, 22.4),
-    "carrier_hz": (float, 60e9),
-    "bandwidth_hz": (float, 2e9),
-    "noise_figure": (float, 8.0),
-    "extra_loss": (float, 0.0),
+    **{opt: (float, getattr(LinkBudget, name)) for opt, (name, _) in _BUDGET_OPTIONS.items()},
 }
 
 
@@ -117,14 +130,9 @@ def _add_link_options(p: argparse.ArgumentParser) -> None:
                    help="reference Eb to channel bits (code rate 1)")
     p.add_argument("--bit-offset", dest="bit_offset", type=int,
                    help="junk bits injected before the first frame (0-7)")
-    p.add_argument("--tx-power", dest="tx_power", type=float, help="dBm (default 0)")
-    p.add_argument("--tx-gain", dest="tx_gain", type=float, help="dBi (default 22.4)")
-    p.add_argument("--rx-gain", dest="rx_gain", type=float, help="dBi (default 22.4)")
-    p.add_argument("--carrier-hz", dest="carrier_hz", type=float, help="default 60e9")
-    p.add_argument("--bandwidth-hz", dest="bandwidth_hz", type=float, help="default 2e9")
-    p.add_argument("--noise-figure", dest="noise_figure", type=float, help="dB (default 8)")
-    p.add_argument("--extra-loss", dest="extra_loss", type=float,
-                   help="dB, e.g. 15 for the blockage scenario")
+    for opt, (name, unit) in _BUDGET_OPTIONS.items():
+        p.add_argument("--" + opt.replace("_", "-"), dest=opt, type=float,
+                       help=f"{unit} (default {getattr(LinkBudget, name):g})")
     p.add_argument("--out", default="-", help="output file (default stdout)")
 
 
@@ -142,11 +150,7 @@ def _experiment_config(opts: dict) -> tuple[harness.ExperimentConfig, float]:
     if opts["seed"] is None:
         raise ValueError("--seed is required (reproducibility contract)")
     kind = FRAME_KINDS[opts["kind"].upper()]
-    budget = LinkBudget(
-        tx_power_dbm=opts["tx_power"], tx_gain_dbi=opts["tx_gain"],
-        rx_gain_dbi=opts["rx_gain"], carrier_hz=opts["carrier_hz"],
-        bandwidth_hz=opts["bandwidth_hz"], noise_figure_db=opts["noise_figure"],
-        extra_loss_db=opts["extra_loss"])
+    budget = LinkBudget(**{name: opts[opt] for opt, (name, _) in _BUDGET_OPTIONS.items()})
     if opts["channel"] == "awgn":
         chan: harness.Channel = harness.AwgnChannel(opts["ebn0"])
         param = opts["ebn0"]

@@ -1,4 +1,5 @@
-"""Frame formats, preamble/scrambler generation, and frame assembly/parsing.
+"""Frame formats, the frozen preamble and scrambler sequences, and frame
+assembly/parsing.
 
 Two frame layouts share one 875 Mbps serial channel:
 
@@ -9,11 +10,12 @@ The preamble is a maximal-length LFSR sequence padded with one zero bit to a
 whole number of bytes.  The scrambler sequence comes from the reciprocal
 primitive polynomial (a different m-sequence: any cyclic phase of the
 preamble's own sequence would reproduce the preamble verbatim inside scrambled
-constant data).  Its phase was picked by `select_scrambler` and is frozen
-below; tests re-run the selection and pin the winner.
+constant data), at the phase with the lowest worst-case preamble mimicry.
+Both are frozen below as bytes; `tests/framing_oracle.py` holds the LFSR and
+the scrambler selection, and the tests pin every constant against it.
 
 Bit order everywhere is MSB-first within a byte (one documented constant,
-shared with the serializer and the correlators).
+shared with the correlators and the scrambler).
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ from . import rs
 
 CHANNEL_RATE_BPS = 875e6
 
-# Preamble LFSRs: x^5+x^2+1 (period 31) and x^6+x+1 (period 63), all-ones
-# seed, one trailing zero pad bit.  Scrambler LFSRs are the reciprocals.
-_PREAMBLE_TAPS = {32: (5, 2), 64: (6, 1)}
-_SCRAMBLER_TAPS = {32: (5, 3), 64: (6, 5)}
-
-# Frozen outputs of gen_preamble / select_scrambler (hex of the padded bits).
+# Padded m-sequences, hex of the MSB-first bits.  Preambles: x^5+x^2+1
+# (period 31) and x^6+x+1 (period 63), all-ones seed, one trailing zero pad
+# bit.  Scramblers: the reciprocal polynomials, at the selected phase.
 PREAMBLE_P32 = bytes.fromhex("f9a42bb0")
 PREAMBLE_P64 = bytes.fromhex("fd59bb49c5e51840")
 SCRAMBLER_P32 = bytes.fromhex("f8dd4258")
@@ -73,10 +72,6 @@ class FrameKind:
         return self.preamble_bytes + self.frame_bytes
 
     @property
-    def scrambler_bytes(self) -> int:
-        return self.preamble_bytes
-
-    @property
     def channel_rate_bps(self) -> float:
         return CHANNEL_RATE_BPS
 
@@ -98,70 +93,15 @@ P64 = FrameKind(tag="P64", preamble_bits=64, payload_bytes=478,
 FRAME_KINDS = {"P32": P32, "P64": P64}
 
 
-def lfsr_sequence(taps: tuple[int, ...], nbits: int) -> np.ndarray:
-    """Fibonacci LFSR output, all-ones seed; taps are polynomial exponents."""
-    degree = max(taps)
-    reg = [1] * degree
-    out = np.empty(nbits, dtype=np.uint8)
-    for i in range(nbits):
-        out[i] = reg[-1]
-        fb = 0
-        for t in taps:
-            fb ^= reg[t - 1]
-        reg = [fb] + reg[:-1]
-    return out
-
-
-def _padded_sequence(taps: tuple[int, ...], nbits: int) -> np.ndarray:
-    period = 2 ** max(taps) - 1
-    assert period + 1 == nbits
-    return np.concatenate([lfsr_sequence(taps, period), np.zeros(1, dtype=np.uint8)])
-
-
 def gen_preamble(kind: FrameKind) -> np.ndarray:
     """Preamble bit pattern for a frame kind (constant, MSB-first)."""
-    return _padded_sequence(_PREAMBLE_TAPS[kind.preamble_bits], kind.preamble_bits)
+    frozen = {"P32": PREAMBLE_P32, "P64": PREAMBLE_P64}[kind.tag]
+    return np.unpackbits(np.frombuffer(frozen, dtype=np.uint8))
 
 
 def gen_scrambler_seq(kind: FrameKind) -> bytes:
     """The frozen scrambling sequence for a frame kind (4 or 8 bytes)."""
     return {"P32": SCRAMBLER_P32, "P64": SCRAMBLER_P64}[kind.tag]
-
-
-def scrambler_candidates(kind: FrameKind) -> list[bytes]:
-    """All cyclic phases of the padded scrambler-family m-sequence."""
-    base = _padded_sequence(_SCRAMBLER_TAPS[kind.preamble_bits], kind.preamble_bits)
-    n = base.size
-    return [np.packbits(np.roll(base, -ph)).tobytes() for ph in range(n)]
-
-
-def scrambler_score(candidate: bytes, preamble: np.ndarray) -> int:
-    """Worst-case preamble match count inside cyclically scrambled data.
-
-    Worst-case data patterns: all-zero bytes (idle runs) and the preamble
-    itself repeated (payloads that would otherwise leak the sync word).  The
-    score is the maximum match count over every bit shift of the scrambled
-    stream; lower is better.
-    """
-    n = preamble.size
-    cand_bits = np.unpackbits(np.frombuffer(candidate, dtype=np.uint8))
-    period = cand_bits.size
-    worst = 0
-    patterns = (np.zeros(period, np.uint8), preamble.astype(np.uint8))
-    for data in patterns:
-        stream = np.tile(data ^ cand_bits, 3)
-        for shift in range(period):
-            matches = int(np.sum(stream[shift:shift + n] == preamble))
-            worst = max(worst, matches)
-    return worst
-
-
-def select_scrambler(preamble: np.ndarray, candidates: list[bytes]) -> bytes:
-    """Candidate with the lowest worst-case score; ties break on lowest index."""
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    scores = [scrambler_score(c, preamble) for c in candidates]
-    return candidates[int(np.argmin(scores))]
 
 
 def scramble(data: np.ndarray, seq: bytes) -> np.ndarray:

@@ -23,7 +23,7 @@ converted through the code rate (or taken as-is with `uncoded=True`);
 feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
 for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma` and run `modem.bpsk_map` -> `channel.awgn` ->
-`modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips serialized
+`modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips the
 channel bits directly, bypassing the modem.  Channels reject values outside
 their domain (NaN, -inf dB, non-finite distances) when constructed.
 """
@@ -44,9 +44,6 @@ from .sync import CorrelatorBankConfig, FrameSynchronizer
 
 _CHUNK_SYMBOLS = 1 << 21
 FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
-
-# set-bit count of every byte value, for the coded-error popcount
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     report = LinkReport(
         raw_errors=raw_errors,
         raw_bits=cfg.frames * frame_bits,
-        coded_errors=int(_POPCOUNT[delivered ^ payloads].sum(dtype=np.int64)),
+        coded_errors=int(np.bitwise_count(delivered ^ payloads).sum(dtype=np.int64)),
         coded_bits=cfg.frames * kind.payload_bytes * 8,
         frame_errors=cfg.frames - int(ok.sum()),
         frames=cfg.frames,
@@ -231,6 +228,8 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
     follows the value list."""
     if not values:
         raise ValueError("a sweep needs at least one value")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if param not in ("channel", "gamma"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     configs = [_point_config(cfg, param, v, i) for i, v in enumerate(values)]

@@ -1,5 +1,6 @@
-"""Differential BPSK modem: byte/bit serialization, differential encoding,
-antipodal mapping, and the two-symbol product detector.
+"""Differential BPSK modem: differential encoding, antipodal mapping, and the
+two-symbol product detector, on bit arrays (bytes become bits MSB-first
+through `np.unpackbits`).
 
 One sample per symbol; pulse shaping, matched filtering and timing recovery
 are assumed ideal.  A transmission burst carries one known reference symbol
@@ -12,37 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def serialize(data: bytes | np.ndarray) -> np.ndarray:
-    """Bytes to bits, MSB first."""
-    return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-
-
-def deserialize(bits: np.ndarray, offset: int = 0) -> bytes:
-    """Bits to bytes starting at a bit offset; trailing partial byte dropped."""
-    if not 0 <= offset < 8:
-        raise ValueError("offset must be in [0, 8)")
-    usable = np.asarray(bits, dtype=np.uint8)[offset:]
-    if usable.size < 8:
-        raise ValueError("need at least 8 bits after offset")
-    usable = usable[: usable.size - usable.size % 8]
-    return np.packbits(usable).tobytes()
-
-
-def diff_encode(bits: np.ndarray, initial_state: int = 0) -> np.ndarray:
-    """e_k = d_k xor e_{k-1}, with e_{-1} = initial_state."""
-    enc = np.bitwise_xor.accumulate(np.asarray(bits, dtype=np.uint8))
-    if initial_state:
-        enc = enc ^ 1
-    return enc
-
-
-def diff_decode(bits: np.ndarray, initial_state: int = 0) -> np.ndarray:
-    """Inverse of diff_encode."""
-    enc = np.asarray(bits, dtype=np.uint8)
-    prev = np.empty_like(enc)
-    prev[0] = initial_state
-    prev[1:] = enc[:-1]
-    return enc ^ prev
+def diff_encode(bits: np.ndarray) -> np.ndarray:
+    """e_k = d_k xor e_{k-1}, with e_{-1} = 0."""
+    return np.bitwise_xor.accumulate(np.asarray(bits, dtype=np.uint8))
 
 
 def bpsk_map(bits: np.ndarray) -> np.ndarray:

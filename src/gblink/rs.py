@@ -62,14 +62,6 @@ def gf256_mul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def gf256_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("GF(256) division by zero")
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] - _LOG[b]) % 255]
-
-
 def _generator_poly() -> list[int]:
     """prod_{i=0}^{15} (x - alpha^i), coefficients highest power first, monic."""
     g = [1]
@@ -153,11 +145,6 @@ def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
     if blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must have {BLOCK_BYTES} columns, got {blk.shape[1]}")
     return _gf2_apply(blk, _SYND_BITS)
-
-
-def rs_encode(message: bytes) -> bytes:
-    """Encode a 239-byte message into a systematic 255-byte codeword."""
-    return encode_blocks(np.frombuffer(message, dtype=np.uint8))[0].tobytes()
 
 
 def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,21 @@ import numpy as np
 
 from gblink import rs
 from gblink.rs import (_EXP, _EXP_NP, _LOG, _MUL, BLOCK_BYTES, CORRECTABLE_BYTES, MESSAGE_BYTES,
-                       PARITY_BYTES, gf256_div, gf256_mul)
+                       PARITY_BYTES, gf256_mul)
 
 # _SYND_POW[i, j] = alpha^(i * deg_j) where deg_j = 254 - j is the polynomial
 # degree carried by byte j of a block.
 _degrees = (BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)) % 255
 _SYND_POW = _EXP_NP[(np.arange(PARITY_BYTES, dtype=np.int64)[:, None] * _degrees[None, :]) % 255]
+
+
+def gf256_div(a: int, b: int) -> int:
+    """Quotient of two field elements."""
+    if b == 0:
+        raise ZeroDivisionError("GF(256) division by zero")
+    if a == 0:
+        return 0
+    return _EXP[(_LOG[a] - _LOG[b]) % 255]
 
 
 def syndromes(block: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, config files, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gblink import cli, sync
+from gblink.channel import LinkBudget
 
 
 def run_cli(args):
@@ -78,6 +80,22 @@ def test_bad_config_line(tmp_path, capsys):
     conf.write_text("frames 10\n")
     assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    conf = tmp_path / "typo.conf"
+    conf.write_text("channel = bsc\nebno = 2\nframes = 5\n")
+    assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gblink: error:") and "ebno" in err
+
+
+def test_bad_config_value_names_key(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("frames = 5\nuncoded = maybe\n")
+    assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gblink: error:") and "uncoded" in err and "maybe" in err
 
 
 def test_sweep_deterministic_files(tmp_path):
@@ -203,6 +221,26 @@ def test_bad_link_budget_rejected(flag, capsys):
 def test_non_integral_gamma_sweep_rejected(value, capsys):
     _assert_clean_error(["sweep", "--channel", "bsc", "--p", "1e-3", "--frames", "20",
                          "--seed", "1", "--sweep-param", "gamma", "--sweep", value], capsys)
+
+
+def test_inverted_gamma_range_rejected(capsys):
+    _assert_clean_error(["sync-table", "--gammas", "30:20"], capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_nonpositive_jobs_rejected(jobs, capsys):
+    _assert_clean_error(["sweep", "--channel", "bsc", "--sweep", "1e-3", "--frames", "5",
+                         "--seed", "1", "--jobs", jobs], capsys)
+
+
+def test_link_budget_options_map_every_field():
+    """Each LinkBudget field has one option, and the defaults are its own."""
+    fields = sorted(f.name for f in dataclasses.fields(LinkBudget))
+    assert sorted(name for name, _ in cli._BUDGET_OPTIONS.values()) == fields
+    args = cli.build_parser().parse_args(["run", "--seed", "1", "--channel", "distance",
+                                          "--frames", "1", "--extra-loss", "15"])
+    cfg, _ = cli._experiment_config(cli._merge(args, cli._LINK_SPEC))
+    assert cfg.channel.budget == LinkBudget(extra_loss_db=15.0)
 
 
 def test_infinite_fifo_cycles_rejected(capsys):

@@ -181,6 +181,13 @@ def test_sweep_requires_values():
         sweep(cfg, (8.0,), "distance")
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_nonpositive_jobs(jobs):
+    cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=5, master_seed=1)
+    with pytest.raises(ValueError, match=f"got {jobs}"):
+        sweep(cfg, (1e-3,), jobs=jobs)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run_link(ExperimentConfig(channel=AwgnChannel(8.0), frames=0, master_seed=1))

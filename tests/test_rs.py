@@ -62,26 +62,32 @@ def test_gf_div_pow_inv():
     rng = np.random.default_rng(1)
     for a, b in rng.integers(1, 256, (200, 2)):
         a, b = int(a), int(b)
-        assert rs.gf256_mul(rs.gf256_div(a, b), b) == a
-        assert rs.gf256_mul(a, rs.gf256_div(1, a)) == 1
+        assert rs.gf256_mul(rs_oracle.gf256_div(a, b), b) == a
+        assert rs.gf256_mul(a, rs_oracle.gf256_div(1, a)) == 1
     # alpha = 0x02 generates the multiplicative group: order exactly 255
     powers = [1]
     for _ in range(255):
         powers.append(rs.gf256_mul(powers[-1], 0x02))
     assert powers[255] == 1 and len(set(powers[:255])) == 255
     with pytest.raises(ZeroDivisionError):
-        rs.gf256_div(1, 0)
+        rs_oracle.gf256_div(1, 0)
+
+
+def encode(message: np.ndarray) -> np.ndarray:
+    """The codeword of one 239-byte message."""
+    return rs.encode_blocks(message[None, :])[0]
 
 
 def test_encode_all_zero():
-    assert rs.rs_encode(bytes(239)) == bytes(255)
+    assert not rs.encode_blocks(np.zeros((1, 239), np.uint8)).any()
 
 
 def test_encode_parity_matches_long_division():
     # byte 0 of the message carries x^238; shifted by the 16 parity positions
     # the systematic parity of e0 is the remainder of x^254 / g(x)
-    message = bytes([1]) + bytes(238)
-    cw = rs.rs_encode(message)
+    message = np.zeros(239, np.uint8)
+    message[0] = 1
+    cw = encode(message)
     dividend = [1] + [0] * 254
     rem = poly_mod_oracle(dividend, rs.GENERATOR_POLY)
     assert list(cw[239:]) == rem
@@ -90,7 +96,7 @@ def test_encode_parity_matches_long_division():
 def test_encode_random_message_against_long_division():
     rng = np.random.default_rng(2)
     msg = rng.integers(0, 256, 239, dtype=np.uint8)
-    cw = rs.rs_encode(msg.tobytes())
+    cw = encode(msg)
     dividend = [int(b) for b in msg] + [0] * 16
     rem = poly_mod_oracle(dividend, rs.GENERATOR_POLY)
     assert list(cw[239:]) == rem
@@ -101,35 +107,31 @@ def test_encode_linearity():
     for _ in range(20):
         m1 = rng.integers(0, 256, 239, dtype=np.uint8)
         m2 = rng.integers(0, 256, 239, dtype=np.uint8)
-        e1 = np.frombuffer(rs.rs_encode(m1.tobytes()), np.uint8)
-        e2 = np.frombuffer(rs.rs_encode(m2.tobytes()), np.uint8)
-        e12 = np.frombuffer(rs.rs_encode((m1 ^ m2).tobytes()), np.uint8)
-        assert np.array_equal(e1 ^ e2, e12)
+        assert np.array_equal(encode(m1) ^ encode(m2), encode(m1 ^ m2))
 
 
 def test_encode_length_check():
     with pytest.raises(ValueError):
-        rs.rs_encode(bytes(200))
+        rs.encode_blocks(np.zeros((1, 200), np.uint8))
     with pytest.raises(ValueError):
         rs.rs_decode(bytes(100))
 
 
 def test_decode_clean():
-    msg = bytes(range(239))
-    cw = rs.rs_encode(msg)
-    assert rs.rs_decode(cw) == (msg, 0)
+    msg = np.arange(239, dtype=np.uint8)
+    assert rs.rs_decode(encode(msg).tobytes()) == (msg.tobytes(), 0)
 
 
 @pytest.mark.parametrize("weight", range(1, 9))
 def test_decode_corrects_up_to_8(weight):
     rng = np.random.default_rng(weight)
     for _ in range(50):
-        msg = rng.integers(0, 256, 239, dtype=np.uint8).tobytes()
-        cw = bytearray(rs.rs_encode(msg))
+        msg = rng.integers(0, 256, 239, dtype=np.uint8)
+        cw = encode(msg)
         for pos in rng.choice(255, weight, replace=False):
             cw[pos] ^= int(rng.integers(1, 256))
-        decoded, corrected = rs.rs_decode(bytes(cw))
-        assert decoded == msg
+        decoded, corrected = rs.rs_decode(cw.tobytes())
+        assert decoded == msg.tobytes()
         assert corrected == weight
 
 
@@ -155,7 +157,7 @@ def test_decode_twenty_errors_detected():
     flagged rather than silently miscorrected."""
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 256, 239, dtype=np.uint8).tobytes()
-    cw = np.frombuffer(rs.rs_encode(msg), np.uint8)
+    cw = encode(np.frombuffer(msg, np.uint8))
     trials = 10_000
     blocks = np.tile(cw, (trials, 1))
     for blk in blocks:
@@ -171,13 +173,13 @@ def test_decode_twenty_errors_detected():
 
 def test_valid_decode_reencodes_to_zero_syndromes():
     rng = np.random.default_rng(13)
-    msg = rng.integers(0, 256, 239, dtype=np.uint8).tobytes()
-    cw = bytearray(rs.rs_encode(msg))
+    msg = rng.integers(0, 256, 239, dtype=np.uint8)
+    cw = encode(msg)
     for pos in rng.choice(255, 5, replace=False):
         cw[pos] ^= int(rng.integers(1, 256))
-    decoded, _ = rs.rs_decode(bytes(cw))
-    recoded = np.frombuffer(rs.rs_encode(decoded), np.uint8)
-    assert not rs.syndromes_blocks(recoded[None, :]).any()
+    decoded, _ = rs.rs_decode(cw.tobytes())
+    recoded = rs.encode_blocks(np.frombuffer(decoded, np.uint8))
+    assert not rs.syndromes_blocks(recoded).any()
 
 
 def test_batch_encode_matches_scalar():
@@ -274,7 +276,7 @@ def test_crafted_miscorrection():
     bounded-distance decoder reports a successful 8-byte correction to the
     wrong message."""
     unit = bytes(238) + b"\x01"
-    g = np.frombuffer(rs.rs_encode(unit), np.uint8)
+    g = encode(np.frombuffer(unit, np.uint8))
     support = np.flatnonzero(g)
     assert support.size == 17 and g[support].tolist() == rs.GENERATOR_POLY
     received = np.zeros(255, np.uint8)
