@@ -48,10 +48,11 @@ def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
         if cli_val is not None:
             out[key] = cli_val
         elif key in file_values:
+            text = file_values[key]
             try:
-                out[key] = convert(file_values[key])
+                out[key] = convert(text)
             except (ValueError, KeyError):
-                raise ValueError(f"{args.config}: bad value for {key}: {file_values[key]!r}") from None
+                raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
         else:
             out[key] = default
     return out

@@ -82,20 +82,15 @@ def test_bad_config_line(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    conf = tmp_path / "typo.conf"
-    conf.write_text("channel = bsc\nebno = 2\nframes = 5\n")
+@pytest.mark.parametrize("line,named", [("ebno = 2", ["ebno"]),
+                                        ("uncoded = maybe", ["uncoded", "maybe"])],
+                         ids=["unknown-key", "bad-value"])
+def test_config_error_names_key(line, named, tmp_path, capsys):
+    conf = tmp_path / "link.conf"
+    conf.write_text(f"channel = bsc\nframes = 5\n{line}\n")
     assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("gblink: error:") and "ebno" in err
-
-
-def test_bad_config_value_names_key(tmp_path, capsys):
-    conf = tmp_path / "bad.conf"
-    conf.write_text("frames = 5\nuncoded = maybe\n")
-    assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("gblink: error:") and "uncoded" in err and "maybe" in err
+    assert err.startswith("gblink: error:") and all(word in err for word in named)
 
 
 def test_sweep_deterministic_files(tmp_path):
