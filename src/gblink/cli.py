@@ -50,6 +50,8 @@ def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
         elif key in file_values:
             text = file_values[key]
             try:
+                if key in _CHOICES and text not in _CHOICES[key]:
+                    raise ValueError(text)
                 out[key] = convert(text)
             except (ValueError, KeyError):
                 raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
@@ -99,6 +101,10 @@ _BUDGET_OPTIONS = {
     "extra_loss": ("extra_loss_db", "dB, e.g. 15 for the blockage scenario"),
 }
 
+# argparse choices of the options a config file can also set
+_CHOICES = {"kind": ("p32", "p64"), "channel": ("awgn", "bsc", "distance"),
+            "sweep_param": ("channel", "gamma")}
+
 _LINK_SPEC = {
     "kind": (str, "p32"),
     "channel": (str, "awgn"),
@@ -116,8 +122,8 @@ _LINK_SPEC = {
 
 def _add_link_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file overriding defaults")
-    p.add_argument("--kind", choices=["p32", "p64"], help="frame format (default p32)")
-    p.add_argument("--channel", choices=["awgn", "bsc", "distance"],
+    p.add_argument("--kind", choices=_CHOICES["kind"], help="frame format (default p32)")
+    p.add_argument("--channel", choices=_CHOICES["channel"],
                    help="channel model (default awgn)")
     p.add_argument("--ebn0", type=float, help="Eb/N0 in dB for the awgn channel")
     p.add_argument("--p", type=float, help="flip probability for the bsc channel")
@@ -234,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_link_options(p_sweep)
     p_sweep.add_argument("--sweep", type=_parse_values,
                          help="comma/space separated parameter values")
-    p_sweep.add_argument("--sweep-param", dest="sweep_param", choices=["channel", "gamma"],
+    p_sweep.add_argument("--sweep-param", dest="sweep_param", choices=_CHOICES["sweep_param"],
                          help="which knob the values drive (default channel)")
     p_sweep.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_table = sub.add_parser("sync-table", help="miss/false-alarm trade-off table")
-    p_table.add_argument("--kind", choices=["p32", "p64"], default="p32")
+    p_table.add_argument("--kind", choices=_CHOICES["kind"], default="p32")
     p_table.add_argument("--p", type=float, default=1e-4, help="channel error probability")
     p_table.add_argument("--gammas", help="LO:HI inclusive threshold range (default all)")
     p_table.add_argument("--out", default="-")

@@ -11,11 +11,11 @@ Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 (first transmitted byte), matching the shift-register encoder ordering.
 
 Encoding and decoding are batch-first.  Parity, syndromes and the Chien
-search are GF(2)-linear in the bits of their input, so each is one float32
-matmul on unpacked bits (`_gf2_apply`).  Blocks with nonzero syndromes go
+search are GF(2^8)-linear maps, each one gather from a per-position product
+table and one XOR reduce (`_gf256_apply`).  Blocks with nonzero syndromes go
 through one corrector over the whole batch: inversionless Berlekamp-Massey
 (Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders",
-IEEE TVLSI 2001) in 16 fixed steps, the matmul Chien search, Forney's formula
+IEEE TVLSI 2001) in 16 fixed steps, the table Chien search, Forney's formula
 at the located roots, and a re-check that each corrected block is a codeword.
 
 All operations are pure functions; the lookup tables are built once at import
@@ -72,37 +72,34 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-# Full 256x256 product table; the GF(2) bit matrices are built from it and
+# Full 256x256 product table; the per-position tables are built from it and
 # the batch corrector gathers from it.
 _EXP_NP = np.array(_EXP, dtype=np.uint8)
 _LOG_NP = np.array(_LOG, dtype=np.int64)
 _MUL = np.zeros((256, 256), dtype=np.uint8)
 _MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
 
-_ROWS = 64  # rows per step of the batch kernels: temporaries stay under 600 kB
+_ROWS = 256  # rows per step of the table kernel and the corrector: temporaries under 1.6 MB
 
 
-def _gf2_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """The (8 n_in, 8 n_out) 0/1 matrix of y_k = sum_j coeffs[j, k] x_j over
-    GF(2^8), acting on unpackbits (MSB first) rows: a product by a constant
-    is linear over GF(2) in the bits of x_j."""
-    basis = (1 << np.arange(7, -1, -1)).astype(np.uint8)
-    images = _MUL[coeffs[:, None, :], basis[None, :, None]]  # (n_in, 8, n_out)
-    bits = np.unpackbits(images[..., None], axis=-1)  # (n_in, 8, n_out, 8)
-    return bits.reshape(8 * coeffs.shape[0], 8 * coeffs.shape[1]).astype(np.float32)
+def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
+    """The per-position table of y_k = sum_j coeffs[j, k] x_j over GF(2^8):
+    word [w, 256 j + x] packs outputs 8w .. 8w + 7 of the products
+    MUL[x, coeffs[j]], zero past the last output."""
+    n_in, n_out = coeffs.shape
+    products = np.zeros((n_in, 256, -(-n_out // 8) * 8), dtype=np.uint8)
+    products[..., :n_out] = _MUL[:, coeffs].transpose(1, 0, 2)
+    return np.ascontiguousarray(products.view(np.uint64).reshape(n_in * 256, -1).T)
 
 
-def _gf2_apply(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a `_gf2_matrix` to a (N, n_in) uint8 batch, _ROWS rows at a time.
-
-    The float32 matmul counts the ones feeding each output bit; counts stay
-    below 2^24, so they are exact and their parity is the GF(2) sum.
-    """
-    out = np.empty((values.shape[0], matrix.shape[1] // 8), dtype=np.uint8)
+def _gf256_apply(values: np.ndarray, table: np.ndarray, n_out: int) -> np.ndarray:
+    """The (N, n_out) outputs of a `_gf256_table` map, _ROWS input rows at a time."""
+    offsets = 256 * np.arange(values.shape[1])
+    out = np.empty((values.shape[0], table.shape[0]), dtype=np.uint64)
     for lo in range(0, values.shape[0], _ROWS):
-        counts = np.unpackbits(values[lo: lo + _ROWS], axis=1).astype(np.float32) @ matrix
-        out[lo: lo + _ROWS] = np.packbits((counts.astype(np.uint16) & 1).astype(np.uint8), axis=1)
-    return out
+        products = np.take(table, values[lo: lo + _ROWS] + offsets, axis=1)  # (words, R, n_in)
+        out[lo: lo + _ROWS] = np.bitwise_xor.reduce(products, axis=2).T
+    return out.view(np.uint8)[:, :n_out]
 
 
 def _parity_rows() -> np.ndarray:
@@ -119,16 +116,16 @@ def _parity_rows() -> np.ndarray:
     return np.array(rows[::-1])
 
 
-_PARITY_BITS = _gf2_matrix(_parity_rows())
+_PARITY_TABLE = _gf256_table(_parity_rows())
 
 # Syndromes: S_i = sum_j r_j alpha^(i deg_j), where deg_j = 254 - j is the
 # polynomial degree carried by byte j of a block.
 _degrees = BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)
-_SYND_BITS = _gf2_matrix(_EXP_NP[(_degrees[:, None] * np.arange(PARITY_BYTES)) % 255])
+_SYND_TABLE = _gf256_table(_EXP_NP[(_degrees[:, None] * np.arange(PARITY_BYTES)) % 255])
 # Chien search: column p evaluates Lambda at X_p^-1 = alpha^(p + 1), the
 # inverse locator of byte p, so a zero in column p puts an error on byte p.
 _CHIEN_LOGS = np.arange(1, BLOCK_BYTES + 1, dtype=np.int64)
-_CHIEN_BITS = _gf2_matrix(_EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * _CHIEN_LOGS) % 255])
+_CHIEN_TABLE = _gf256_table(_EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * _CHIEN_LOGS) % 255])
 
 
 def encode_blocks(messages: np.ndarray) -> np.ndarray:
@@ -136,7 +133,7 @@ def encode_blocks(messages: np.ndarray) -> np.ndarray:
     msgs = np.atleast_2d(np.asarray(messages, dtype=np.uint8))
     if msgs.shape[1] != MESSAGE_BYTES:
         raise ValueError(f"messages must have {MESSAGE_BYTES} columns, got {msgs.shape[1]}")
-    return np.concatenate([msgs, _gf2_apply(msgs, _PARITY_BITS)], axis=1)
+    return np.concatenate([msgs, _gf256_apply(msgs, _PARITY_TABLE, PARITY_BYTES)], axis=1)
 
 
 def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
     blk = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     if blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must have {BLOCK_BYTES} columns, got {blk.shape[1]}")
-    return _gf2_apply(blk, _SYND_BITS)
+    return _gf256_apply(blk, _SYND_TABLE, PARITY_BYTES)
 
 
 def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +183,7 @@ def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.
     the blocks corrected by Forney's formula have zero syndromes.
     """
     lam, length = _locators(synd)
-    roots = _gf2_apply(lam, _CHIEN_BITS) == 0
+    roots = _gf256_apply(lam, _CHIEN_TABLE, BLOCK_BYTES) == 0
     good = (length <= CORRECTABLE_BYTES) & (roots.sum(axis=1) == length)
     rows, pos = np.nonzero(roots & good[:, None])
 

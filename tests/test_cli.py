@@ -93,6 +93,19 @@ def test_config_error_names_key(line, named, tmp_path, capsys):
     assert err.startswith("gblink: error:") and all(word in err for word in named)
 
 
+@pytest.mark.parametrize("command,line", [(["run"], "kind = p99"),
+                                          (["run"], "channel = bsx"),
+                                          (["sweep", "--sweep", "1e-3"], "sweep_param = ebn0")],
+                         ids=["kind", "channel", "sweep_param"])
+def test_config_value_outside_choices(command, line, tmp_path, capsys):
+    conf = tmp_path / "link.conf"
+    conf.write_text(f"frames = 5\n{line}\n")
+    assert run_cli(command + ["--config", str(conf), "--seed", "1"]) == 2
+    key, value = (word.strip() for word in line.split("="))
+    err = capsys.readouterr().err
+    assert err.startswith("gblink: error:") and key in err and value in err
+
+
 def test_sweep_deterministic_files(tmp_path):
     args = ["sweep", "--channel", "bsc", "--sweep", "1e-3,2e-3", "--frames", "25",
             "--seed", "11"]

@@ -1,8 +1,13 @@
 """GF(2^8) and RS(255,239) tests, checked against independent oracles:
-carry-less multiplication with polynomial reduction for the field, plain
-polynomial long division for the encoder parity, and the scalar decoder in
-`rs_oracle` for the batch decoder.
+carry-less multiplication with polynomial reduction for the field, scalar
+sums of products for the table kernel, plain polynomial long division for the
+encoder parity, and the scalar decoder in `rs_oracle` for the batch decoder.
+
+Batch tests that must cross chunk edges patch `rs._ROWS` down, so they stay
+small whatever the chunk size.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +76,54 @@ def test_gf_div_pow_inv():
     assert powers[255] == 1 and len(set(powers[:255])) == 255
     with pytest.raises(ZeroDivisionError):
         rs_oracle.gf256_div(1, 0)
+
+
+def scalar_map(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """y_k = XOR_j gf256_mul(x_j, coeffs[j, k]) for each row, one product at
+    a time."""
+    out = np.zeros((x.shape[0], coeffs.shape[1]), np.uint8)
+    for row, values in zip(out, x):
+        for xj, cj in zip(values.tolist(), coeffs.tolist()):
+            row ^= np.array([rs.gf256_mul(xj, c) for c in cj], np.uint8)
+    return out
+
+
+@pytest.mark.parametrize("rows", [0, 1, 11])
+@pytest.mark.parametrize("n_in,n_out", [(1, 1), (5, 13), (17, 30), (3, 71)])
+def test_table_kernel_matches_scalar_sum(n_in, n_out, rows):
+    rng = np.random.default_rng(1000 * n_in + n_out)
+    coeffs = rng.integers(0, 256, (n_in, n_out), dtype=np.uint8)
+    x = rng.integers(0, 256, (rows, n_in), dtype=np.uint8)
+    with mock.patch.object(rs, "_ROWS", 4):
+        y = rs._gf256_apply(x, rs._gf256_table(coeffs), n_out)
+    assert y.shape == (rows, n_out) and y.dtype == np.uint8
+    assert np.array_equal(y, scalar_map(x, coeffs))
+
+
+def _alpha_powers() -> list[int]:
+    powers = [1]
+    for _ in range(254):
+        powers.append(rs.gf256_mul(powers[-1], 0x02))
+    return powers
+
+
+@pytest.mark.parametrize("name", ["parity", "syndromes", "chien"])
+def test_code_tables_match_scalar_sum(name):
+    """Parity rows are checked against long division by the encoder tests;
+    syndrome column i weights byte j by alpha^(i (254 - j)), and Chien column
+    p evaluates the locator at alpha^(p + 1)."""
+    alpha = _alpha_powers()
+    table, coeffs = {
+        "parity": (rs._PARITY_TABLE, rs._parity_rows()),
+        "syndromes": (rs._SYND_TABLE, np.array(
+            [[alpha[i * (254 - j) % 255] for i in range(16)] for j in range(255)], np.uint8)),
+        "chien": (rs._CHIEN_TABLE, np.array(
+            [[alpha[i * (p + 1) % 255] for p in range(255)] for i in range(9)], np.uint8)),
+    }[name]
+    x = np.random.default_rng(5).integers(0, 256, (9, coeffs.shape[0]), dtype=np.uint8)
+    with mock.patch.object(rs, "_ROWS", 4):
+        y = rs._gf256_apply(x, table, coeffs.shape[1])
+    assert np.array_equal(y, scalar_map(x, coeffs))
 
 
 def encode(message: np.ndarray) -> np.ndarray:
@@ -183,10 +236,11 @@ def test_valid_decode_reencodes_to_zero_syndromes():
 
 
 def test_batch_encode_matches_scalar():
-    """A batch spanning three matmul chunks against per-row long division."""
+    """A batch spanning four kernel chunks against per-row long division."""
     rng = np.random.default_rng(17)
-    msgs = rng.integers(0, 256, (2 * rs._ROWS + 3, 239), dtype=np.uint8)
-    blocks = rs.encode_blocks(msgs)
+    msgs = rng.integers(0, 256, (27, 239), dtype=np.uint8)
+    with mock.patch.object(rs, "_ROWS", 8):
+        blocks = rs.encode_blocks(msgs)
     assert (blocks[:, :239] == msgs).all()
     for msg, block in zip(msgs, blocks):
         rem = poly_mod_oracle([int(b) for b in msg] + [0] * 16, rs.GENERATOR_POLY)
@@ -194,17 +248,21 @@ def test_batch_encode_matches_scalar():
 
 
 def test_decode_blocks_mixed_batch():
-    """A batch spanning several syndrome chunks, mixing clean, correctable
-    and uncorrectable rows; failed rows keep their uncorrected bytes."""
+    """A batch spanning several syndrome and corrector chunks, mixing clean,
+    correctable and uncorrectable rows; failed rows keep their uncorrected
+    bytes."""
     rng = np.random.default_rng(19)
-    n = 150
+    n = 40
     msgs = rng.integers(0, 256, (n, 239), dtype=np.uint8)
     blocks = rs.encode_blocks(msgs)
     weights = rng.choice([0, 0, 3, 8, 20], n)
     for i, w in enumerate(weights):
         pos = rng.choice(255, w, replace=False)
         blocks[i, pos] ^= rng.integers(1, 256, w).astype(np.uint8)
-    messages, corrected, ok = rs.decode_blocks(blocks)
+    with mock.patch.object(rs, "_ROWS", 8):
+        messages, corrected, ok = rs.decode_blocks(blocks)
+        _assert_matches_oracle(blocks)
+    assert np.count_nonzero(weights) > 2 * 8  # three or more corrector chunks
     assert messages.shape == (n, 239) and corrected.shape == ok.shape == (n,)
     good = weights <= 8
     assert ok[good].all() and np.array_equal(corrected[good], weights[good])
