@@ -48,14 +48,19 @@ class LinkBudget:
                              f"{self.carrier_hz} and {self.bandwidth_hz}")
 
 
+def _db_to_ratio(db: float) -> float:
+    """10^(db/10); a ratio past the float range is +inf, as for db = +inf."""
+    try:
+        return 10 ** (db / 10)
+    except OverflowError:
+        return math.inf
+
+
 def noise_sigma(ebn0_db: float, code_rate: float) -> float:
     """Per-quadrature noise standard deviation for unit-energy symbols."""
     if not 0 < code_rate <= 1:
         raise ValueError("code_rate must be in (0, 1]")
-    ebn0 = 10 ** (ebn0_db / 10)
-    if math.isinf(ebn0):
-        return 0.0
-    return math.sqrt(1.0 / (2.0 * code_rate * ebn0))
+    return math.sqrt(1.0 / (2.0 * code_rate * _db_to_ratio(ebn0_db)))
 
 
 def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -91,7 +96,7 @@ def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
 
 def dbpsk_ber_theory(ebn0_db: float) -> float:
     """Differentially detected binary DPSK over AWGN: 0.5 * exp(-Eb/N0)."""
-    return 0.5 * math.exp(-(10 ** (ebn0_db / 10)))
+    return 0.5 * math.exp(-_db_to_ratio(ebn0_db))
 
 
 def snr_at_distance(budget: LinkBudget, distance_m: float,

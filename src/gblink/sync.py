@@ -5,8 +5,8 @@ Acquisition uses two banks of 8 match-count correlators, one per bit offset
 within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
-P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Tracking re-checks every
-preamble on the flywheel grid after lock, one `correlate` call per block.
+P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Acquisition and flywheel
+tracking count with one kernel, `match_counts`, on a stream packed once.
 
 The correlation metric is the match count (Hamming similarity), in [0, N]:
 the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
@@ -23,7 +23,7 @@ import numpy as np
 
 from .framing import FrameKind, gen_preamble
 
-_SCAN_CHUNK_BYTES = 4096
+_SCAN_CHUNK_BITS = 8 * 4096
 _TRACK_FIRST_FRAMES = 16
 
 
@@ -33,8 +33,9 @@ class CorrelatorBankConfig:
     gamma: int
 
     def __post_init__(self):
-        if not 0 <= self.gamma <= self.kind.preamble_bits:
-            raise ValueError("gamma out of range")
+        n = self.kind.preamble_bits
+        if not 0 <= self.gamma <= n:
+            raise ValueError(f"gamma must be in [0, {n}] for {self.kind.tag}, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -44,43 +45,34 @@ class SyncProbabilities:
     p_false_double: float
 
 
+def pack(bits: np.ndarray) -> np.ndarray:
+    """Bits packed MSB-first, then the 8 zero bytes `match_counts` reads ahead."""
+    return np.concatenate([np.packbits(bits), np.zeros(8, np.uint8)])
+
+
+def match_counts(packed: np.ndarray, starts: np.ndarray, preamble: np.ndarray) -> np.ndarray:
+    """Number of bits matching the preamble (1 to 64 bits) in the window at
+    each bit start of a stream packed by `pack`, read in place: the 64-bit
+    word at the start's byte, shifted by the bit offset and topped up from
+    the ninth byte, holds the window in its top n bits."""
+    n = np.size(preamble)
+    if not 0 < n <= 64:
+        raise ValueError(f"preamble must be 1 to 64 bits, got {n}")
+    word = int.from_bytes(np.packbits(preamble).tobytes(), "big") >> (-n % 8)
+    q, r = starts >> 3, (starts & 7).astype(np.uint64)
+    window = np.ndarray((packed.size - 7,), ">u8", packed, strides=(1,))[q] << r
+    window |= packed[q + 8] >> (8 - r)
+    return np.intp(n) - np.bitwise_count((window >> (64 - n)) ^ word)
+
+
 def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray | np.integer:
     """Number of bit positions matching the preamble, along the last axis of
     a (..., n) array of windows; a single window gives a numpy integer."""
     w = np.asarray(windows, dtype=np.uint8)
-    p = np.asarray(preamble, dtype=np.uint8)
-    if w.shape[-1:] != p.shape:
-        raise ValueError(f"window length {w.shape[-1:]} != preamble length {p.shape}")
-    return np.count_nonzero(w == p, axis=-1)
-
-
-def match_counts(bits: np.ndarray, preamble: np.ndarray) -> np.ndarray:
-    """Sliding match count of every window of len(preamble) against it."""
-    x = 1 - 2 * np.asarray(bits, dtype=np.int32)
-    p = 1 - 2 * np.asarray(preamble, dtype=np.int32)
-    return (preamble.size + np.correlate(x, p, mode="valid")) >> 1
-
-
-def _scan(bits: np.ndarray, cfg: CorrelatorBankConfig, preamble: np.ndarray,
-          from_bit: int) -> int:
-    """Start bit of the first dual-bank lock at or after from_bit, or -1."""
-    n = preamble.size
-    frame_bits = cfg.kind.frame_bits
-    # byte-major scan over (byte, offset) pairs is a plain scan over bit
-    # positions; the last usable bank-1 position keeps bank 2 inside the stream
-    last = bits.size - (frame_bits + n)
-    chunk = _SCAN_CHUNK_BYTES * 8
-    pos = from_bit
-    while pos <= last:
-        hi = min(pos + chunk, last + 1)
-        counts = match_counts(bits[pos: hi + frame_bits + n - 1], preamble)
-        npos = hi - pos
-        ok = (counts[:npos] >= cfg.gamma) & (counts[frame_bits: frame_bits + npos] >= cfg.gamma)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return pos + int(hits[0])
-        pos = hi
-    return -1
+    if w.shape[-1:] != np.shape(preamble):
+        raise ValueError(f"window length {w.shape[-1:]} != preamble length {np.shape(preamble)}")
+    starts = w.shape[-1] * np.arange(math.prod(w.shape[:-1]))
+    return match_counts(pack(w.reshape(-1)), starts, preamble).reshape(w.shape[:-1])[()]
 
 
 class FrameSynchronizer:
@@ -99,20 +91,27 @@ class FrameSynchronizer:
 
     def locate_frames(self, bits: np.ndarray) -> tuple[list[int], int]:
         """Returns (frame start bit positions, sync loss count)."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        frame_bits = self.cfg.kind.frame_bits
+        packed, nbits = pack(bits), np.size(bits)
+        pre, gamma, frame_bits = self._preamble, self.cfg.gamma, self.cfg.kind.frame_bits
+        # byte-major scan over (byte, offset) pairs is a plain scan over bit
+        # positions; the last bank-1 position keeps bank 2 inside the stream
+        scan_end = nbits - (frame_bits + pre.size) + 1
         starts: list[int] = []
-        losses = 0
-        pos = 0
-        while (s := _scan(bits, self.cfg, self._preamble, pos)) >= 0:
+        losses = pos = 0
+        while pos < scan_end:
+            hi = min(pos + _SCAN_CHUNK_BITS, scan_end)
+            ok = match_counts(packed, np.arange(pos, hi + frame_bits), pre) >= gamma
+            lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits:])
+            if lock.size == 0:
+                pos = hi
+                continue
             # the flywheel grid, checked in blocks that double in length so a lock
             # costs what it tracks; blocks overlap by one frame to see edge pairs
-            count = (bits.size - s) // frame_bits
-            windows = np.lib.stride_tricks.sliding_window_view(bits, self._preamble.size)
+            s = pos + int(lock[0])
+            count = (nbits - s) // frame_bits
             lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
             while True:
-                grid = s + frame_bits * np.arange(lo, hi)
-                hit = correlate(windows[grid], self._preamble) >= self.cfg.gamma
+                hit = match_counts(packed, s + frame_bits * np.arange(lo, hi), pre) >= gamma
                 double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
                 if double_miss.size or hi == count:
                     break
@@ -137,18 +136,14 @@ def binomial_tail_ge(n: int, k: int, p: float) -> float:
         raise ValueError("p must be in [0, 1]")
     if k <= 0:
         return 1.0
-    if k > n:
-        return 0.0
-    total = math.fsum(
-        math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k, n + 1)
-    )
-    return min(1.0, total)
+    return min(1.0, math.fsum(
+        math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k, n + 1)))
 
 
 def p_miss_single(n: int, gamma: int, p: float) -> float:
     """Probability one preamble window scores below gamma on a BSC(p)."""
     if not 0 <= gamma <= n:
-        raise ValueError("gamma out of range")
+        raise ValueError(f"gamma must be in [0, {n}], got {gamma}")
     return binomial_tail_ge(n, n - gamma + 1, p)
 
 
@@ -165,7 +160,7 @@ def p_false(n: int, gamma: int) -> tuple[float, float]:
     single-bank value is an exact dyadic rational sum_{i>=gamma} C(n,i) / 2^n.
     """
     if not 0 <= gamma <= n:
-        raise ValueError("gamma out of range")
+        raise ValueError(f"gamma must be in [0, {n}], got {gamma}")
     count = sum(math.comb(n, i) for i in range(gamma, n + 1))
     q = count / 2 ** n
     return q, q * q

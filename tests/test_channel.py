@@ -15,9 +15,17 @@ def rng(seed):
 
 class TestAwgn:
     def test_infinite_snr_is_identity(self):
+        """A ratio past the float range is noiseless, as +inf is."""
         sym = np.ones(100)
-        out = channel.awgn(sym, channel.noise_sigma(math.inf, 1.0), rng(1))
-        assert np.array_equal(out.real, sym) and not out.imag.any()
+        for ebn0_db in (math.inf, 4000.0, 3083.0):
+            out = channel.awgn(sym, channel.noise_sigma(ebn0_db, 1.0), rng(1))
+            assert np.array_equal(out.real, sym) and not out.imag.any()
+
+    def test_sigma_formula_below_overflow(self):
+        for ebn0_db in (-50.0, 0.0, 6.0, 12.5, 300.0, 3082.0):
+            for rate in (1.0, 239 / 255):
+                expect = math.sqrt(1.0 / (2.0 * rate * 10 ** (ebn0_db / 10)))
+                assert channel.noise_sigma(ebn0_db, rate) == expect
 
     def test_noise_variance_per_quadrature(self):
         sigma2 = 1 / (2 * 1.0 * 10 ** 0.5)
@@ -94,6 +102,7 @@ class TestDbpskTheory:
     def test_limit(self):
         assert channel.dbpsk_ber_theory(40.0) < 1e-300 or channel.dbpsk_ber_theory(40.0) == 0.0
         assert channel.dbpsk_ber_theory(-100.0) == pytest.approx(0.5, rel=1e-3)
+        assert channel.dbpsk_ber_theory(4000.0) == channel.dbpsk_ber_theory(math.inf) == 0.0
 
 
 class TestLinkBudget:

@@ -149,7 +149,20 @@ def test_fifo_invalid_thresholds(capsys):
 
 
 def test_invalid_gamma_exits_nonzero(capsys):
-    assert run_cli(["run", "--seed", "1", "--gamma", "99", "--frames", "2"]) == 2
+    """The error names the threshold and its allowed range."""
+    for argv, message in [
+        (["run", "--seed", "1", "--gamma", "99", "--frames", "2"],
+         "gamma must be in [0, 32] for P32, got 99"),
+        (["run", "--seed", "1", "--gamma", "65", "--kind", "p64", "--frames", "2"],
+         "gamma must be in [0, 64] for P64, got 65"),
+        (["sync-table", "--gammas", "40"], "gamma must be in [0, 32], got 40"),
+        (["sync-table", "--kind", "p64", "--gammas=-1:3"], "gamma must be in [0, 64], got -1"),
+        (["sweep", "--seed", "1", "--frames", "3", "--sweep-param", "gamma", "--sweep", "1e300"],
+         "gamma must be in [0, 32] for P32, got 1000000000000000052504760255204420248704468581"),
+    ]:
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"gblink: error: {message}") and captured.out == ""
 
 
 def test_console_script_entry_point():
@@ -207,6 +220,19 @@ def _assert_clean_error(args, capsys):
 def test_nan_ebn0_rejected(capsys):
     _assert_clean_error(["run", "--ebn0", "nan", "--frames", "5", "--seed", "1"], capsys)
     _assert_clean_error(["run", "--ebn0", "nan", "--seed", "1"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--ebn0", "4000", "--seed", "1", "--frames", "5"],
+    ["sweep", "--sweep", "4000", "--seed", "1", "--frames", "3"],
+    ["run", "--channel", "distance", "--distance", "1e-200", "--seed", "1", "--frames", "5"],
+    ["run", "--ebn0", "4000", "--seed", "1"],
+], ids=["run", "sweep", "distance", "auto-frames"])
+def test_overflowing_ebn0_runs_noiseless(argv, capsys):
+    """An Eb/N0 whose ratio overflows a float runs like +inf: no noise."""
+    assert run_cli(argv) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(v) for v in fields[1:]] == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_minus_inf_ebn0_rejected(capsys):

@@ -207,7 +207,8 @@ def test_preamble_never_inside_scrambled_body(kind, fill):
     alignment of the body may look like the sync word."""
     frame = build_frame(bytes([fill]) * kind.payload_bytes, kind)
     body_bits = np.unpackbits(np.frombuffer(frame[kind.preamble_bytes:], np.uint8))
-    counts = sync.match_counts(body_bits, framing.gen_preamble(kind))
+    every_bit = np.arange(body_bits.size - kind.preamble_bits + 1)
+    counts = sync.match_counts(sync.pack(body_bits), every_bit, framing.gen_preamble(kind))
     assert int(counts.max()) < kind.default_gamma
 
 

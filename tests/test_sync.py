@@ -106,6 +106,24 @@ class TestCorrelate:
             assert counts[idx] == sync.correlate(windows[idx], pre)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([P32, P64]), st.integers(0, 200), st.floats(0.0, 0.5),
+       st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 10 ** 6), max_size=20))
+def test_match_counts_matches_sliding_reference(kind, extra, flip, seed, picks):
+    """The packed kernel against a compare of unpacked windows, at random
+    starts of every bit offset and at the last eight windows: stream lengths
+    off the byte grid put the packing pad right after the last window."""
+    pre = framing.gen_preamble(kind)
+    n = pre.size
+    rng = np.random.default_rng(seed)
+    # noisy preamble copies give counts near n as well as near n / 2
+    bits = (np.resize(pre, n + extra) ^ (rng.random(n + extra) < flip)).astype(np.uint8)
+    last = bits.size - n
+    starts = np.array([p % (last + 1) for p in picks] + [max(last - k, 0) for k in range(8)])
+    expect = (np.lib.stride_tricks.sliding_window_view(bits, n) == pre).sum(axis=1)
+    assert sync.match_counts(sync.pack(bits), starts, pre).tolist() == expect[starts].tolist()
+
+
 class TestDetect:
     """First dual-bank lock, read as the first start locate_frames returns."""
 
@@ -154,8 +172,14 @@ class TestDetect:
         assert locate(stream, P32, 31)[0][:1] == [0]
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\] for P32, got 33"):
             CorrelatorBankConfig(P32, 33)
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 64\] for P64, got -1"):
+            CorrelatorBankConfig(P64, -1)
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\], got 33"):
+            sync.p_false(32, 33)
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 64\], got -2"):
+            sync.p_miss(64, -2, 1e-3)
 
 
 class TestTracking:
@@ -217,10 +241,12 @@ def _noisy_streams(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_noisy_streams(), st.integers(1, 24))
-def test_locate_frames_matches_reference(case, first_block):
-    """Any first tracking block length, so miss pairs fall on block edges."""
+@given(_noisy_streams(), st.integers(1, 24), st.integers(0, 7))
+def test_locate_frames_matches_reference(case, first_block, cut):
+    """Any first tracking block length, so miss pairs fall on block edges,
+    and streams cut off the byte grid, so the last windows border the pad."""
     kind, gamma, bits = case
+    bits = bits[: bits.size - cut]
     cfg = CorrelatorBankConfig(kind, gamma)
     with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
         assert FrameSynchronizer(cfg).locate_frames(bits) == reference_locate_frames(bits, cfg)
