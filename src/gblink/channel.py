@@ -57,10 +57,13 @@ def _db_to_ratio(db: float) -> float:
 
 
 def noise_sigma(ebn0_db: float, code_rate: float) -> float:
-    """Per-quadrature noise standard deviation for unit-energy symbols."""
+    """Per-quadrature noise deviation for unit-energy symbols; it must be finite."""
     if not 0 < code_rate <= 1:
         raise ValueError("code_rate must be in (0, 1]")
-    return math.sqrt(1.0 / (2.0 * code_rate * _db_to_ratio(ebn0_db)))
+    power = 2.0 * code_rate * _db_to_ratio(ebn0_db)
+    if power == 0.0 or math.isinf(1.0 / power):
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB is too low: the noise deviation overflows")
+    return math.sqrt(1.0 / power)
 
 
 def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

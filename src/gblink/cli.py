@@ -1,11 +1,14 @@
 """Command-line front end: link runs, sweeps, sync trade-off tables, and
 FIFO simulations, all emitting CSV (or JSON for fifo stats).
 
-A config file (`--config`) holds `key = value` lines using the long option
-names (dashes or underscores); precedence is defaults < config file <
-explicit command-line flags.  `--seed` must be supplied one way or the other
-so every published number is reproducible.  The process exits nonzero on any
-invariant violation.
+Each subcommand's argparse parser is the one schema of its options: type,
+choices and default are written once, in `add_argument`.  A config file
+(`--config`) holds `key = value` lines using the long option names (dashes
+or underscores); each value is converted and checked through its flag's own
+action, and the values become the subcommand's defaults for a second parse,
+so precedence is defaults < config file < explicit command-line flags.
+`--seed` must be supplied one way or the other so every published number is
+reproducible.  The process exits nonzero on any invariant violation.
 """
 
 from __future__ import annotations
@@ -17,47 +20,9 @@ import json
 import math
 import sys
 
-from . import channel, elastic, harness, sync
+from . import elastic, harness, sync
 from .channel import LinkBudget
 from .framing import FRAME_KINDS
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Resolve option values: CLI flag, else config file, else default."""
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_values) - set(spec))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown key(s) {', '.join(unknown)}")
-    out = {}
-    for key, (convert, default) in spec.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in file_values:
-            text = file_values[key]
-            try:
-                if key in _CHOICES and text not in _CHOICES[key]:
-                    raise ValueError(text)
-                out[key] = convert(text)
-            except (ValueError, KeyError):
-                raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
-        else:
-            out[key] = default
-    return out
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
@@ -66,7 +31,10 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 def _parse_gammas(text: str) -> range:
     lo, _, hi = text.partition(":")
-    first, last = int(lo), int(hi or lo)
+    try:
+        first, last = int(lo), int(hi or lo)
+    except ValueError:
+        raise ValueError(f"--gammas {text}: expected LO or LO:HI integers") from None
     if last < first:
         raise ValueError(f"--gammas {text}: range runs backwards")
     return range(first, last + 1)
@@ -82,15 +50,33 @@ def _output(path: str):
             yield fh
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
+    """A --config file's `key = value` lines, each converted and checked like its flag."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config", "out")}
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in actions:
+                raise ValueError(f"{path}: unknown key {key}")
+            action = actions[key]
+            try:
+                value = _BOOL[text.lower()] if action.nargs == 0 else (action.type or str)(text)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(text)
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}: bad value for {key}: {text!r}") from None
+            values[key] = value
+    return values
 
 
-def _to_bool(text: str) -> bool:
-    return _BOOL[text.strip().lower()]
-
-
-# link-budget option -> (LinkBudget field, help text); the defaults are the
-# dataclass's own
+# option -> (dataclass field, help text); type and default are the field's own
 _BUDGET_OPTIONS = {
     "tx_power": ("tx_power_dbm", "dBm"),
     "tx_gain": ("tx_gain_dbi", "dBi"),
@@ -100,86 +86,70 @@ _BUDGET_OPTIONS = {
     "noise_figure": ("noise_figure_db", "dB"),
     "extra_loss": ("extra_loss_db", "dB, e.g. 15 for the blockage scenario"),
 }
-
-# argparse choices of the options a config file can also set
-_CHOICES = {"kind": ("p32", "p64"), "channel": ("awgn", "bsc", "distance"),
-            "sweep_param": ("channel", "gamma")}
-
-_LINK_SPEC = {
-    "kind": (str, "p32"),
-    "channel": (str, "awgn"),
-    "ebn0": (float, 8.0),
-    "p": (float, 1e-4),
-    "distance": (float, 10.0),
-    "frames": (int, None),
-    "gamma": (int, None),
-    "seed": (int, None),
-    "uncoded": (_to_bool, False),
-    "bit_offset": (int, 0),
-    **{opt: (float, getattr(LinkBudget, name)) for opt, (name, _) in _BUDGET_OPTIONS.items()},
+_FIFO_OPTIONS = {
+    "capacity": ("capacity_bytes", "buffer size in bytes"),
+    "upper": ("upper_threshold", "occupancy that asserts stop"),
+    "lower": ("lower_threshold", "occupancy at which writing resumes"),
+    "write_hz": ("write_clock_hz", "write clock in Hz"),
+    "read_hz": ("read_clock_hz", "read clock in Hz"),
+    "latency": ("resume_latency_cycles", "stop-signal turnaround in write cycles"),
 }
+_KINDS = tuple(tag.lower() for tag in FRAME_KINDS)
+_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _add_link_options(p: argparse.ArgumentParser) -> None:
+def _add_field_options(p: argparse.ArgumentParser, options: dict, cls: type) -> None:
+    for opt, (name, text) in options.items():
+        default = getattr(cls, name)
+        p.add_argument("--" + opt.replace("_", "-"), dest=opt, type=type(default),
+                       default=default, help=text + " (default %(default)g)")
+
+
+def _add_link_options(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="key = value file overriding defaults")
-    p.add_argument("--kind", choices=_CHOICES["kind"], help="frame format (default p32)")
-    p.add_argument("--channel", choices=_CHOICES["channel"],
-                   help="channel model (default awgn)")
-    p.add_argument("--ebn0", type=float, help="Eb/N0 in dB for the awgn channel")
-    p.add_argument("--p", type=float, help="flip probability for the bsc channel")
-    p.add_argument("--distance", type=float, help="Tx-Rx distance in m for the distance channel")
+    p.add_argument("--kind", choices=_KINDS, default="p32",
+                   help="frame format (default %(default)s)")
+    p.add_argument("--channel", choices=("awgn", "bsc", "distance"), default="awgn",
+                   help="channel model (default %(default)s)")
+    p.add_argument("--ebn0", type=float, default=8.0,
+                   help="Eb/N0 in dB for the awgn channel (default %(default)g)")
+    p.add_argument("--p", type=float, default=1e-4,
+                   help="flip probability for the bsc channel (default %(default)g)")
+    p.add_argument("--distance", type=float, default=10.0,
+                   help="Tx-Rx distance in m for the distance channel (default %(default)g)")
     p.add_argument("--frames", type=int,
                    help="frames per run; default auto-sizes for ~100 expected raw error "
                         f"events at the operating point, capped at {harness.FRAMES_CAP}")
     p.add_argument("--gamma", type=int, help="sync threshold (default per frame kind)")
     p.add_argument("--seed", type=int, help="master seed; required for every run")
-    p.add_argument("--uncoded", action="store_const", const=True, default=None,
-                   help="reference Eb to channel bits (code rate 1)")
-    p.add_argument("--bit-offset", dest="bit_offset", type=int,
-                   help="junk bits injected before the first frame (0-7)")
-    for opt, (name, unit) in _BUDGET_OPTIONS.items():
-        p.add_argument("--" + opt.replace("_", "-"), dest=opt, type=float,
-                       help=f"{unit} (default {getattr(LinkBudget, name):g})")
-    p.add_argument("--out", default="-", help="output file (default stdout)")
+    p.add_argument("--uncoded", action="store_true",
+                   help="reference Eb to channel bits, code rate 1 (default %(default)s)")
+    p.add_argument("--bit-offset", dest="bit_offset", type=int, default=0,
+                   help="junk bits injected before the first frame, 0-7 (default %(default)s)")
+    _add_field_options(p, _BUDGET_OPTIONS, LinkBudget)
+    p.set_defaults(func=func, parser=p)  # parser: what a --config file goes through
 
 
-def _auto_frames(chan: harness.Channel, kind, uncoded: bool) -> int:
-    """Smallest frame count giving ~100 expected raw error events, capped."""
-    if isinstance(chan, harness.BscChannel):
-        ber = chan.p
-    else:
-        ebn0_db, code_rate = harness.noise_point(chan, kind, uncoded)
-        ber = channel.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
-    return harness.frames_for_target_errors(kind, ber)
-
-
-def _experiment_config(opts: dict) -> tuple[harness.ExperimentConfig, float]:
-    if opts["seed"] is None:
+def _experiment_config(args: argparse.Namespace) -> tuple[harness.ExperimentConfig, float]:
+    if args.seed is None:
         raise ValueError("--seed is required (reproducibility contract)")
-    kind = FRAME_KINDS[opts["kind"].upper()]
-    budget = LinkBudget(**{name: opts[opt] for opt, (name, _) in _BUDGET_OPTIONS.items()})
-    if opts["channel"] == "awgn":
-        chan: harness.Channel = harness.AwgnChannel(opts["ebn0"])
-        param = opts["ebn0"]
-    elif opts["channel"] == "bsc":
-        chan = harness.BscChannel(opts["p"])
-        param = opts["p"]
+    kind = FRAME_KINDS[args.kind.upper()]
+    budget = LinkBudget(**{name: getattr(args, opt) for opt, (name, _) in _BUDGET_OPTIONS.items()})
+    param = {"awgn": args.ebn0, "bsc": args.p, "distance": args.distance}[args.channel]
+    if args.channel == "distance":
+        chan: harness.Channel = harness.DistanceChannel(param, budget)
     else:
-        chan = harness.DistanceChannel(opts["distance"], budget)
-        param = opts["distance"]
-    frames = opts["frames"]
+        chan = {"awgn": harness.AwgnChannel, "bsc": harness.BscChannel}[args.channel](param)
+    frames = args.frames
     if frames is None:
-        frames = _auto_frames(chan, kind, opts["uncoded"])
-    cfg = harness.ExperimentConfig(
-        channel=chan, frames=frames, master_seed=opts["seed"],
-        frame_kind=kind, gamma=opts["gamma"],
-        uncoded=opts["uncoded"], bit_offset=opts["bit_offset"])
-    return cfg, param
+        frames = harness.frames_for_target_errors(chan, kind, args.uncoded)
+    return harness.ExperimentConfig(
+        channel=chan, frames=frames, master_seed=args.seed, frame_kind=kind, gamma=args.gamma,
+        uncoded=args.uncoded, bit_offset=args.bit_offset), param
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    opts = _merge(args, _LINK_SPEC)
-    cfg, param = _experiment_config(opts)
+    cfg, param = _experiment_config(args)
     report = harness.run_link(cfg)
     with _output(args.out) as fp:
         harness.write_sweep_csv([(param, report)], fp)
@@ -187,13 +157,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = dict(_LINK_SPEC)
-    spec["sweep"] = (_parse_values, None)
-    spec["sweep_param"] = (str, "channel")
-    spec["jobs"] = (int, 1)
-    opts = _merge(args, spec)
-    cfg, _ = _experiment_config(opts)
-    rows = harness.sweep(cfg, opts["sweep"], opts["sweep_param"], jobs=opts["jobs"])
+    cfg, _ = _experiment_config(args)
+    rows = harness.sweep(cfg, args.sweep, args.sweep_param, jobs=args.jobs)
     with _output(args.out) as fp:
         harness.write_sweep_csv(rows, fp)
     return 0
@@ -211,10 +176,8 @@ def _cmd_sync_table(args: argparse.Namespace) -> int:
 def _cmd_fifo(args: argparse.Namespace) -> int:
     if not math.isfinite(args.cycles):
         raise ValueError(f"--cycles must be finite, got {args.cycles}")
-    cfg = elastic.FifoConfig(
-        capacity_bytes=args.capacity, upper_threshold=args.upper,
-        lower_threshold=args.lower, write_clock_hz=args.write_hz,
-        read_clock_hz=args.read_hz, resume_latency_cycles=args.latency)
+    cfg = elastic.FifoConfig(**{name: getattr(args, opt)
+                                for opt, (name, _) in _FIFO_OPTIONS.items()})
     stats = elastic.simulate_fifo(cfg, int(args.cycles), args.pattern, args.seed)
     record = dataclasses.asdict(stats)
     with _output(args.out) as fp:
@@ -228,52 +191,60 @@ def _cmd_fifo(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gblink",
-        description="60 GHz single-carrier gigabit link simulator")
+        prog="gblink", description="60 GHz single-carrier gigabit link simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one link experiment, CSV row out")
-    _add_link_options(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    _add_link_options(p_run, _cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run_link per parameter value, CSV out")
-    _add_link_options(p_sweep)
+    _add_link_options(p_sweep, _cmd_sweep)
     p_sweep.add_argument("--sweep", type=_parse_values,
                          help="comma/space separated parameter values")
-    p_sweep.add_argument("--sweep-param", dest="sweep_param", choices=_CHOICES["sweep_param"],
-                         help="which knob the values drive (default channel)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel workers (default 1)")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.add_argument("--sweep-param", dest="sweep_param", choices=("channel", "gamma"),
+                         default="channel",
+                         help="which knob the values drive (default %(default)s)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (default %(default)s)")
 
     p_table = sub.add_parser("sync-table", help="miss/false-alarm trade-off table")
-    p_table.add_argument("--kind", choices=_CHOICES["kind"], default="p32")
-    p_table.add_argument("--p", type=float, default=1e-4, help="channel error probability")
+    p_table.add_argument("--kind", choices=_KINDS, default="p32",
+                         help="frame format (default %(default)s)")
+    p_table.add_argument("--p", type=float, default=1e-4,
+                         help="channel error probability (default %(default)g)")
     p_table.add_argument("--gammas", help="LO:HI inclusive threshold range (default all)")
-    p_table.add_argument("--out", default="-")
     p_table.set_defaults(func=_cmd_sync_table)
 
     p_fifo = sub.add_parser("fifo", help="dual-clock elastic buffer simulation")
-    p_fifo.add_argument("--capacity", type=int, default=4096)
-    p_fifo.add_argument("--upper", type=int, default=3072)
-    p_fifo.add_argument("--lower", type=int, default=1024)
-    p_fifo.add_argument("--write-hz", dest="write_hz", type=float, default=125e6)
-    p_fifo.add_argument("--read-hz", dest="read_hz", type=float, default=100.54e6)
-    p_fifo.add_argument("--latency", type=int, default=64,
-                        help="stop-signal turnaround in write cycles")
-    p_fifo.add_argument("--cycles", type=float, default=1e6, help="read-clock cycles")
-    p_fifo.add_argument("--pattern", choices=["continuous", "bursty"], default="continuous")
-    p_fifo.add_argument("--seed", type=int, default=0)
-    p_fifo.add_argument("--format", choices=["json", "csv"], default="json")
-    p_fifo.add_argument("--out", default="-")
+    _add_field_options(p_fifo, _FIFO_OPTIONS, elastic.FifoConfig)
+    p_fifo.add_argument("--cycles", type=float, default=1e6,
+                        help="read-clock cycles (default %(default)g)")
+    p_fifo.add_argument("--pattern", choices=("continuous", "bursty"), default="continuous",
+                        help="write pattern (default %(default)s)")
+    p_fifo.add_argument("--seed", type=int, default=0,
+                        help="bursty pattern seed (default %(default)s)")
+    p_fifo.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="stats format (default %(default)s)")
     p_fifo.set_defaults(func=_cmd_fifo)
 
+    for p in (p_run, p_sweep, p_table, p_fifo):
+        p.add_argument("--out", default="-", help="output file (default stdout)")
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse argv; a --config file's values are the defaults of a second parse."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        args.parser.set_defaults(**_config_values(args.parser, args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"gblink: error: {exc}", file=sys.stderr)

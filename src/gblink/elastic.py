@@ -64,7 +64,7 @@ class FifoConfig:
     read_clock_hz: float = 100.54e6
     resume_latency_cycles: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.lower_threshold < self.upper_threshold < self.capacity_bytes:
             raise ValueError("need 0 < lower < upper < capacity")
         for name in ("write_clock_hz", "read_clock_hz"):
@@ -101,9 +101,10 @@ _ACTIVE, _STOPPING, _PAUSED = 0, 1, 2
 
 class _Sim:
     def __init__(self, cfg: FifoConfig, duration_cycles: int, write_pattern: str, seed: int):
-        cfg.validate()
         if duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         if write_pattern not in ("continuous", "bursty"):
             raise ValueError(f"unknown write pattern {write_pattern!r}")
         self.cfg = cfg

@@ -24,8 +24,8 @@ feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
 for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma` and run `modem.bpsk_map` -> `channel.awgn` ->
 `modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips the
-channel bits directly, bypassing the modem.  Channels reject values outside
-their domain (NaN, -inf dB, non-finite distances) when constructed.
+channel bits directly, bypassing the modem.  Channels and configs reject
+values outside their domain (NaN, -inf dB, a negative seed) when constructed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -87,9 +87,11 @@ class ExperimentConfig:
     uncoded: bool = False
     bit_offset: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.master_seed}")
         if not 0 <= self.bit_offset < 8:
             raise ValueError("bit_offset must be in [0, 8)")
 
@@ -155,7 +157,6 @@ def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator
 
 def run_link(cfg: ExperimentConfig) -> LinkReport:
     """Run one seeded link experiment and account errors against ground truth."""
-    cfg.validate()
     kind = cfg.frame_kind
     bank = CorrelatorBankConfig(kind, cfg.gamma if cfg.gamma is not None else kind.default_gamma)
     frame_bits = kind.frame_bits
@@ -213,12 +214,8 @@ def _point_config(cfg: ExperimentConfig, param: str, value: float, index: int) -
         if not float(value).is_integer():
             raise ValueError(f"gamma must be an integer, got {value}")
         return replace(cfg, gamma=int(value), master_seed=seed)
-    if isinstance(cfg.channel, AwgnChannel):
-        chan: Channel = AwgnChannel(ebn0_db=value)
-    elif isinstance(cfg.channel, BscChannel):
-        chan = BscChannel(p=value)
-    else:
-        chan = DistanceChannel(distance_m=value, budget=cfg.channel.budget)
+    # every channel's first field is the value a sweep drives
+    chan = replace(cfg.channel, **{fields(cfg.channel)[0].name: value})
     return replace(cfg, channel=chan, master_seed=seed)
 
 
@@ -249,10 +246,14 @@ def write_sweep_csv(rows: list[tuple[float, LinkReport]], fp) -> None:
                          repr(rep.frame_error_rate), rep.sync_losses])
 
 
-def frames_for_target_errors(kind: FrameKind, ber: float, target: int = 100) -> int:
-    """Frame count giving ~target expected error events at a raw BER, capped
-    at FRAMES_CAP."""
+def frames_for_target_errors(chan: Channel, kind: FrameKind, uncoded: bool) -> int:
+    """Frame count for ~100 expected raw error events on a channel, capped at FRAMES_CAP."""
+    if isinstance(chan, BscChannel):
+        ber = chan.p
+    else:
+        ebn0_db, code_rate = noise_point(chan, kind, uncoded)
+        ber = channel_mod.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
     if ber <= 0:
         return FRAMES_CAP
-    need = math.ceil(target / (kind.frame_bits * ber))
+    need = math.ceil(100 / (kind.frame_bits * ber))
     return max(1, min(FRAMES_CAP, need))

@@ -22,10 +22,16 @@ class TestAwgn:
             assert np.array_equal(out.real, sym) and not out.imag.any()
 
     def test_sigma_formula_below_overflow(self):
-        for ebn0_db in (-50.0, 0.0, 6.0, 12.5, 300.0, 3082.0):
+        for ebn0_db in (-3000.0, -50.0, 0.0, 6.0, 12.5, 300.0, 3082.0):
             for rate in (1.0, 239 / 255):
                 expect = math.sqrt(1.0 / (2.0 * rate * 10 ** (ebn0_db / 10)))
                 assert channel.noise_sigma(ebn0_db, rate) == expect
+
+    def test_underflowing_ratio_rejected(self):
+        """A ratio that underflows to 0, or leaves sigma infinite, has no noise to draw."""
+        for ebn0_db in (-4000.0, -3235.0, -math.inf):
+            with pytest.raises(ValueError, match=f"Eb/N0 of {ebn0_db} dB"):
+                channel.noise_sigma(ebn0_db, 1.0)
 
     def test_noise_variance_per_quadrature(self):
         sigma2 = 1 / (2 * 1.0 * 10 ** 0.5)

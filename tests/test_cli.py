@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, config files, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from gblink import cli, sync
 from gblink.channel import LinkBudget
+from gblink.elastic import FifoConfig
 
 
 def run_cli(args):
@@ -149,7 +151,8 @@ def test_fifo_invalid_thresholds(capsys):
 
 
 def test_invalid_gamma_exits_nonzero(capsys):
-    """The error names the threshold and its allowed range."""
+    """The error names the threshold and its allowed range, and any other bad
+    option value together with its option."""
     for argv, message in [
         (["run", "--seed", "1", "--gamma", "99", "--frames", "2"],
          "gamma must be in [0, 32] for P32, got 99"),
@@ -159,6 +162,11 @@ def test_invalid_gamma_exits_nonzero(capsys):
         (["sync-table", "--kind", "p64", "--gammas=-1:3"], "gamma must be in [0, 64], got -1"),
         (["sweep", "--seed", "1", "--frames", "3", "--sweep-param", "gamma", "--sweep", "1e300"],
          "gamma must be in [0, 32] for P32, got 1000000000000000052504760255204420248704468581"),
+        (["run", "--seed", "-1", "--frames", "5"], "seed must be non-negative, got -1"),
+        (["sweep", "--seed", "-1", "--frames", "5", "--sweep", "8"],
+         "seed must be non-negative, got -1"),
+        (["fifo", "--seed", "-1", "--cycles", "100"], "seed must be non-negative, got -1"),
+        (["sync-table", "--gammas", "5:x"], "--gammas 5:x: expected LO or LO:HI integers"),
     ]:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
@@ -205,8 +213,7 @@ def test_distance_channel(tmp_path):
         "bsc", "bsc-1e-3"])
 def test_auto_frames_pinned(argv, frames):
     """Without --frames, the run is sized for ~100 expected raw error events."""
-    args = cli.build_parser().parse_args(["run", "--seed", "1"] + argv)
-    cfg, _ = cli._experiment_config(cli._merge(args, cli._LINK_SPEC))
+    cfg, _ = cli._experiment_config(cli.parse_args(["run", "--seed", "1"] + argv))
     assert cfg.frames == frames
 
 
@@ -233,6 +240,22 @@ def test_overflowing_ebn0_runs_noiseless(argv, capsys):
     assert run_cli(argv) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
     assert [float(v) for v in fields[1:]] == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--ebn0", "-4000", "--seed", "1", "--frames", "5"],
+    ["run", "--ebn0", "-4000", "--seed", "1"],
+    ["run", "--channel", "distance", "--distance", "1e200", "--seed", "1", "--frames", "5"],
+], ids=["run", "auto-frames", "distance"])
+def test_underflowing_ebn0_rejected(argv, capsys):
+    """An Eb/N0 whose ratio underflows has no finite noise deviation."""
+    _assert_clean_error(argv, capsys)
+
+
+def test_very_low_ebn0_runs(capsys):
+    assert run_cli(["run", "--ebn0", "-3000", "--seed", "1", "--frames", "5"]) == 0
+    raw_ber = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+    assert 0.45 < raw_ber < 0.55
 
 
 def test_minus_inf_ebn0_rejected(capsys):
@@ -271,10 +294,70 @@ def test_link_budget_options_map_every_field():
     """Each LinkBudget field has one option, and the defaults are its own."""
     fields = sorted(f.name for f in dataclasses.fields(LinkBudget))
     assert sorted(name for name, _ in cli._BUDGET_OPTIONS.values()) == fields
-    args = cli.build_parser().parse_args(["run", "--seed", "1", "--channel", "distance",
-                                          "--frames", "1", "--extra-loss", "15"])
-    cfg, _ = cli._experiment_config(cli._merge(args, cli._LINK_SPEC))
+    args = cli.parse_args(["run", "--seed", "1", "--channel", "distance",
+                           "--frames", "1", "--extra-loss", "15"])
+    cfg, _ = cli._experiment_config(args)
     assert cfg.channel.budget == LinkBudget(extra_loss_db=15.0)
+
+
+def test_fifo_options_map_every_field():
+    """Each FifoConfig field has one option, and the defaults are its own."""
+    fields = sorted(f.name for f in dataclasses.fields(FifoConfig))
+    assert sorted(name for name, _ in cli._FIFO_OPTIONS.values()) == fields
+    args = cli.parse_args(["fifo"])
+    assert FifoConfig(**{name: getattr(args, opt)
+                         for opt, (name, _) in cli._FIFO_OPTIONS.items()}) == FifoConfig()
+    args = cli.parse_args(["fifo", "--lower", "512", "--read-hz", "90e6"])
+    assert (args.lower, args.read_hz) == (512, 90e6)
+
+
+def _subparser(command):
+    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return commands.choices[command]
+
+
+def _config_options(command):
+    """The actions of a subcommand that a config file can also set."""
+    return [a for a in _subparser(command)._actions if a.dest not in ("help", "config", "out")]
+
+
+def _non_default_text(action):
+    """A valid value other than the default, as written on a command line."""
+    if action.choices is not None:
+        return next(c for c in action.choices if c != action.default)
+    return {float: "0.25", int: "3", cli._parse_values: "1e-3, 2e-3"}[action.type]
+
+
+@pytest.mark.parametrize("command,dest", [(c, a.dest) for c in ("run", "sweep")
+                                          for a in _config_options(c)])
+def test_config_key_parses_like_its_flag(command, dest, tmp_path):
+    """A config value is converted and checked exactly like its flag."""
+    [action] = [a for a in _config_options(command) if a.dest == dest]
+    if action.nargs == 0:
+        flag, text = [action.option_strings[0]], "true"
+    else:
+        text = _non_default_text(action)
+        flag = [action.option_strings[0], text]
+    conf = tmp_path / "opt.conf"
+    conf.write_text(f"{dest} = {text}\n")
+    by_flag = vars(cli.parse_args([command] + flag))
+    by_config = vars(cli.parse_args([command, "--config", str(conf)]))
+    assert by_flag[dest] != action.default
+    for ns in (by_flag, by_config):
+        del ns["config"], ns["parser"]
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "fifo"])
+def test_help_shows_defaults(command):
+    """--help names the default of every option that has one."""
+    parser = _subparser(command)
+    text = " ".join(parser.format_help().split())
+    for action in parser._actions:
+        if action.default in (None, argparse.SUPPRESS) or action.dest == "out":
+            continue
+        default = f"{action.default:g}" if isinstance(action.default, float) else action.default
+        assert f"(default {default})" in text, action.dest
 
 
 def test_infinite_fifo_cycles_rejected(capsys):

@@ -17,7 +17,6 @@ GAP = (12, 256)
 
 def reference_simulate(cfg, duration, pattern, seed):
     """Per-tick oracle with identical semantics (write before read on ties)."""
-    cfg.validate()
     pw, pr = _periods(cfg)
     t_end = (duration - 1) * pr
     rng = np.random.default_rng(seed)
