@@ -69,8 +69,9 @@ def noise_sigma(ebn0_db: float, code_rate: float) -> float:
 def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex white Gaussian noise of per-quadrature deviation sigma.
 
-    Draws all in-phase samples, then all quadrature samples; sigma == 0
-    draws nothing and returns the symbols as complex samples.
+    Draws all in-phase samples, then all quadrature ones (none if sigma == 0).
+    run_link draws this stream chunk by chunk as sigma * z, which differs
+    from the 0.0 + sigma * z here only in a zero's sign: no decision sees it.
     """
     out = np.asarray(symbols).astype(np.complex128)
     if sigma > 0.0:

@@ -22,10 +22,12 @@ converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` produces a per-channel-bit ratio from the link budget and
 feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
 for frame-count sizing alike.  Both become a noise deviation through
-`channel.noise_sigma` and run `modem.bpsk_map` -> `channel.awgn` ->
-`modem.diff_demod` in chunks of 2^21 symbols.  `BscChannel` flips the
-channel bits directly, bypassing the modem.  Channels and configs reject
-values outside their domain (NaN, -inf dB, a negative seed) when constructed.
+`channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
+in blocks of 2^16 symbols; the noise is `channel.awgn`'s stream drawn per
+2^21-symbol chunk, in-phase noise held for the chunk and quadrature noise for
+a block.  `BscChannel` flips the channel bits directly, bypassing the modem.
+Channels and configs reject values outside their domain (NaN, -inf dB, a
+negative seed) when constructed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from . import framing, modem, rs
 from .framing import FrameKind, P32
 from .sync import CorrelatorBankConfig, FrameSynchronizer
 
-_CHUNK_SYMBOLS = 1 << 21
+_CHUNK_SYMBOLS = 1 << 21  # noise draw unit: fixes the random stream
+_BLOCK_SYMBOLS = 1 << 16  # detector block, sized to stay in cache
 FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
 
 
@@ -94,6 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.master_seed}")
         if not 0 <= self.bit_offset < 8:
             raise ValueError("bit_offset must be in [0, 8)")
+        if self.gamma is not None:
+            CorrelatorBankConfig(self.frame_kind, self.gamma)
 
 
 @dataclass
@@ -142,16 +147,25 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
 
 
 def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Differential chain over AWGN in chunks of _CHUNK_SYMBOLS; a +1
-    reference symbol leads, then each chunk's last symbol leads the next."""
+    """The AWGN chain of the module docstring; sample 0 of the block buffer is
+    the symbol before the block, the +1 reference first."""
     enc = modem.diff_encode(tx_bits)
-    out = np.empty(tx_bits.size, dtype=np.uint8)
-    prev = np.ones(1, dtype=np.complex128)
-    for lo in range(0, enc.size, _CHUNK_SYMBOLS):
-        sym = channel_mod.awgn(modem.bpsk_map(enc[lo: lo + _CHUNK_SYMBOLS]), sigma, rng)
-        out[lo] = modem.diff_demod(np.concatenate((prev, sym[:1])))[0]
-        out[lo + 1: lo + sym.size] = modem.diff_demod(sym)
-        prev = sym[-1:]
+    out = np.empty(enc.size, dtype=np.uint8)
+    in_phase = np.zeros(min(enc.size, _CHUNK_SYMBOLS))
+    buf = np.ones(min(enc.size, _BLOCK_SYMBOLS) + 1, dtype=np.complex128)
+    for chunk in range(0, enc.size, _CHUNK_SYMBOLS):
+        i_noise = in_phase[: enc.size - chunk]
+        if sigma > 0.0:  # a chunk's in-phase draws all precede its quadrature draws
+            np.multiply(rng.standard_normal(out=i_noise), sigma, out=i_noise)
+        for lo in range(0, i_noise.size, _BLOCK_SYMBOLS):
+            hi = min(lo + _BLOCK_SYMBOLS, i_noise.size)
+            s = buf[: hi - lo + 1]
+            np.add(modem.bpsk_map(enc[chunk + lo: chunk + hi]), i_noise[lo:hi], out=s.real[1:])
+            if sigma > 0.0:  # the block's in-phase noise is spent: reuse its slot
+                q = i_noise[lo:hi]
+                s.imag[1:] = np.multiply(rng.standard_normal(out=q), sigma, out=q)
+            out[chunk + lo: chunk + hi] = modem.diff_demod(s)
+            buf[0] = s[-1]
     return out
 
 
@@ -231,7 +245,7 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
         raise ValueError(f"unknown sweep parameter {param!r}")
     configs = [_point_config(cfg, param, v, i) for i, v in enumerate(values)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             reports = list(pool.map(run_link, configs))
     else:
         reports = [run_link(c) for c in configs]

@@ -3,9 +3,13 @@
 import dataclasses
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rs_oracle
 from gblink import channel, framing, harness, modem, rs
@@ -156,6 +160,42 @@ def test_sweep_gamma_param():
             sweep(cfg, (28.0, bad), "gamma")
 
 
+def test_sweep_refuses_bad_gamma_before_any_run():
+    def no_run(*args, **kwargs):
+        raise AssertionError("a point ran before the sweep was validated")
+
+    cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=20, master_seed=1)
+    with mock.patch.object(harness, "run_link", no_run), \
+            mock.patch.object(harness, "ProcessPoolExecutor", no_run):
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\] for P32, got 99"):
+                sweep(cfg, (28.0, 99.0), "gamma", jobs=jobs)
+
+
+def test_sweep_workers_capped_at_points():
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=5, master_seed=3)
+    with mock.patch.object(harness, "ProcessPoolExecutor", InProcessPool):
+        rows = sweep(cfg, (1e-3, 2e-3), jobs=64)
+        sweep(cfg, (1e-3, 2e-3, 4e-3), jobs=2)
+    assert workers == [2, 2]
+    assert rows == sweep(cfg, (1e-3, 2e-3))
+
+
 def test_sweep_csv_deterministic_bytes():
     cfg = ExperimentConfig(channel=BscChannel(2e-3), frames=40, master_seed=77)
     outputs = []
@@ -218,6 +258,58 @@ def _passthrough(frame: bytes, kind) -> bytes:
                     for i in range(kind.codewords_per_frame))
 
 
+def reference_demodulate(tx_bits: np.ndarray, sigma: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """The whole-array AWGN chain: `channel.awgn` once per noise chunk, one
+    product detection over the +1 reference and every sample."""
+    enc = modem.diff_encode(tx_bits)
+    step = harness._CHUNK_SYMBOLS
+    sym = np.concatenate([channel.awgn(modem.bpsk_map(enc[lo: lo + step]), sigma, rng)
+                          for lo in range(0, enc.size, step)])
+    return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
+
+
+@st.composite
+def _chain_cases(draw):
+    chunk = draw(st.integers(8, 64))
+    block = draw(st.integers(1, chunk))
+    n = draw(st.integers(1, 4 * chunk + 1))
+    sigma = draw(st.sampled_from([0.0, 0.2, 0.7, 2.0]))
+    return chunk, block, n, sigma, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_cases())
+@example((8, 3, 17, 0.7, 1))  # a one-symbol last chunk
+@example((16, 16, 48, 0.0, 2))  # blocks and chunks share every edge
+def test_demodulate_awgn_matches_whole_array_chain(case):
+    """Bit for bit across chunk and block edges, small sizes patched in."""
+    chunk, block, n, sigma, seed = case
+    tx_bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    with mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk), \
+            mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
+        got = harness._demodulate_awgn(tx_bits, sigma, np.random.default_rng(seed))
+        want = reference_demodulate(tx_bits, sigma, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_demodulate_awgn_memory_bounded():
+    """Past the two uint8 stream arrays (the output and the differential
+    code) the chain holds one chunk of in-phase noise and a few blocks."""
+    chunk, block = 1 << 14, 1 << 10
+    n = 8 * chunk
+    tx_bits = np.random.default_rng(1).integers(0, 2, n, dtype=np.uint8)
+    with mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk), \
+            mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
+        tracemalloc.start()
+        try:
+            harness._demodulate_awgn(tx_bits, 0.5, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * n + 8 * chunk + 64 * block + 32 * 1024
+
+
 def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
     """The run rebuilt from public pieces and accounted frame by frame, as
     the harness did before its batch receive path.  Also returns how many
@@ -239,10 +331,8 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
             ebn0_db, rate = channel.snr_at_distance(cfg.channel.budget, cfg.channel.distance_m), 1.0
         else:
             ebn0_db, rate = cfg.channel.ebn0_db, 1.0 if cfg.uncoded else kind.code_rate
-        assert tx_bits.size <= harness._CHUNK_SYMBOLS  # a single noise chunk
-        sym = channel.awgn(modem.bpsk_map(modem.diff_encode(tx_bits)),
-                           channel.noise_sigma(ebn0_db, rate), np.random.default_rng(chan_ss))
-        rx_bits = modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
+        rx_bits = reference_demodulate(tx_bits, channel.noise_sigma(ebn0_db, rate),
+                                       np.random.default_rng(chan_ss))
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
