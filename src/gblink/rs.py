@@ -13,10 +13,13 @@ Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 Encoding and decoding are batch-first.  Parity, syndromes and the Chien
 search are GF(2^8)-linear maps, each one gather from a per-position product
 table and one XOR reduce (`_gf256_apply`).  Blocks with nonzero syndromes go
-through one corrector over the whole batch: inversionless Berlekamp-Massey
+through one corrector, _FIX_ROWS blocks a pass: inversionless Berlekamp-Massey
 (Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders",
 IEEE TVLSI 2001) in 16 fixed steps, the table Chien search, Forney's formula
-at the located roots, and a re-check that each corrected block is a codeword.
+at the located roots, and a re-check that each block is a codeword, made by
+adding the corrections' syndromes to the received ones.  The corrector is
+coefficient-major (syndromes (16, R), Lambda (9, R)), so each XOR reduce
+combines whole rows; each product is one gather from the flattened `_MUL`.
 
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
@@ -79,7 +82,8 @@ _LOG_NP = np.array(_LOG, dtype=np.int64)
 _MUL = np.zeros((256, 256), dtype=np.uint8)
 _MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
 
-_ROWS = 256  # rows per step of the table kernel and the corrector: temporaries under 1.6 MB
+_ROWS = 256  # rows per step of the table kernels: temporaries under 1.6 MB
+_FIX_ROWS = 4 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
 
 
 def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
@@ -120,12 +124,12 @@ _PARITY_TABLE = _gf256_table(_parity_rows())
 
 # Syndromes: S_i = sum_j r_j alpha^(i deg_j), where deg_j = 254 - j is the
 # polynomial degree carried by byte j of a block.
-_degrees = BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)
-_SYND_TABLE = _gf256_table(_EXP_NP[(_degrees[:, None] * np.arange(PARITY_BYTES)) % 255])
+_SYND_POWERS = _EXP_NP[(np.arange(PARITY_BYTES)[:, None] * np.arange(BLOCK_BYTES - 1, -1, -1)) % 255]
+_SYND_TABLE = _gf256_table(_SYND_POWERS.T)
 # Chien search: column p evaluates Lambda at X_p^-1 = alpha^(p + 1), the
 # inverse locator of byte p, so a zero in column p puts an error on byte p.
-_CHIEN_LOGS = np.arange(1, BLOCK_BYTES + 1, dtype=np.int64)
-_CHIEN_TABLE = _gf256_table(_EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * _CHIEN_LOGS) % 255])
+_CHIEN_POWERS = _EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * np.arange(1, BLOCK_BYTES + 1)) % 255]
+_CHIEN_TABLE = _gf256_table(_CHIEN_POWERS)
 
 
 def encode_blocks(messages: np.ndarray) -> np.ndarray:
@@ -144,30 +148,34 @@ def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
     return _gf256_apply(blk, _SYND_TABLE, PARITY_BYTES)
 
 
-def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inversionless Berlekamp-Massey over a (R, 16) syndrome batch.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise GF(2^8) products of broadcast uint8 arrays, one flat `_MUL` gather."""
+    return _MUL.ravel().take((a.astype(np.uint16) << 8) | b)
 
-    Returns the error locators Lambda (R, 9), ascending coefficients, each
-    scaled by a nonzero constant, and their lengths L.  Every row takes the
-    same 16 steps; `np.where` picks the register update, so there is no
-    division and no branch per row.  Coefficients above x^8 are dropped: a
-    row needs them only once its length passes 8, and lengths never shrink,
-    so such a row fails the length check in `_correct_rows`.
+
+def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inversionless Berlekamp-Massey over a (16, R) syndrome batch.
+
+    Returns the error locators Lambda (9, R), coefficient i in row i, each
+    scaled by a nonzero constant, and their lengths L.  Every column takes
+    the same 16 steps; `np.where` picks the register update, so there is no
+    division and no branch.  Coefficients above x^8 are dropped: a locator
+    needs them only once its length passes 8, and lengths never shrink, so
+    it then fails the length check in `_correct_rows`.
     """
-    rows = synd.shape[0]
-    lam = np.zeros((rows, CORRECTABLE_BYTES + 1), dtype=np.uint8)
-    lam[:, 0] = 1
+    lam = np.zeros((CORRECTABLE_BYTES + 1, synd.shape[1]), dtype=np.uint8)
+    lam[0] = 1
     prev = lam.copy()  # the correction polynomial B(x)
-    gamma = np.ones(rows, dtype=np.uint8)  # discrepancy at the last length change
-    length = np.zeros(rows, dtype=np.int64)
+    gamma = np.ones(synd.shape[1], dtype=np.uint8)  # discrepancy at the last length change
+    length = np.zeros(synd.shape[1], dtype=np.int64)
     shifted = np.zeros_like(prev)
     for r in range(PARITY_BYTES):
         n = min(r, CORRECTABLE_BYTES) + 1
-        delta = np.bitwise_xor.reduce(_MUL[lam[:, :n], synd[:, r::-1][:, :n]], axis=1)
-        shifted[:, 1:] = prev[:, :-1]  # x B(x)
+        delta = np.bitwise_xor.reduce(_mul(lam[:n], synd[r::-1][:n]), axis=0)
+        shifted[1:] = prev[:-1]  # x B(x)
         grow = (delta != 0) & (2 * length <= r)
-        new = _MUL[gamma[:, None], lam] ^ _MUL[delta[:, None], shifted]
-        prev = np.where(grow[:, None], lam, shifted)
+        new = _mul(gamma, lam) ^ _mul(delta, shifted)
+        prev = np.where(grow, lam, shifted)
         gamma = np.where(grow, delta, gamma)
         length = np.where(grow, r + 1 - length, length)
         lam = new
@@ -175,7 +183,7 @@ def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correct a (R, 255) batch of blocks with nonzero syndromes.
+    """Correct a (R, 255) batch of blocks with nonzero (16, R) syndromes.
 
     Returns the corrected blocks, the corrected byte counts and the success
     mask.  A row succeeds when its locator has 1-8 distinct roots among the
@@ -183,24 +191,28 @@ def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.
     the blocks corrected by Forney's formula have zero syndromes.
     """
     lam, length = _locators(synd)
-    roots = _gf256_apply(lam, _CHIEN_TABLE, BLOCK_BYTES) == 0
-    good = (length <= CORRECTABLE_BYTES) & (roots.sum(axis=1) == length)
-    rows, pos = np.nonzero(roots & good[:, None])
+    rows, pos = np.divmod(np.flatnonzero(_gf256_apply(lam.T, _CHIEN_TABLE, BLOCK_BYTES) == 0), BLOCK_BYTES)
+    good = (length <= CORRECTABLE_BYTES) & (np.bincount(rows, minlength=length.size) == length)
+    rows, pos = rows[good[rows]], pos[good[rows]]  # row-sorted roots of the rows still good
 
     # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^8
     # (deg Omega < L <= 8), e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1), and
     # Lambda'(x) is the odd-degree part of Lambda divided by x.
-    omega = np.zeros((synd.shape[0], CORRECTABLE_BYTES), dtype=np.uint8)
+    omega = np.zeros((CORRECTABLE_BYTES, synd.shape[1]), dtype=np.uint8)
     for i in range(CORRECTABLE_BYTES):
-        omega[:, i:] ^= _MUL[lam[:, i: i + 1], synd[:, : CORRECTABLE_BYTES - i]]
-    powers = _EXP_NP[(np.arange(CORRECTABLE_BYTES) * _CHIEN_LOGS[pos][:, None]) % 255]
-    om = np.bitwise_xor.reduce(_MUL[omega[rows], powers], axis=1)
-    dlam = np.bitwise_xor.reduce(_MUL[lam[rows, 1::2], powers[:, ::2]], axis=1)
+        omega[i:] ^= _mul(lam[i], synd[: CORRECTABLE_BYTES - i])
+    powers = _CHIEN_POWERS[:CORRECTABLE_BYTES, pos]  # X_p^-k, (8, E)
+    om = np.bitwise_xor.reduce(_mul(omega[:, rows], powers), axis=0)
+    dlam = np.bitwise_xor.reduce(_mul(lam[1::2, rows], powers[::2]), axis=0)
     good[rows[dlam == 0]] = False
-    value = _EXP_NP[(BLOCK_BYTES - 1 - pos + _LOG_NP[om] - _LOG_NP[dlam]) % 255]
+    value = np.where(om == 0, 0, _EXP_NP[(BLOCK_BYTES - 1 - pos + _LOG_NP[om] - _LOG_NP[dlam]) % 255])
     fixed = blocks.copy()
-    fixed[rows, pos] ^= np.where(om == 0, 0, value)
-    good[good] = ~syndromes_blocks(fixed[good]).any(axis=1)
+    fixed[rows, pos] ^= value
+
+    # Re-check by linearity, S(fixed) = S(blocks) + S(corrections); each row's corrections are a run.
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    update = np.bitwise_xor.reduceat(_mul(value, _SYND_POWERS[:, pos]), starts, axis=1)
+    good[rows[starts]] &= ~(synd[:, rows[starts]] ^ update).any(axis=0)
     return fixed, length, good
 
 
@@ -208,8 +220,7 @@ def decode_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Decode a (N, 255) uint8 batch into (N, 239) messages, per-block
     corrected byte counts and the per-block success mask.
 
-    Failed rows keep their uncorrected message bytes and count 0.  Rows with
-    nonzero syndromes are corrected _ROWS at a time.
+    Failed rows keep their uncorrected message bytes and count 0.
     """
     blk = np.asarray(blocks, dtype=np.uint8)
     if blk.ndim != 2 or blk.shape[1] != BLOCK_BYTES:
@@ -219,9 +230,9 @@ def decode_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     corrected = np.zeros(blk.shape[0], dtype=np.int64)
     ok = np.ones(blk.shape[0], dtype=bool)
     errored = np.flatnonzero(synd.any(axis=1))
-    for lo in range(0, errored.size, _ROWS):
-        idx = errored[lo: lo + _ROWS]
-        fixed, nerrs, good = _correct_rows(blk[idx], synd[idx])
+    for lo in range(0, errored.size, _FIX_ROWS):
+        idx = errored[lo: lo + _FIX_ROWS]
+        fixed, nerrs, good = _correct_rows(blk[idx], np.ascontiguousarray(synd[idx].T))
         messages[idx[good]] = fixed[good, :MESSAGE_BYTES]
         corrected[idx[good]] = nerrs[good]
         ok[idx[~good]] = False

@@ -173,15 +173,23 @@ def test_invalid_gamma_exits_nonzero(capsys):
         assert captured.err.startswith(f"gblink: error: {message}") and captured.out == ""
 
 
-def test_console_script_entry_point():
+def run_module(*argv):
     # the child does not inherit pytest's `pythonpath`, so point it at src/
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gblink.cli", "sync-table", "--gammas", "28:28"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_script_entry_point():
+    proc = run_module("gblink.cli", "sync-table", "--gammas", "28:28")
     assert proc.returncode == 0
     assert proc.stdout.startswith("gamma,")
+
+
+def test_package_runs_as_module():
+    proc = run_module("gblink", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: gblink ")
 
 
 def test_uncoded_flag(tmp_path):

@@ -3,10 +3,12 @@ carry-less multiplication with polynomial reduction for the field, scalar
 sums of products for the table kernel, plain polynomial long division for the
 encoder parity, and the scalar decoder in `rs_oracle` for the batch decoder.
 
-Batch tests that must cross chunk edges patch `rs._ROWS` down, so they stay
-small whatever the chunk size.
+Batch tests that must cross chunk edges patch `rs._ROWS` (table kernels) and
+`rs._FIX_ROWS` (corrector passes) down, so they stay small whatever the chunk
+sizes.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -259,16 +261,37 @@ def test_decode_blocks_mixed_batch():
     for i, w in enumerate(weights):
         pos = rng.choice(255, w, replace=False)
         blocks[i, pos] ^= rng.integers(1, 256, w).astype(np.uint8)
-    with mock.patch.object(rs, "_ROWS", 8):
+    with mock.patch.object(rs, "_ROWS", 4), mock.patch.object(rs, "_FIX_ROWS", 8):
         messages, corrected, ok = rs.decode_blocks(blocks)
         _assert_matches_oracle(blocks)
-    assert np.count_nonzero(weights) > 2 * 8  # three or more corrector chunks
+        # three or more corrector passes, each over two table-kernel chunks
+        assert np.count_nonzero(weights) > 2 * rs._FIX_ROWS and rs._FIX_ROWS == 2 * rs._ROWS
     assert messages.shape == (n, 239) and corrected.shape == ok.shape == (n,)
     good = weights <= 8
     assert ok[good].all() and np.array_equal(corrected[good], weights[good])
     assert np.array_equal(messages[good], msgs[good])
     assert not ok[~good].any() and not corrected[~good].any()
     assert np.array_equal(messages[~good], blocks[~good, :239])
+
+
+def test_decode_blocks_memory_bounded_by_chunks():
+    """Eight corrector passes of errored rows: the traced peak is the
+    whole-batch outputs and syndromes (about 273 bytes a block) plus the
+    temporaries of one table-kernel chunk and one corrector pass, so a
+    criterion-5 sized decode never holds whole-batch temporaries."""
+    rng = np.random.default_rng(31)
+    n = 8 * rs._FIX_ROWS
+    blocks = rs.encode_blocks(rng.integers(0, 256, (n, 239), dtype=np.uint8))
+    for _ in range(3):
+        blocks[np.arange(n), rng.integers(0, 255, n)] ^= rng.integers(1, 256, n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        _, _, ok = rs.decode_blocks(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak < 300 * n + (16 * rs._ROWS + 8 * rs._FIX_ROWS) * rs.BLOCK_BYTES
 
 
 def test_decode_blocks_empty_batch():
@@ -294,6 +317,19 @@ def _assert_matches_oracle(blocks: np.ndarray) -> np.ndarray:
     assert np.array_equal(corrected, ref_corrected)
     assert np.array_equal(messages, ref_messages)
     return ok
+
+
+def test_corrector_output_is_a_codeword_at_its_count():
+    """Every row `_correct_rows` marks good is a codeword, and its corrected
+    count is the number of bytes it changed; every row within the
+    correction radius is good."""
+    blocks, weights = _corrupt(np.random.default_rng(37), 3000, 20)
+    errored = np.flatnonzero(rs.syndromes_blocks(blocks).any(axis=1))
+    received = blocks[errored]
+    fixed, counts, good = rs._correct_rows(received, rs.syndromes_blocks(received).T.copy())
+    assert good[weights[errored] <= 8].all() and not good.all()
+    assert not rs.syndromes_blocks(fixed[good]).any()
+    assert np.array_equal(counts[good], np.count_nonzero(fixed[good] != received[good], axis=1))
 
 
 def test_syndromes_match_table_gather():
