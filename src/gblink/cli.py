@@ -176,6 +176,8 @@ def _cmd_sync_table(args: argparse.Namespace) -> int:
 def _cmd_fifo(args: argparse.Namespace) -> int:
     if not math.isfinite(args.cycles):
         raise ValueError(f"--cycles must be finite, got {args.cycles}")
+    if not args.cycles.is_integer():
+        raise ValueError(f"--cycles must be a whole number, got {args.cycles}")
     cfg = elastic.FifoConfig(**{name: getattr(args, opt)
                                 for opt, (name, _) in _FIFO_OPTIONS.items()})
     stats = elastic.simulate_fifo(cfg, int(args.cycles), args.pattern, args.seed)

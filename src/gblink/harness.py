@@ -25,15 +25,20 @@ for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
 in blocks of 2^16 symbols; the noise is `channel.awgn`'s stream drawn per
 2^21-symbol chunk, in-phase noise held for the chunk and quadrature noise for
-a block.  `BscChannel` flips the channel bits directly, bypassing the modem.
+a block.  A producer thread draws that noise from the start of a run, beside
+the Tx build and ahead of detection, through a bounded ring: one in-phase
+chunk buffer and two quadrature block slots.  A noiseless channel starts no
+thread.  `BscChannel` flips the channel bits directly, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed) when constructed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -146,26 +151,94 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
     return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
 
 
-def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """The AWGN chain of the module docstring; sample 0 of the block buffer is
-    the symbol before the block, the +1 reference first."""
+def _spans(n: int):
+    """(chunk start, chunk stop, block start, block stop) of each detector
+    block of an n-symbol stream, in stream order."""
+    for chunk in range(0, n, _CHUNK_SYMBOLS):
+        end = min(chunk + _CHUNK_SYMBOLS, n)
+        for lo in range(chunk, end, _BLOCK_SYMBOLS):
+            yield chunk, end, lo, min(lo + _BLOCK_SYMBOLS, end)
+
+
+class _NoiseProducer:
+    """The noise of an n-symbol stream, drawn on its own thread ahead of the
+    detector in the order of the module docstring.  A chunk's in-phase noise
+    has one buffer and the quadrature noise a ring of two block slots, so the
+    producer runs at most two blocks, or one chunk boundary, ahead.  Entering
+    starts the thread; leaving stops and joins it."""
+
+    def __init__(self, rng: np.random.Generator, sigma: float, n: int):
+        self._rng, self._sigma, self._n = rng, sigma, n
+        self._in_phase = np.empty(min(n, _CHUNK_SYMBOLS))
+        self._slots = np.empty((2, min(n, _BLOCK_SYMBOLS)))
+        self._chunk_free = threading.Semaphore(1)
+        self._slot_free = threading.Semaphore(2)
+        self._ready = threading.Semaphore(0)
+        self._stopping = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._produce, name="gblink-noise", daemon=True)
+
+    def __enter__(self) -> _NoiseProducer:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stopping = True
+        self._chunk_free.release()  # wakes the producer wherever it waits
+        self._slot_free.release()
+        self._thread.join()
+
+    def _draw(self, out: np.ndarray) -> None:
+        np.multiply(self._rng.standard_normal(out=out), self._sigma, out=out)
+
+    def _produce(self) -> None:
+        try:
+            for j, (chunk, end, lo, hi) in enumerate(_spans(self._n)):
+                if lo == chunk:  # a chunk's in-phase draws all precede its quadrature draws
+                    self._chunk_free.acquire()
+                    if self._stopping:
+                        return
+                    self._draw(self._in_phase[: end - chunk])
+                self._slot_free.acquire()
+                if self._stopping:
+                    return
+                self._draw(self._slots[j % 2, : hi - lo])
+                self._ready.release()
+        except BaseException as exc:  # re-raised on the consumer's thread by `blocks`
+            self._error = exc
+            self._ready.release()
+
+    def blocks(self):
+        """Each block's (in-phase, quadrature) noise in stream order, as soon
+        as it is drawn; asking for the next block hands this one's buffers back."""
+        for j, (chunk, end, lo, hi) in enumerate(_spans(self._n)):
+            self._ready.acquire()
+            if self._error is not None:
+                raise self._error
+            yield self._in_phase[lo - chunk: hi - chunk], self._slots[j % 2, : hi - lo]
+            self._slot_free.release()
+            if hi == end:
+                self._chunk_free.release()
+
+
+def _demodulate_awgn(tx_bits: np.ndarray, noise: _NoiseProducer | None) -> np.ndarray:
+    """The AWGN chain of the module docstring, noiseless for `noise` None;
+    sample 0 of the block buffer is the symbol before the block, the +1
+    reference first."""
     enc = modem.diff_encode(tx_bits)
     out = np.empty(enc.size, dtype=np.uint8)
-    in_phase = np.zeros(min(enc.size, _CHUNK_SYMBOLS))
     buf = np.ones(min(enc.size, _BLOCK_SYMBOLS) + 1, dtype=np.complex128)
-    for chunk in range(0, enc.size, _CHUNK_SYMBOLS):
-        i_noise = in_phase[: enc.size - chunk]
-        if sigma > 0.0:  # a chunk's in-phase draws all precede its quadrature draws
-            np.multiply(rng.standard_normal(out=i_noise), sigma, out=i_noise)
-        for lo in range(0, i_noise.size, _BLOCK_SYMBOLS):
-            hi = min(lo + _BLOCK_SYMBOLS, i_noise.size)
-            s = buf[: hi - lo + 1]
-            np.add(modem.bpsk_map(enc[chunk + lo: chunk + hi]), i_noise[lo:hi], out=s.real[1:])
-            if sigma > 0.0:  # the block's in-phase noise is spent: reuse its slot
-                q = i_noise[lo:hi]
-                s.imag[1:] = np.multiply(rng.standard_normal(out=q), sigma, out=q)
-            out[chunk + lo: chunk + hi] = modem.diff_demod(s)
-            buf[0] = s[-1]
+    blocks = noise.blocks() if noise is not None else None
+    for *_, lo, hi in _spans(enc.size):
+        s = buf[: hi - lo + 1]
+        if blocks is None:
+            s.real[1:] = modem.bpsk_map(enc[lo:hi])
+        else:
+            i_noise, q_noise = next(blocks)
+            np.add(modem.bpsk_map(enc[lo:hi]), i_noise, out=s.real[1:])
+            s.imag[1:] = q_noise
+        out[lo:hi] = modem.diff_demod(s)
+        buf[0] = s[-1]
     return out
 
 
@@ -176,21 +249,28 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     frame_bits = kind.frame_bits
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    payload_rng = np.random.default_rng(payload_ss)
-    payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
-    frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
-
-    junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
-    # a trailing preamble stands in for the next frame of the continuous
-    # transmission, giving the last frame its bank-2 window
-    tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
-
-    if isinstance(cfg.channel, BscChannel):
-        seed = int(chan_ss.generate_state(1, np.uint64)[0])
-        rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
-    else:
+    noise = None
+    if not isinstance(cfg.channel, BscChannel):
         sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
-        rx_bits = _demodulate_awgn(tx_bits, sigma, np.random.default_rng(chan_ss))
+        if sigma > 0.0:  # drawn from here on, beside the Tx build and the detector
+            n = cfg.bit_offset + cfg.frames * frame_bits + kind.preamble_bits
+            noise = _NoiseProducer(np.random.default_rng(chan_ss), sigma, n)
+
+    with noise if noise is not None else contextlib.nullcontext():
+        payload_rng = np.random.default_rng(payload_ss)
+        payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
+        frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
+
+        junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
+        # a trailing preamble stands in for the next frame of the continuous
+        # transmission, giving the last frame its bank-2 window
+        tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
+
+        if isinstance(cfg.channel, BscChannel):
+            seed = int(chan_ss.generate_state(1, np.uint64)[0])
+            rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
+        else:
+            rx_bits = _demodulate_awgn(tx_bits, noise)
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits

@@ -372,6 +372,13 @@ def test_infinite_fifo_cycles_rejected(capsys):
     _assert_clean_error(["fifo", "--cycles", "inf"], capsys)
 
 
+def test_fractional_fifo_cycles_rejected(capsys):
+    assert run_cli(["fifo", "--cycles", "2.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "gblink: error: --cycles must be a whole number, got 2.7\n"
+    assert captured.out == ""
+
+
 def test_bad_fifo_clocks_rejected(capsys):
     _assert_clean_error(["fifo", "--read-hz", "inf", "--cycles", "100"], capsys)
     _assert_clean_error(["fifo", "--write-hz", "nan", "--cycles", "100"], capsys)

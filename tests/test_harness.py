@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -213,6 +215,13 @@ def test_sweep_parallel_matches_serial():
     assert sweep(cfg, values, jobs=2) == sweep(cfg, values, jobs=1)
 
 
+def test_awgn_sweep_parallel_matches_serial():
+    """Each forked worker draws its noise on its own producer thread."""
+    cfg = ExperimentConfig(channel=AwgnChannel(8.0), frames=30, master_seed=12)
+    values = (5.0, 6.0, 7.0, 8.0)
+    assert sweep(cfg, values, jobs=2) == sweep(cfg, values, jobs=1)
+
+
 def test_sweep_requires_values():
     cfg = ExperimentConfig(channel=AwgnChannel(8.0), frames=10, master_seed=1)
     with pytest.raises(ValueError):
@@ -269,6 +278,15 @@ def reference_demodulate(tx_bits: np.ndarray, sigma: float,
     return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
 
 
+def demodulate(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """`harness._demodulate_awgn` fed as `run_link` feeds it: through a noise
+    producer when there is noise."""
+    if sigma == 0.0:
+        return harness._demodulate_awgn(tx_bits, None)
+    with harness._NoiseProducer(rng, sigma, tx_bits.size) as noise:
+        return harness._demodulate_awgn(tx_bits, noise)
+
+
 @st.composite
 def _chain_cases(draw):
     chunk = draw(st.integers(8, 64))
@@ -288,7 +306,7 @@ def test_demodulate_awgn_matches_whole_array_chain(case):
     tx_bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
     with mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk), \
             mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
-        got = harness._demodulate_awgn(tx_bits, sigma, np.random.default_rng(seed))
+        got = demodulate(tx_bits, sigma, np.random.default_rng(seed))
         want = reference_demodulate(tx_bits, sigma, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
 
@@ -303,11 +321,111 @@ def test_demodulate_awgn_memory_bounded():
             mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
         tracemalloc.start()
         try:
-            harness._demodulate_awgn(tx_bits, 0.5, np.random.default_rng(2))
+            demodulate(tx_bits, 0.5, np.random.default_rng(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < 2 * n + 8 * chunk + 64 * block + 32 * 1024
+
+
+def _threads_during_tx_build(cfg: ExperimentConfig) -> tuple[int, int]:
+    """Live thread counts while `framing.build_frames` runs and after the run."""
+    build, seen = framing.build_frames, []
+
+    def counting_build(*args):
+        seen.append(threading.active_count())
+        return build(*args)
+
+    with mock.patch.object(framing, "build_frames", counting_build):
+        run_link(cfg)
+    return seen[0], threading.active_count()
+
+
+def test_noise_producer_joined_after_run():
+    before = threading.active_count()
+    cfg = ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5)
+    assert _threads_during_tx_build(cfg) == (before + 1, before)
+
+
+@pytest.mark.parametrize("chan", [AwgnChannel(math.inf), BscChannel(1e-3)])
+def test_no_thread_without_noise(chan):
+    before = threading.active_count()
+    cfg = ExperimentConfig(channel=chan, frames=5, master_seed=5)
+    assert _threads_during_tx_build(cfg) == (before, before)
+
+
+def test_noise_producer_joined_after_tx_build_raises():
+    before = threading.active_count()
+    seen = []
+
+    def broken_build(*args):
+        seen.append(threading.active_count())
+        raise RuntimeError("tx build failed")
+
+    cfg = ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5)
+    with mock.patch.object(framing, "build_frames", broken_build), \
+            pytest.raises(RuntimeError, match="tx build failed"):
+        run_link(cfg)
+    assert seen == [before + 1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 5])
+def test_noise_producer_error_reaches_caller(fail_at):
+    """An error in the n-th draw is raised by run_link, whose thread was
+    waiting for that block, within a bounded wait; the producer is gone
+    afterwards."""
+    before = threading.active_count()
+    draw = harness._NoiseProducer._draw
+    calls, raised = [], []
+
+    def failing_draw(self, out):
+        calls.append(out.size)
+        if len(calls) > fail_at:
+            raise FloatingPointError("draw failed")
+        draw(self, out)
+
+    def run():
+        try:
+            run_link(ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5))
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024), \
+            mock.patch.object(harness._NoiseProducer, "_draw", failing_draw):
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(e) for e in raised] == ["draw failed"]
+    assert len(calls) == fail_at + 1
+    assert threading.active_count() == before
+
+
+def test_concurrent_runs_match_serial():
+    """Four runs on their own threads, each with its producer, and a switch
+    interval short enough to interleave every hand-off, give the serial results."""
+    cfgs = [ExperimentConfig(channel=AwgnChannel(5.0 + i), frames=20, master_seed=i)
+            for i in range(4)]
+    want = [run_link(c) for c in cfgs]
+    got = [None] * len(cfgs)
+
+    def run(i):
+        got[i] = run_link(cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(harness, "_BLOCK_SYMBOLS", 512):
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
