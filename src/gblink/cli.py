@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 
 from . import elastic, harness, sync
@@ -94,6 +93,7 @@ _FIFO_OPTIONS = {
     "read_hz": ("read_clock_hz", "read clock in Hz"),
     "latency": ("resume_latency_cycles", "stop-signal turnaround in write cycles"),
 }
+_MAX_CYCLES = 1e11  # minutes in the slowest FIFO regime; whole counts up to it are exact floats
 _KINDS = tuple(tag.lower() for tag in FRAME_KINDS)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -174,8 +174,8 @@ def _cmd_sync_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_fifo(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.cycles):
-        raise ValueError(f"--cycles must be finite, got {args.cycles}")
+    if args.cycles > _MAX_CYCLES:
+        raise ValueError(f"--cycles must be at most {_MAX_CYCLES:g}, got {args.cycles}")
     if not args.cycles.is_integer():
         raise ValueError(f"--cycles must be a whole number, got {args.cycles}")
     cfg = elastic.FifoConfig(**{name: getattr(args, opt)
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fifo = sub.add_parser("fifo", help="dual-clock elastic buffer simulation")
     _add_field_options(p_fifo, _FIFO_OPTIONS, elastic.FifoConfig)
     p_fifo.add_argument("--cycles", type=float, default=1e6,
-                        help="read-clock cycles (default %(default)g)")
+                        help=f"read-clock cycles, at most {_MAX_CYCLES:g} (default %(default)g)")
     p_fifo.add_argument("--pattern", choices=("continuous", "bursty"), default="continuous",
                         help="write pattern (default %(default)s)")
     p_fifo.add_argument("--seed", type=int, default=0,

@@ -379,6 +379,24 @@ def test_fractional_fifo_cycles_rejected(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cycles,shown", [
+    ("1e30", "1e+30"),
+    ("100000000001", "100000000001.0"),
+    # past 2**53 the float parser rounds; the count is refused, not rounded
+    ("9007199254740993", "9007199254740992.0"),
+])
+def test_fifo_cycles_bounded(cycles, shown, capsys, monkeypatch):
+    """A cycle count above 1e11 is refused before any simulation starts."""
+    def never(*args):
+        raise AssertionError("simulate_fifo ran")
+    monkeypatch.setattr(cli.elastic, "simulate_fifo", never)
+    assert run_cli(["fifo", "--cycles", cycles]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gblink: error: --cycles must be at most 1e+11, got {shown}\n"
+    assert captured.out == ""
+    assert "at most 1e+11" in " ".join(_subparser("fifo").format_help().split())
+
+
 def test_bad_fifo_clocks_rejected(capsys):
     _assert_clean_error(["fifo", "--read-hz", "inf", "--cycles", "100"], capsys)
     _assert_clean_error(["fifo", "--write-hz", "nan", "--cycles", "100"], capsys)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gblink import elastic
 from gblink.elastic import FifoConfig, FifoStats, _periods, simulate_fifo
 
 ACTIVE, STOPPING, PAUSED = 0, 1, 2
@@ -148,6 +149,31 @@ def test_matches_per_tick_reference_hypothesis(case):
     assert simulate_fifo(*case) == reference_simulate(*case)
 
 
+@st.composite
+def bursty_pair_cases(draw):
+    """Bursty runs in FIFOs that hold a few bursts, so several whole
+    (burst, gap) pairs can pass between two flow-control events."""
+    capacity = draw(st.integers(1500, 8192))
+    lower = draw(st.integers(1, capacity // 2))
+    upper = draw(st.integers(capacity // 2 + 1, capacity - 1))
+    step = draw(st.sampled_from([10**6, 10**4]))
+    write_steps = draw(st.integers(50 * 10**6 // step, 200 * 10**6 // step))
+    # the read clock is slower (down to 70%, below the ~86% mean bursty write
+    # rate), equal, or faster (up to 130%)
+    side = draw(st.sampled_from([-1, 0, 1]))
+    read_steps = write_steps + side * draw(st.integers(1, write_steps * 3 // 10))
+    cfg = FifoConfig(capacity_bytes=capacity, upper_threshold=upper, lower_threshold=lower,
+                     write_clock_hz=write_steps * step, read_clock_hz=read_steps * step,
+                     resume_latency_cycles=draw(st.integers(0, 200)))
+    return cfg, draw(st.integers(2_000, 40_000)), "bursty", draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bursty_pair_cases())
+def test_bursty_pairs_match_per_tick_reference_hypothesis(case):
+    assert simulate_fifo(*case) == reference_simulate(*case)
+
+
 @pytest.mark.parametrize("read_hz", [125e6, 130e6], ids=["equal", "reader-faster"])
 def test_long_run_closed_form(read_hz):
     """1e8 read cycles with a writer that never reaches the upper threshold:
@@ -188,6 +214,41 @@ def test_default_config_regression_fixture():
         bytes_written=49433,
         final_occupancy=1080,
     )
+
+
+def test_long_bursty_run_fixture():
+    """Frozen result of a default bursty run of 1e7 read cycles (289 stop
+    assertions, ~10^4 bursts), beyond the per-tick reference's reach."""
+    st = simulate_fifo(FifoConfig(), 10**7, "bursty", 0)
+    assert st == FifoStats(
+        max_occupancy=3084,
+        min_occupancy_after_priming=288,
+        overflow_events=0,
+        underflow_events=0,
+        stop_assertions=289,
+        output_bytes=9998219,
+        output_gaps_after_priming=0,
+        bytes_written=9999944,
+        final_occupancy=1725,
+    )
+
+
+def test_bursty_run_steps_per_event(monkeypatch):
+    """A bursty run takes scalar steps per flow-control event, not per burst:
+    the default 1.5M-cycle run holds 47 stop assertions but ~1900 bursts, and
+    the whole pairs between events are applied without a scalar step."""
+    steps = 0
+    quiet_ticks = elastic._Sim._quiet_ticks
+
+    def counted(sim):
+        nonlocal steps
+        steps += 1
+        return quiet_ticks(sim)
+
+    monkeypatch.setattr(elastic._Sim, "_quiet_ticks", counted)
+    st = simulate_fifo(FifoConfig(), 1_500_000, "bursty", 7)
+    assert st.stop_assertions == 47
+    assert steps < 600
 
 
 def test_conservation_identity():
@@ -253,6 +314,16 @@ def test_validation():
         simulate_fifo(FifoConfig(), 100, "weird")
     for field, bad in [("read_clock_hz", float("inf")), ("write_clock_hz", float("nan")),
                        ("write_clock_hz", 1e-3), ("read_clock_hz", -1.0),
-                       ("write_clock_hz", 1e307)]:
+                       ("write_clock_hz", 1e307), ("capacity_bytes", 4096.5),
+                       ("upper_threshold", 3072.5), ("lower_threshold", 1024.0),
+                       ("resume_latency_cycles", 2.5)]:
         with pytest.raises(ValueError, match=field):
             simulate_fifo(FifoConfig(**{field: bad}), 100)
+    with pytest.raises(ValueError, match="duration_cycles"):
+        simulate_fifo(FifoConfig(), 1000.5)
+    # numpy integers are integers, and run as Python ints
+    cfg = FifoConfig(capacity_bytes=np.int64(4096), upper_threshold=np.int32(3072),
+                     lower_threshold=np.uint16(1024), resume_latency_cycles=np.int8(64))
+    assert cfg == FifoConfig() and type(cfg.resume_latency_cycles) is int
+    assert simulate_fifo(cfg, np.int64(5_000), "bursty", 3) == \
+        simulate_fifo(FifoConfig(), 5_000, "bursty", 3)
