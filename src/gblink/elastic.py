@@ -62,6 +62,8 @@ _REFILL_BOUNDS = tuple(np.array(b * 256) for b in zip(_BURST_BYTES, _BURST_GAP_C
 
 def _integer(name: str, value) -> int:
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -119,6 +121,7 @@ class _Sim:
         duration_cycles = _integer("duration_cycles", duration_cycles)
         if duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
+        seed = _integer("seed", seed)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         if write_pattern not in ("continuous", "bursty"):

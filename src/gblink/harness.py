@@ -25,27 +25,27 @@ for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
 in blocks of 2^16 symbols; the noise is `channel.awgn`'s stream drawn per
 2^21-symbol chunk, in-phase noise held for the chunk and quadrature noise for
-a block.  A producer thread draws that noise from the start of a run, beside
-the Tx build and ahead of detection, through a bounded ring: one in-phase
-chunk buffer and two quadrature block slots.  A noiseless channel starts no
-thread.  `BscChannel` flips the channel bits directly, bypassing the modem.
+a block.  A one-worker thread pool draws that noise from the start of a run,
+beside the Tx build and ahead of detection, into one in-phase chunk buffer and
+two quadrature block slots.  A noiseless channel returns the sent bits, since
+product detection of noiseless +/-1 symbols is exact, and starts no thread.
+`BscChannel` flips the channel bits directly, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
-negative seed) when constructed.
+negative seed, a fractional frame count) when constructed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
-import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import channel as channel_mod
 from . import framing, modem, rs
+from .elastic import _integer
 from .framing import FrameKind, P32
 from .sync import CorrelatorBankConfig, FrameSynchronizer
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
     bit_offset: int = 0
 
     def __post_init__(self):
+        for name in ("frames", "master_seed", "bit_offset", "gamma"):
+            if name != "gamma" or self.gamma is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.master_seed < 0:
@@ -160,83 +163,48 @@ def _spans(n: int):
             yield chunk, end, lo, min(lo + _BLOCK_SYMBOLS, end)
 
 
-class _NoiseProducer:
-    """The noise of an n-symbol stream, drawn on its own thread ahead of the
-    detector in the order of the module docstring.  A chunk's in-phase noise
-    has one buffer and the quadrature noise a ring of two block slots, so the
-    producer runs at most two blocks, or one chunk boundary, ahead.  Entering
-    starts the thread; leaving stops and joins it."""
+def _noise_blocks(pool: ThreadPoolExecutor, rng: np.random.Generator, sigma: float, n: int):
+    """Each detector block's (in-phase, quadrature) noise of an n-symbol
+    stream, drawn on `pool` in the order of the module docstring.  Asking for
+    block k (the call asks for block 0) hands back the blocks before it and
+    queues the draws up to k + 1, or up to k if k + 1 starts a chunk."""
+    spans = list(_spans(n))
+    in_phase = np.empty(min(n, _CHUNK_SYMBOLS))
+    slots = np.empty((2, min(n, _BLOCK_SYMBOLS)))
+    futures = []
 
-    def __init__(self, rng: np.random.Generator, sigma: float, n: int):
-        self._rng, self._sigma, self._n = rng, sigma, n
-        self._in_phase = np.empty(min(n, _CHUNK_SYMBOLS))
-        self._slots = np.empty((2, min(n, _BLOCK_SYMBOLS)))
-        self._chunk_free = threading.Semaphore(1)
-        self._slot_free = threading.Semaphore(2)
-        self._ready = threading.Semaphore(0)
-        self._stopping = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._produce, name="gblink-noise", daemon=True)
+    def draw(j):
+        chunk, end, lo, hi = spans[j]
+        q_noise = slots[j % 2, : hi - lo]
+        # a chunk's in-phase draws all precede its quadrature draws
+        for out in (in_phase[: end - chunk], q_noise) if lo == chunk else (q_noise,):
+            np.multiply(rng.standard_normal(out=out), sigma, out=out)
+        return in_phase[lo - chunk: hi - chunk], q_noise
 
-    def __enter__(self) -> _NoiseProducer:
-        self._thread.start()
-        return self
+    def queue(k):  # a chunk's first block waits: it overwrites the in-phase noise
+        last = k + (k + 1 < len(spans) and spans[k + 1][0] != spans[k + 1][2])
+        futures.extend(pool.submit(draw, j) for j in range(k + len(futures), last + 1))
 
-    def __exit__(self, *exc_info) -> None:
-        self._stopping = True
-        self._chunk_free.release()  # wakes the producer wherever it waits
-        self._slot_free.release()
-        self._thread.join()
+    def blocks():
+        for k in range(len(spans)):
+            queue(k)
+            yield futures.pop(0).result()
 
-    def _draw(self, out: np.ndarray) -> None:
-        np.multiply(self._rng.standard_normal(out=out), self._sigma, out=out)
-
-    def _produce(self) -> None:
-        try:
-            for j, (chunk, end, lo, hi) in enumerate(_spans(self._n)):
-                if lo == chunk:  # a chunk's in-phase draws all precede its quadrature draws
-                    self._chunk_free.acquire()
-                    if self._stopping:
-                        return
-                    self._draw(self._in_phase[: end - chunk])
-                self._slot_free.acquire()
-                if self._stopping:
-                    return
-                self._draw(self._slots[j % 2, : hi - lo])
-                self._ready.release()
-        except BaseException as exc:  # re-raised on the consumer's thread by `blocks`
-            self._error = exc
-            self._ready.release()
-
-    def blocks(self):
-        """Each block's (in-phase, quadrature) noise in stream order, as soon
-        as it is drawn; asking for the next block hands this one's buffers back."""
-        for j, (chunk, end, lo, hi) in enumerate(_spans(self._n)):
-            self._ready.acquire()
-            if self._error is not None:
-                raise self._error
-            yield self._in_phase[lo - chunk: hi - chunk], self._slots[j % 2, : hi - lo]
-            self._slot_free.release()
-            if hi == end:
-                self._chunk_free.release()
+    queue(0)
+    return blocks()
 
 
-def _demodulate_awgn(tx_bits: np.ndarray, noise: _NoiseProducer | None) -> np.ndarray:
-    """The AWGN chain of the module docstring, noiseless for `noise` None;
-    sample 0 of the block buffer is the symbol before the block, the +1
-    reference first."""
+def _demodulate_awgn(tx_bits: np.ndarray, noise) -> np.ndarray:
+    """The AWGN chain of the module docstring over `noise`, each block's
+    (in-phase, quadrature) noise in stream order; sample 0 of the block
+    buffer is the symbol before the block, the +1 reference first."""
     enc = modem.diff_encode(tx_bits)
     out = np.empty(enc.size, dtype=np.uint8)
     buf = np.ones(min(enc.size, _BLOCK_SYMBOLS) + 1, dtype=np.complex128)
-    blocks = noise.blocks() if noise is not None else None
-    for *_, lo, hi in _spans(enc.size):
+    for (*_, lo, hi), (i_noise, q_noise) in zip(_spans(enc.size), noise):
         s = buf[: hi - lo + 1]
-        if blocks is None:
-            s.real[1:] = modem.bpsk_map(enc[lo:hi])
-        else:
-            i_noise, q_noise = next(blocks)
-            np.add(modem.bpsk_map(enc[lo:hi]), i_noise, out=s.real[1:])
-            s.imag[1:] = q_noise
+        np.add(modem.bpsk_map(enc[lo:hi]), i_noise, out=s.real[1:])
+        s.imag[1:] = q_noise
         out[lo:hi] = modem.diff_demod(s)
         buf[0] = s[-1]
     return out
@@ -250,13 +218,13 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
     noise = None
-    if not isinstance(cfg.channel, BscChannel):
-        sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
-        if sigma > 0.0:  # drawn from here on, beside the Tx build and the detector
-            n = cfg.bit_offset + cfg.frames * frame_bits + kind.preamble_bits
-            noise = _NoiseProducer(np.random.default_rng(chan_ss), sigma, n)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gblink-noise") as pool:
+        if not isinstance(cfg.channel, BscChannel):
+            sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
+            if sigma > 0.0:  # drawn from here on, beside the Tx build and the detector
+                n = cfg.bit_offset + cfg.frames * frame_bits + kind.preamble_bits
+                noise = _noise_blocks(pool, np.random.default_rng(chan_ss), sigma, n)
 
-    with noise if noise is not None else contextlib.nullcontext():
         payload_rng = np.random.default_rng(payload_ss)
         payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
         frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
@@ -269,6 +237,8 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
         if isinstance(cfg.channel, BscChannel):
             seed = int(chan_ss.generate_state(1, np.uint64)[0])
             rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
+        elif noise is None:  # product detection of noiseless ±1 symbols is exact
+            rx_bits = tx_bits
         else:
             rx_bits = _demodulate_awgn(tx_bits, noise)
 

@@ -321,6 +321,11 @@ def test_validation():
             simulate_fifo(FifoConfig(**{field: bad}), 100)
     with pytest.raises(ValueError, match="duration_cycles"):
         simulate_fifo(FifoConfig(), 1000.5)
+    for bad in (1.5, True):  # operator.index(True) is 1
+        with pytest.raises(ValueError, match="seed"):
+            simulate_fifo(FifoConfig(), 1000, "bursty", bad)
+    with pytest.raises(ValueError, match="capacity_bytes"):
+        FifoConfig(capacity_bytes=True)
     # numpy integers are integers, and run as Python ints
     cfg = FifoConfig(capacity_bytes=np.int64(4096), upper_threshold=np.int32(3072),
                      lower_threshold=np.uint16(1024), resume_latency_cycles=np.int8(64))

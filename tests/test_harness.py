@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,16 @@ def test_config_validation():
         BscChannel(math.nan)
     assert run_link(ExperimentConfig(channel=AwgnChannel(math.inf), frames=1,
                                      master_seed=1)).raw_errors == 0
+    base = dict(channel=BscChannel(1e-3), frames=1, master_seed=1)
+    for name, bad in [("frames", 2.5), ("master_seed", 1.5), ("bit_offset", 2.5),
+                      ("gamma", 27.5), ("frames", True), ("master_seed", "1")]:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{**base, name: bad})
+    # numpy integers are integers, and are stored as Python ints
+    cfg = ExperimentConfig(BscChannel(1e-3), np.int64(3), np.uint32(2), bit_offset=np.int8(5),
+                           gamma=np.int16(28))
+    assert cfg == ExperimentConfig(BscChannel(1e-3), 3, 2, bit_offset=5, gamma=28)
+    assert {type(getattr(cfg, f)) for f in ("frames", "master_seed", "bit_offset", "gamma")} == {int}
 
 
 def _passthrough(frame: bytes, kind) -> bytes:
@@ -279,11 +290,12 @@ def reference_demodulate(tx_bits: np.ndarray, sigma: float,
 
 
 def demodulate(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """`harness._demodulate_awgn` fed as `run_link` feeds it: through a noise
-    producer when there is noise."""
+    """The AWGN chain as `run_link` runs it: the sent bits for a noiseless
+    channel, else `harness._demodulate_awgn` over noise drawn on one worker."""
     if sigma == 0.0:
-        return harness._demodulate_awgn(tx_bits, None)
-    with harness._NoiseProducer(rng, sigma, tx_bits.size) as noise:
+        return tx_bits
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = harness._noise_blocks(pool, rng, sigma, tx_bits.size)
         return harness._demodulate_awgn(tx_bits, noise)
 
 
@@ -328,6 +340,33 @@ def test_demodulate_awgn_memory_bounded():
     assert peak < 2 * n + 8 * chunk + 64 * block + 32 * 1024
 
 
+class _InlinePool:
+    """Runs each submitted draw at once and logs its block index."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, j):
+        self.submitted.append(j)
+        future = Future()
+        future.set_result(fn(j))
+        return future
+
+
+def test_noise_blocks_queue_ahead():
+    """The call queues blocks 0 and 1, and asking for block k queues block
+    k + 1, except that a chunk's first block waits until it is asked for."""
+    pool, queued = _InlinePool(), []
+    with mock.patch.object(harness, "_CHUNK_SYMBOLS", 4096), \
+            mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024):
+        blocks = harness._noise_blocks(pool, np.random.default_rng(1), 1.0, 3 * 4096)
+        queued.append(len(pool.submitted))
+        for _ in blocks:
+            queued.append(len(pool.submitted))
+    assert pool.submitted == list(range(12))
+    assert queued == [2, 2, 3, 4, 4, 6, 7, 8, 8, 10, 11, 12, 12]
+
+
 def _threads_during_tx_build(cfg: ExperimentConfig) -> tuple[int, int]:
     """Live thread counts while `framing.build_frames` runs and after the run."""
     build, seen = framing.build_frames, []
@@ -370,20 +409,33 @@ def test_noise_producer_joined_after_tx_build_raises():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("fail_at", [0, 1, 5])
-def test_noise_producer_error_reaches_caller(fail_at):
-    """An error in the n-th draw is raised by run_link, whose thread was
-    waiting for that block, within a bounded wait; the producer is gone
-    afterwards."""
-    before = threading.active_count()
-    draw = harness._NoiseProducer._draw
-    calls, raised = [], []
+class _FailingRng:
+    """A generator whose `standard_normal` call number `fail_at` (from 0)
+    raises; every call's size is logged."""
 
-    def failing_draw(self, out):
-        calls.append(out.size)
-        if len(calls) > fail_at:
+    def __init__(self, rng, fail_at, calls):
+        self._rng, self._fail_at, self._calls = rng, fail_at, calls
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls.append(kwargs["out"].size)
+        if len(self._calls) == self._fail_at + 1:
             raise FloatingPointError("draw failed")
-        draw(self, out)
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("fail_at, chunk", [
+    pytest.param(0, None, id="0"), pytest.param(1, None, id="1"), pytest.param(5, None, id="5"),
+    pytest.param(5, 4096, id="in-phase-5")])
+def test_noise_producer_error_reaches_caller(fail_at, chunk):
+    """An error in the n-th draw is raised by run_link, whose thread was
+    waiting for that block, within a bounded wait; no draw runs past the one
+    block already queued, and the worker is gone afterwards.  With 4096-symbol
+    chunks of four blocks, draw 5 (from 0) is the second chunk's in-phase noise."""
+    before = threading.active_count()
+    default_rng, calls, raised = np.random.default_rng, [], []
 
     def run():
         try:
@@ -392,18 +444,22 @@ def test_noise_producer_error_reaches_caller(fail_at):
             raised.append(exc)
 
     with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024), \
-            mock.patch.object(harness._NoiseProducer, "_draw", failing_draw):
+            mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk or harness._CHUNK_SYMBOLS), \
+            mock.patch.object(np.random, "default_rng",
+                              lambda seed: _FailingRng(default_rng(seed), fail_at, calls)):
         caller = threading.Thread(target=run, daemon=True)
         caller.start()
         caller.join(timeout=60)
     assert not caller.is_alive()
     assert [str(e) for e in raised] == ["draw failed"]
-    assert len(calls) == fail_at + 1
+    assert fail_at + 1 <= len(calls) <= fail_at + 2
+    if chunk:
+        assert calls[fail_at] == chunk
     assert threading.active_count() == before
 
 
 def test_concurrent_runs_match_serial():
-    """Four runs on their own threads, each with its producer, and a switch
+    """Four runs on their own threads, each with its noise worker, and a switch
     interval short enough to interleave every hand-off, give the serial results."""
     cfgs = [ExperimentConfig(channel=AwgnChannel(5.0 + i), frames=20, master_seed=i)
             for i in range(4)]
