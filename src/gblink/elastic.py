@@ -33,11 +33,13 @@ or stop-latency counter runs out, and applies the write ticks and every read
 between them at once.  An event tick then runs alone.  Underflows need no
 event: reads can only find the FIFO empty while occupancy after reads falls,
 so once starved it passes each write straight to the next read, and its
-underflows are counted as reads minus the bytes it had.  A bursty writer that
-is active and primed at a burst first crosses, in one step, every whole
-(burst, gap) pair ahead that holds no event, each solved in closed form, so a
-bursty run that keeps its reader fed costs per flow-control event, not per
-burst.  The results are bit-identical to naive per-tick stepping, which the
+underflows are counted as reads minus the bytes it had.  An active, primed
+writer first crosses in one closed-form step what repeats between events: a
+bursty one every whole (burst, gap) pair, so it takes scalar steps per
+flow-control event, not per burst, and a continuous one faster than the
+reader every whole flow-control cycle, one integer pass each, so it takes
+scalar steps per run segment (up to priming, the cycles, the tail), not per
+stop.  The results are bit-identical to naive per-tick stepping, which the
 test suite checks against an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
@@ -130,7 +132,8 @@ class _Sim:
         self.pw, self.pr = _periods(cfg)
         self.t_end = (duration_cycles - 1) * self.pr
         self.k_last = self.t_end // self.pw   # last write tick within the horizon
-        self.rng = np.random.default_rng(seed)
+        self.bursty = write_pattern == "bursty"
+        self.rng = np.random.default_rng(seed) if self.bursty else None
         self.lengths: list[int] = []
         self.stats = FifoStats()
 
@@ -140,7 +143,6 @@ class _Sim:
         self.latency_left = 0
         self.primed = False
         self.next_read = 0          # next unprocessed read tick index (once primed)
-        self.bursty = write_pattern == "bursty"
         # bursty: one of burst_left and gap_left is positive; continuous: -1
         self.burst_left = self._draw() if self.bursty else -1
         self.gap_left = 0
@@ -274,15 +276,15 @@ class _Sim:
         burst from `lengths` as `_draw` would.  A pair's peak is its burst's
         last commit, or its first when reads are at least as fast; its low is
         the occupancy at the next burst, as gap reads only lower occupancy and
-        while commits rise each read leaves no less than the one before.  Stop
-        before a pair whose peak reaches the upper threshold, whose low is
-        below 0 (a read found the FIFO empty), that ends past k_last, or whose
-        gap or next burst is not drawn yet.
+        while commits rise each read leaves no less than the one before; a
+        low below 0 means -low reads found the FIFO empty (as in `_advance`).
+        Stop before a pair whose peak reaches the upper threshold, that ends
+        past k_last, or whose gap or next burst is not drawn yet.
         """
-        lengths, pw, pr, st = self.lengths, self.pw, self.pr, self.stats
+        lengths, pw, pr = self.lengths, self.pw, self.pr
         upper, k_last, faster = self.cfg.upper_threshold, self.k_last, pw < pr
         k, m, occ, b = self.kw, self.next_read, self.occ, self.burst_left
-        top, low = st.max_occupancy, st.min_occupancy_after_priming
+        top, low, gaps = self.stats.max_occupancy, self.stats.min_occupancy_after_priming, 0
         i = len(lengths)
         while i >= 2:
             k1 = k + b + lengths[i - 1]
@@ -295,7 +297,7 @@ class _Sim:
             m1 = -(-k1 * pw // pr)           # the first read at or after k1
             occ1 = occ + b - (m1 - m)
             if occ1 < 0:
-                break
+                gaps, occ1 = gaps - occ1, 0
             if peak > top:
                 top = peak
             if occ1 < low:
@@ -305,15 +307,53 @@ class _Sim:
             b = lengths[i]
         if i < len(lengths):
             del lengths[i:]
-            st.bytes_written += occ - self.occ + m - self.next_read
-            st.output_bytes += m - self.next_read
-            st.max_occupancy, st.min_occupancy_after_priming = top, low
-            self.kw, self.next_read, self.occ, self.burst_left = k, m, occ, b
+            self.burst_left = b
+            self._land(k, m, occ, top, low, gaps)
+
+    def _cycles(self) -> None:
+        """Apply at once the whole flow-control cycles ahead of an active,
+        primed, continuous writer faster than the reader, solved as in
+        `_quiet_ticks`.  Commits rise by at most one a tick, so a cycle's
+        stop commit leaves the upper threshold, its peak is
+        `resume_latency_cycles` commits later, and it resumes at the write
+        tick after the read that leaves the lower threshold, its low.  Stop
+        before a cycle whose peak overflows, whose resume tick is not before
+        k_last, or whose resume commit asserts stop again.
+        """
+        cfg, pw, pr, st = self.cfg, self.pw, self.pr, self.stats
+        upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
+        k, top, low = self.kw, st.max_occupancy, st.min_occupancy_after_priming
+        base = self.occ + self.next_read - k
+        while lower + 1 < upper:
+            j = -(-(upper - base - 1) * pr // (pr - pw)) + latency   # the peak's tick
+            peak = base + 1 + j * (pr - pw) // pr
+            ml = -(-j * pw // pr) + peak - lower - 1     # the read that leaves `lower`
+            jr = ml * pr // pw + 1                       # the resume tick
+            if peak > cfg.capacity_bytes or jr >= self.k_last:
+                break
+            base, k, top, low = lower + 1 + ml - jr, jr + 1, max(top, peak), min(low, lower)
+            st.stop_assertions += 1
+        m = -(-k * pw // pr)
+        self._land(k, m, base + k - m, top, low)
+
+    def _land(self, k: int, m: int, occ: int, top: int, low: int, gaps: int = 0) -> None:
+        """Move an active writer to write tick k, read m and occupancy occ
+        after a closed-form stretch; `gaps` of its reads found the FIFO empty."""
+        st, reads = self.stats, m - self.next_read
+        st.output_bytes += reads - gaps
+        st.bytes_written += occ - self.occ + reads - gaps    # by conservation
+        st.underflow_events += gaps
+        st.output_gaps_after_priming += gaps
+        st.max_occupancy, st.min_occupancy_after_priming = top, low
+        self.kw, self.next_read, self.occ = k, m, occ
 
     def run(self) -> FifoStats:
         while self.kw <= self.k_last:
-            if self.burst_left > 0 and self.state == _ACTIVE and self.primed:
-                self._pairs()
+            if self.state == _ACTIVE and self.primed:
+                if self.burst_left > 0:
+                    self._pairs()
+                elif self.burst_left < 0 and self.pw < self.pr:
+                    self._cycles()
             n, writing = self._quiet_ticks()
             if n:
                 self._advance(n, writing)

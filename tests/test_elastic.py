@@ -114,6 +114,7 @@ REFERENCE_CASES = [
                  id="long-latency"),
     pytest.param(FifoConfig(write_clock_hz=109.375e6, read_clock_hz=100.54e6),
                  30_000, "bursty", 11, id="rx-side-clocks"),
+    pytest.param(FifoConfig(), 150_000, "continuous", 12, id="default-whole-cycles"),
 ]
 
 
@@ -172,6 +173,53 @@ def bursty_pair_cases(draw):
 @given(bursty_pair_cases())
 def test_bursty_pairs_match_per_tick_reference_hypothesis(case):
     assert simulate_fifo(*case) == reference_simulate(*case)
+
+
+@st.composite
+def writer_faster_cases(draw):
+    """Continuous runs with the writer faster, which cross whole
+    flow-control cycles in one step: small FIFOs over horizons of a few
+    cycles that mostly end inside one, with the other edges of the cycle
+    step drawn often (a resume commit that asserts stop again, no stop
+    latency, a peak at the capacity or one byte past it)."""
+    lower = draw(st.integers(1, 32))
+    upper = lower + draw(st.integers(1, 32))
+    headroom = draw(st.integers(1, 32))
+    step = draw(st.sampled_from([10**6, 10**4]))
+    write_steps = draw(st.integers(50 * 10**6 // step, 200 * 10**6 // step))
+    # the read clock at 50% to 99.9% of the write clock
+    read_steps = draw(st.integers(write_steps // 2, write_steps * 999 // 1000))
+    # occupancy gains about (write - read) / write a byte a tick during the
+    # stop latency, so latencies around headroom * write / (write - read)
+    # put the peak at the capacity or one byte past it (an overflow)
+    per_byte = write_steps // (write_steps - read_steps) + 1
+    edge = headroom * write_steps // (write_steps - read_steps)
+    latency = draw(st.one_of(st.just(0), st.integers(0, 32),
+                             st.integers(max(0, edge - per_byte), edge + per_byte)))
+    cfg = FifoConfig(capacity_bytes=upper + headroom, upper_threshold=upper,
+                     lower_threshold=lower, write_clock_hz=write_steps * step,
+                     read_clock_hz=read_steps * step, resume_latency_cycles=latency)
+    return cfg, draw(st.integers(1, 2_000)), "continuous", 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_faster_cases())
+def test_writer_faster_cycles_match_per_tick_reference_hypothesis(case):
+    assert simulate_fifo(*case) == reference_simulate(*case)
+
+
+@pytest.mark.parametrize("cfg", [
+    FifoConfig(capacity_bytes=16, upper_threshold=10, lower_threshold=4,
+               write_clock_hz=100e6, read_clock_hz=70e6, resume_latency_cycles=3),
+    FifoConfig(capacity_bytes=12, upper_threshold=7, lower_threshold=5,
+               write_clock_hz=100e6, read_clock_hz=83e6, resume_latency_cycles=0),
+], ids=["latency", "narrow"])
+def test_writer_faster_every_horizon(cfg):
+    """Short flow-control cycles cut at every horizon up to ~10 of them, so
+    the run ends on every tick of a cycle: the resume tick and the ticks
+    around it among them."""
+    for duration in range(1, 200):
+        assert simulate_fifo(cfg, duration) == reference_simulate(cfg, duration, "continuous", 0)
 
 
 @pytest.mark.parametrize("read_hz", [125e6, 130e6], ids=["equal", "reader-faster"])
@@ -233,22 +281,73 @@ def test_long_bursty_run_fixture():
     )
 
 
-def test_bursty_run_steps_per_event(monkeypatch):
-    """A bursty run takes scalar steps per flow-control event, not per burst:
-    the default 1.5M-cycle run holds 47 stop assertions but ~1900 bursts, and
-    the whole pairs between events are applied without a scalar step."""
-    steps = 0
+def test_long_continuous_run_fixture():
+    """Frozen result of the default continuous run of 1e7 read cycles (950
+    stop assertions), beyond the per-tick reference's reach."""
+    st = simulate_fifo(FifoConfig(), 10**7, "continuous", 0)
+    assert st == FifoStats(
+        max_occupancy=3084,
+        min_occupancy_after_priming=1024,
+        overflow_events=0,
+        underflow_events=0,
+        stop_assertions=950,
+        output_bytes=9998353,
+        output_gaps_after_priming=0,
+        bytes_written=10000862,
+        final_occupancy=2509,
+    )
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """A list that grows by one on every scalar step (`_quiet_ticks` call)."""
+    calls = []
     quiet_ticks = elastic._Sim._quiet_ticks
 
     def counted(sim):
-        nonlocal steps
-        steps += 1
+        calls.append(None)
         return quiet_ticks(sim)
 
     monkeypatch.setattr(elastic._Sim, "_quiet_ticks", counted)
-    st = simulate_fifo(FifoConfig(), 1_500_000, "bursty", 7)
-    assert st.stop_assertions == 47
-    assert steps < 600
+    return calls
+
+
+def test_bursty_run_steps_per_event(steps):
+    """A bursty run takes scalar steps per flow-control event, not per burst:
+    the default 1.5M-cycle run holds 47 stop assertions but ~1900 bursts, and
+    the whole pairs between events are applied without a scalar step, also
+    where the reader (at 125 or 130 MHz) starves between bursts."""
+    for read_hz, stops, bound in [(100.54e6, 47, 600), (125e6, 0, 60), (130e6, 0, 60)]:
+        steps.clear()
+        st = simulate_fifo(FifoConfig(read_clock_hz=read_hz), 1_500_000, "bursty", 7)
+        assert st.stop_assertions == stops
+        assert (st.underflow_events > 0) == (stops == 0)
+        assert len(steps) < bound, read_hz
+
+
+def test_continuous_run_steps_per_segment(steps):
+    """The default 2M-cycle continuous run holds 190 stop assertions, and
+    its whole flow-control cycles are applied without a scalar step."""
+    st = simulate_fifo(FifoConfig(), 2_000_000, "continuous", 0)
+    assert st.stop_assertions == 190
+    assert len(steps) < 30
+
+
+def test_continuous_run_builds_no_generator(monkeypatch):
+    """Only a bursty writer draws lengths, so only it builds a generator;
+    the seed is validated for both patterns."""
+    expected = simulate_fifo(FifoConfig(), 50_000, "continuous", 0)
+
+    def no_generator(seed):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(elastic.np.random, "default_rng", no_generator)
+    assert simulate_fifo(FifoConfig(), 50_000, "continuous", 3) == expected
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_fifo(FifoConfig(), 1000, "continuous", bad)
+    with pytest.raises(AssertionError, match="generator built"):
+        simulate_fifo(FifoConfig(), 1000, "bursty", 0)
 
 
 def test_conservation_identity():
