@@ -37,10 +37,11 @@ underflows are counted as reads minus the bytes it had.  An active, primed
 writer first crosses in one closed-form step what repeats between events: a
 bursty one every whole (burst, gap) pair, so it takes scalar steps per
 flow-control event, not per burst, and a continuous one faster than the
-reader every whole flow-control cycle, one integer pass each, so it takes
-scalar steps per run segment (up to priming, the cycles, the tail), not per
-stop.  The results are bit-identical to naive per-tick stepping, which the
-test suite checks against an independent reference simulator.
+reader every whole flow-control cycle, resume tick to resume tick, one
+integer pass each, so it takes scalar steps per run segment (up to priming,
+the cycles, the tail), not per stop.  The results are bit-identical to naive
+per-tick stepping, which the test suite checks against an independent
+reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -312,26 +313,29 @@ class _Sim:
 
     def _cycles(self) -> None:
         """Apply at once the whole flow-control cycles ahead of an active,
-        primed, continuous writer faster than the reader, solved as in
-        `_quiet_ticks`.  Commits rise by at most one a tick, so a cycle's
-        stop commit leaves the upper threshold, its peak is
-        `resume_latency_cycles` commits later, and it resumes at the write
-        tick after the read that leaves the lower threshold, its low.  Stop
-        before a cycle whose peak overflows, whose resume tick is not before
-        k_last, or whose resume commit asserts stop again.
+        primed, continuous writer faster than the reader, from resume tick
+        to resume tick, solved as in `_quiet_ticks`.  Commits rise by at most
+        one a tick, so a cycle's stop commit is the first to leave the upper
+        threshold (its first commit may), its peak is `resume_latency_cycles`
+        commits later, and it resumes at the write tick after the read that
+        leaves the lower threshold, its low.  Stop before a cycle whose peak
+        overflows or whose resume tick is past k_last.
         """
         cfg, pw, pr, st = self.cfg, self.pw, self.pr, self.stats
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
         k, top, low = self.kw, st.max_occupancy, st.min_occupancy_after_priming
         base = self.occ + self.next_read - k
-        while lower + 1 < upper:
-            j = -(-(upper - base - 1) * pr // (pr - pw)) + latency   # the peak's tick
+        while True:
+            j = -(-(upper - base - 1) * pr // (pr - pw))  # the stop tick
+            if j < k:
+                j = k
+            j += latency                                 # the peak's tick
             peak = base + 1 + j * (pr - pw) // pr
             ml = -(-j * pw // pr) + peak - lower - 1     # the read that leaves `lower`
             jr = ml * pr // pw + 1                       # the resume tick
-            if peak > cfg.capacity_bytes or jr >= self.k_last:
+            if peak > cfg.capacity_bytes or jr > self.k_last:
                 break
-            base, k, top, low = lower + 1 + ml - jr, jr + 1, max(top, peak), min(low, lower)
+            base, k, top, low = lower + 1 + ml - jr, jr, max(top, peak), min(low, lower)
             st.stop_assertions += 1
         m = -(-k * pw // pr)
         self._land(k, m, base + k - m, top, low)

@@ -1,7 +1,9 @@
-"""GF(2^8) arithmetic and the RS(255, 239) byte code used by the frame pipeline.
+"""The GF(2^8) field and the RS(255, 239) byte code used by the frame pipeline.
 
 Field construction: GF(2^8) with primitive polynomial
-x^8 + x^4 + x^3 + x^2 + 1 (0x11D), generator alpha = 0x02.  The code is the
+x^8 + x^4 + x^3 + x^2 + 1 (0x11D), generator alpha = 0x02, built once in
+NumPy: the powers of alpha, their logs and the 256x256 product table `_MUL`,
+from which every other table and each product is gathered.  The code is the
 conventional systematic RS(255, 239) with generator roots alpha^0 .. alpha^15,
 so it corrects up to 8 byte errors per 255-byte block.  Both choices are local
 conventions: any consistent pair would work, but these are frozen so encoded
@@ -40,47 +42,31 @@ class RsDecodeFailure(ValueError):
     """Received block has more errors than the code can correct."""
 
 
-def _build_tables() -> tuple[list[int], list[int]]:
-    exp = [0] * 512
-    log = [0] * 256
-    x = 1
-    for i in range(255):
-        exp[i] = x
-        log[x] = i
-        x <<= 1
-        if x & 0x100:
-            x ^= PRIM_POLY
-    for i in range(255, 512):
-        exp[i] = exp[i - 255]
-    return exp, log
+def _powers() -> np.ndarray:
+    """alpha^0 .. alpha^254 by the LFSR over PRIM_POLY; every index into it is taken mod 255."""
+    powers = [1]
+    for _ in range(254):
+        powers.append(powers[-1] << 1 ^ (PRIM_POLY if powers[-1] & 0x80 else 0))
+    return np.array(powers, dtype=np.uint8)
 
 
-_EXP, _LOG = _build_tables()
-
-
-def gf256_mul(a: int, b: int) -> int:
-    """Product of two field elements."""
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+_EXP_NP = _powers()
+_LOG_NP = np.zeros(256, dtype=np.int64)  # log 0 is never read
+_LOG_NP[_EXP_NP] = np.arange(255)
+_MUL = np.zeros((256, 256), dtype=np.uint8)
+_MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
 
 
 def _generator_poly() -> list[int]:
     """prod_{i=0}^{15} (x - alpha^i), coefficients highest power first, monic."""
-    g = [1]
-    for i in range(PARITY_BYTES):  # g(x) * (x - alpha^i) = x * g(x) + alpha^i * g(x)
-        g = [hi ^ gf256_mul(lo, _EXP[i]) for hi, lo in zip(g + [0], [0] + g)]
-    return g
+    g = np.zeros(PARITY_BYTES + 1, dtype=np.uint8)
+    g[0] = 1
+    for root in _EXP_NP[:PARITY_BYTES]:  # g(x) (x - root) = x g(x) + root g(x)
+        g[1:] ^= _MUL[root, g[:-1]]
+    return g.tolist()
 
 
 GENERATOR_POLY = _generator_poly()
-
-# Full 256x256 product table; the per-position tables are built from it and
-# the batch corrector gathers from it.
-_EXP_NP = np.array(_EXP, dtype=np.uint8)
-_LOG_NP = np.array(_LOG, dtype=np.int64)
-_MUL = np.zeros((256, 256), dtype=np.uint8)
-_MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
 
 _ROWS = 256  # rows per step of the table kernels: temporaries under 1.6 MB
 _FIX_ROWS = 4 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB

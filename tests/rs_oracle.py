@@ -1,10 +1,11 @@
 """Scalar RS(255, 239) decoder, kept as the reference for `rs.decode_blocks`.
 
-One block at a time in plain Python: a syndrome table gather, textbook
-Berlekamp-Massey with field division, a Chien search over the 255 field
-points and Forney's formula, then a re-check that the corrected block is a
-codeword.  It shares only the field tables and constants with `gblink.rs`,
-which are checked on their own against carry-less multiplication.
+One block at a time in plain Python: syndromes and the Chien search as
+polynomial evaluations through exp/log, textbook Berlekamp-Massey with field
+division, Forney's formula, then a re-check that the corrected block is a
+codeword.  It builds its own field from `PRIM_POLY` and takes only constants
+from `gblink.rs`, so it shares no table with the code it checks; its field
+is checked on its own against carry-less multiplication.
 """
 
 from __future__ import annotations
@@ -12,13 +13,32 @@ from __future__ import annotations
 import numpy as np
 
 from gblink import rs
-from gblink.rs import (_EXP, _EXP_NP, _LOG, _MUL, BLOCK_BYTES, CORRECTABLE_BYTES, MESSAGE_BYTES,
-                       PARITY_BYTES, gf256_mul)
+from gblink.rs import BLOCK_BYTES, CORRECTABLE_BYTES, MESSAGE_BYTES, PARITY_BYTES, PRIM_POLY
 
-# _SYND_POW[i, j] = alpha^(i * deg_j) where deg_j = 254 - j is the polynomial
-# degree carried by byte j of a block.
-_degrees = (BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES, dtype=np.int64)) % 255
-_SYND_POW = _EXP_NP[(np.arange(PARITY_BYTES, dtype=np.int64)[:, None] * _degrees[None, :]) % 255]
+
+def _field() -> tuple[list[int], list[int]]:
+    """alpha^i for i = 0..254 by repeated doubling mod PRIM_POLY, and the
+    discrete logs (log 0 is left at 0 and never read)."""
+    exp, log = [], [0] * 256
+    x = 1
+    for i in range(255):
+        exp.append(x)
+        log[x] = i
+        x <<= 1
+        if x & 0x100:
+            x ^= PRIM_POLY
+    return exp, log
+
+
+_EXP, _LOG = _field()
+_EXP_ARR, _LOG_ARR = np.array(_EXP, dtype=np.uint8), np.array(_LOG, dtype=np.int64)
+
+
+def gf256_mul(a: int, b: int) -> int:
+    """Product of two field elements."""
+    if a == 0 or b == 0:
+        return 0
+    return _EXP[(_LOG[a] + _LOG[b]) % 255]
 
 
 def gf256_div(a: int, b: int) -> int:
@@ -30,9 +50,17 @@ def gf256_div(a: int, b: int) -> int:
     return _EXP[(_LOG[a] - _LOG[b]) % 255]
 
 
+def _evaluate(coeffs: np.ndarray, degrees: np.ndarray, points: int) -> np.ndarray:
+    """sum_j coeffs[j] x^degrees[j] at x = alpha^e for e = 0 .. points - 1."""
+    nz = np.flatnonzero(coeffs)
+    logs = _LOG_ARR[coeffs[nz]] + np.arange(points)[:, None] * degrees[nz]
+    return np.bitwise_xor.reduce(_EXP_ARR[logs % 255], axis=1)
+
+
 def syndromes(block: np.ndarray) -> np.ndarray:
-    """S_i = r(alpha^i), i = 0..15, of one 255-byte block."""
-    return np.bitwise_xor.reduce(_MUL[block[None, :], _SYND_POW], axis=1)
+    """S_i = r(alpha^i), i = 0..15, of one 255-byte block; byte j carries
+    degree 254 - j."""
+    return _evaluate(block, BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES), PARITY_BYTES)
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:
@@ -73,10 +101,7 @@ def _berlekamp_massey(synd: list[int]) -> list[int]:
 
 def _find_error_positions(lam: list[int]) -> list[int]:
     """Chien search: byte positions whose locators are roots of Lambda."""
-    coeffs = np.array(lam, dtype=np.uint8)
-    degs = np.arange(len(lam), dtype=np.int64)
-    points = np.arange(255, dtype=np.int64)
-    vals = np.bitwise_xor.reduce(_MUL[coeffs[:, None], _EXP_NP[(degs[:, None] * points[None, :]) % 255]], axis=0)
+    vals = _evaluate(np.array(lam, dtype=np.uint8), np.arange(len(lam)), 255)
     # Lambda(alpha^e) == 0 means locator X = alpha^(-e); byte p has X = alpha^(254-p).
     return [BLOCK_BYTES - 1 - (255 - int(e)) % 255 for e in np.flatnonzero(vals == 0)]
 

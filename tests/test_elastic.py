@@ -3,22 +3,32 @@ analytically, so every case here is also checked against an independent
 per-tick reference that walks the merged clock timeline one event at a time.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gblink import elastic
-from gblink.elastic import FifoConfig, FifoStats, _periods, simulate_fifo
+from gblink.elastic import FifoConfig, FifoStats, simulate_fifo
 
 ACTIVE, STOPPING, PAUSED = 0, 1, 2
 BURST = (64, 1523)
 GAP = (12, 256)
 
 
+def periods(cfg):
+    """The write and read tick periods: each clock is scaled by 100 to whole
+    0.01 Hz, and a clock's period is the other's count over their gcd."""
+    fw, fr = round(cfg.write_clock_hz * 100), round(cfg.read_clock_hz * 100)
+    g = math.gcd(fw, fr)
+    return fr // g, fw // g
+
+
 def reference_simulate(cfg, duration, pattern, seed):
     """Per-tick oracle with identical semantics (write before read on ties)."""
-    pw, pr = _periods(cfg)
+    pw, pr = periods(cfg)
     t_end = (duration - 1) * pr
     rng = np.random.default_rng(seed)
     bursty = pattern == "bursty"
@@ -230,7 +240,7 @@ def test_long_run_closed_form(read_hz):
     cfg = FifoConfig(read_clock_hz=read_hz)
     cycles = 10**8
     stats = simulate_fifo(cfg, cycles)
-    pw, pr = _periods(cfg)
+    pw, pr = periods(cfg)
     assert stats.bytes_written == (cycles - 1) * pr // pw + 1
     assert stats.bytes_written == stats.output_bytes + stats.final_occupancy
     assert stats.output_gaps_after_priming == stats.underflow_events
@@ -333,6 +343,25 @@ def test_continuous_run_steps_per_segment(steps):
     assert len(steps) < 30
 
 
+def test_restop_cycles_steps_per_segment(steps):
+    """With lower + 1 == upper every resume commit asserts stop again, and
+    those cycles too are applied without a scalar step: 30 680 stops over
+    2M cycles, frozen from per-stop stepping."""
+    st = simulate_fifo(FifoConfig(lower_threshold=3071), 2_000_000, "continuous", 0)
+    assert st == FifoStats(
+        max_occupancy=3085,
+        min_occupancy_after_priming=2047,
+        overflow_events=0,
+        underflow_events=0,
+        stop_assertions=30680,
+        output_bytes=1998353,
+        output_gaps_after_priming=0,
+        bytes_written=2001427,
+        final_occupancy=3074,
+    )
+    assert len(steps) < 30
+
+
 def test_continuous_run_builds_no_generator(monkeypatch):
     """Only a bursty writer draws lengths, so only it builds a generator;
     the seed is validated for both patterns."""
@@ -418,6 +447,8 @@ def test_validation():
                        ("resume_latency_cycles", 2.5)]:
         with pytest.raises(ValueError, match=field):
             simulate_fifo(FifoConfig(**{field: bad}), 100)
+    with pytest.raises(ValueError, match="resume latency"):
+        FifoConfig(resume_latency_cycles=-1)
     with pytest.raises(ValueError, match="duration_cycles"):
         simulate_fifo(FifoConfig(), 1000.5)
     for bad in (1.5, True):  # operator.index(True) is 1

@@ -115,6 +115,19 @@ def test_run_deterministic():
     assert a != c
 
 
+def test_report_validate_rejects_impossible_counts():
+    good = LinkReport(raw_errors=3, raw_bits=100, coded_errors=2, coded_bits=80, frame_errors=1,
+                      frames=2, sync_losses=0, corrected_bytes_total=4)
+    good.validate()
+    for bad, message in [(dict(raw_errors=101), "raw error"), (dict(raw_errors=-1), "raw error"),
+                         (dict(coded_errors=81), "coded error"), (dict(coded_errors=-1), "coded error"),
+                         (dict(frame_errors=3), "frame error"), (dict(frame_errors=-1), "frame error"),
+                         (dict(sync_losses=-1), "negative"),
+                         (dict(corrected_bytes_total=-1), "negative")]:
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(good, **bad).validate()
+
+
 def test_sync_losses_counted():
     """Corrupt two consecutive preambles post-channel is impractical here, so
     force losses with a heavy BSC and check the accounting stays consistent."""

@@ -8,6 +8,7 @@ Batch tests that must cross chunk edges patch `rs._ROWS` (table kernels) and
 sizes.
 """
 
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -45,19 +46,46 @@ def poly_mod_oracle(dividend: list[int], divisor: list[int]) -> list[int]:
     return rem[-(dlen - 1):]
 
 
-def test_gf_mul_identities():
-    assert rs.gf256_mul(0, 0xFF) == 0
-    assert rs.gf256_mul(0xFF, 0) == 0
-    assert rs.gf256_mul(1, 0xB7) == 0xB7
+# SHA-256 of the little-endian bytes of the field and code tables, frozen
+# from the first build: a change to how they are built leaves every byte.
+TABLE_DIGESTS = {
+    "_MUL": "003d1a609783d2740b9b3f00b0cd9e43e42c4f3eedc5ff54ec1709996d52e1e0",
+    "_PARITY_TABLE": "645df5eaa9cb2c4c9bf7cf42c3769a95d7e8e5babbe6c2919c397c4cb78a03fb",
+    "_SYND_TABLE": "0a71b5c534da5d7288e012733fb791682db5e05520524aefd999490dad000040",
+    "_CHIEN_TABLE": "951b54ae2fd3be4211ed5a3c734c6041bbf75e56449ad12468bb8a72fa16c4fc",
+    "_SYND_POWERS": "b312b13a0421a015050016c1ff2a7bd3a796042e26a5bc242eef21f45ead6b8a",
+    "_CHIEN_POWERS": "fad18cd6ff7719fc95b8b3401986d33abf4a51ceebca414e7268f0e47e6bc9ec",
+    "GENERATOR_POLY": "6641d22c3354dbdce8e584f30959cf76cc39919605a5e0a9a9505b636e1b743a",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_DIGESTS)
+def test_tables_frozen(name):
+    table = np.asarray(getattr(rs, name), dtype=np.uint8 if name == "GENERATOR_POLY" else None)
+    data = table.astype(table.dtype.newbyteorder("<")).tobytes()
+    assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def clmul_table() -> np.ndarray:
+    """`clmul_reduce` of every pair of field elements, anchored by products
+    reduced by hand."""
+    table = np.array([[clmul_reduce(a, b) for b in range(256)] for a in range(256)], np.uint8)
+    assert table[0, 0xFF] == table[0xFF, 0] == 0 and table[1, 0xB7] == 0xB7
     # one shift-and-reduce step: 0x80 * x = 0x100 -> ^0x11D -> 0x1D
-    assert rs.gf256_mul(0x02, 0x80) == 0x1D
+    assert table[0x02, 0x80] == 0x1D
+    return table
 
 
-def test_gf_mul_matches_clmul_oracle():
-    rng = np.random.default_rng(0)
-    pairs = rng.integers(0, 256, (2000, 2))
-    for a, b in pairs:
-        assert rs.gf256_mul(int(a), int(b)) == clmul_reduce(int(a), int(b))
+def test_gf_mul_matches_clmul_oracle(clmul_table):
+    """All 65 536 entries of the product table every kernel gathers from."""
+    assert np.array_equal(rs._MUL, clmul_table)
+
+
+def test_oracle_field_matches_clmul_oracle(clmul_table):
+    """The scalar decoder's own field, built apart from `gblink.rs`."""
+    products = [[rs_oracle.gf256_mul(a, b) for b in range(256)] for a in range(256)]
+    assert np.array_equal(np.array(products, np.uint8), clmul_table)
 
 
 def test_gf_addition_self_inverse():
@@ -69,24 +97,24 @@ def test_gf_div_pow_inv():
     rng = np.random.default_rng(1)
     for a, b in rng.integers(1, 256, (200, 2)):
         a, b = int(a), int(b)
-        assert rs.gf256_mul(rs_oracle.gf256_div(a, b), b) == a
-        assert rs.gf256_mul(a, rs_oracle.gf256_div(1, a)) == 1
+        assert clmul_reduce(rs_oracle.gf256_div(a, b), b) == a
+        assert clmul_reduce(a, rs_oracle.gf256_div(1, a)) == 1
     # alpha = 0x02 generates the multiplicative group: order exactly 255
     powers = [1]
     for _ in range(255):
-        powers.append(rs.gf256_mul(powers[-1], 0x02))
+        powers.append(clmul_reduce(powers[-1], 0x02))
     assert powers[255] == 1 and len(set(powers[:255])) == 255
     with pytest.raises(ZeroDivisionError):
         rs_oracle.gf256_div(1, 0)
 
 
 def scalar_map(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """y_k = XOR_j gf256_mul(x_j, coeffs[j, k]) for each row, one product at
-    a time."""
+    """y_k = XOR_j x_j coeffs[j, k] for each row, one product at a time in the
+    oracle's field."""
     out = np.zeros((x.shape[0], coeffs.shape[1]), np.uint8)
     for row, values in zip(out, x):
         for xj, cj in zip(values.tolist(), coeffs.tolist()):
-            row ^= np.array([rs.gf256_mul(xj, c) for c in cj], np.uint8)
+            row ^= np.array([rs_oracle.gf256_mul(xj, c) for c in cj], np.uint8)
     return out
 
 
@@ -105,7 +133,7 @@ def test_table_kernel_matches_scalar_sum(n_in, n_out, rows):
 def _alpha_powers() -> list[int]:
     powers = [1]
     for _ in range(254):
-        powers.append(rs.gf256_mul(powers[-1], 0x02))
+        powers.append(clmul_reduce(powers[-1], 0x02))
     return powers
 
 
@@ -170,6 +198,20 @@ def test_encode_length_check():
         rs.encode_blocks(np.zeros((1, 200), np.uint8))
     with pytest.raises(ValueError):
         rs.rs_decode(bytes(100))
+    with pytest.raises(ValueError, match="255 columns"):
+        rs.syndromes_blocks(np.zeros((2, 254), np.uint8))
+
+
+def test_decode_nine_errors_raises():
+    """Nine byte errors are one past the correction radius: the single-block
+    wrapper raises, as the scalar decoder does, rather than return the
+    uncorrected message."""
+    rng = np.random.default_rng(41)
+    cw = encode(rng.integers(0, 256, 239, dtype=np.uint8))
+    cw[rng.choice(255, 9, replace=False)] ^= rng.integers(1, 256, 9).astype(np.uint8)
+    for decode in (rs.rs_decode, rs_oracle.rs_decode):
+        with pytest.raises(rs.RsDecodeFailure):
+            decode(cw.tobytes())
 
 
 def test_decode_clean():

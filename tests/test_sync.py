@@ -305,6 +305,22 @@ class TestPfalse:
             assert 0 <= q2 <= q1 <= 1
 
 
+def test_match_counts_rejects_preamble_length():
+    packed = sync.pack(np.zeros(256, np.uint8))
+    for n in (0, 65):
+        with pytest.raises(ValueError, match="1 to 64 bits"):
+            sync.match_counts(packed, np.arange(4), np.zeros(n, np.uint8))
+
+
+def test_binomial_tail_edges():
+    """A tail from k <= 0 is the whole distribution, and p must be a probability."""
+    for k in (0, -1, -5):
+        assert sync.binomial_tail_ge(8, k, 0.3) == 1.0
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="p must be in"):
+            sync.binomial_tail_ge(8, 3, p)
+
+
 class TestPmiss:
     def test_trivial_values(self):
         assert sync.p_miss(32, 0, 0.3) == 0.0
