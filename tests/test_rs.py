@@ -66,15 +66,20 @@ def test_tables_frozen(name):
     assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[name]
 
 
+def test_gf_mul_identities():
+    """Products reduced by hand, for the oracle and both fields under test."""
+    for mul in (clmul_reduce, lambda a, b: int(rs._MUL[a, b]), rs_oracle.gf256_mul):
+        assert mul(0, 0xFF) == 0
+        assert mul(0xFF, 0) == 0
+        assert mul(1, 0xB7) == 0xB7
+        # one shift-and-reduce step: 0x80 * x = 0x100 -> ^0x11D -> 0x1D
+        assert mul(0x02, 0x80) == 0x1D
+
+
 @pytest.fixture(scope="module")
 def clmul_table() -> np.ndarray:
-    """`clmul_reduce` of every pair of field elements, anchored by products
-    reduced by hand."""
-    table = np.array([[clmul_reduce(a, b) for b in range(256)] for a in range(256)], np.uint8)
-    assert table[0, 0xFF] == table[0xFF, 0] == 0 and table[1, 0xB7] == 0xB7
-    # one shift-and-reduce step: 0x80 * x = 0x100 -> ^0x11D -> 0x1D
-    assert table[0x02, 0x80] == 0x1D
-    return table
+    """`clmul_reduce` of every pair of field elements."""
+    return np.array([[clmul_reduce(a, b) for b in range(256)] for a in range(256)], np.uint8)
 
 
 def test_gf_mul_matches_clmul_oracle(clmul_table):
