@@ -15,6 +15,8 @@ SNR bookkeeping convention (the one place it is defined):
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples; noiseless symbols stay on the real axis.
+Each symbol takes its two quadratures' noise from consecutive standard
+normals of the generator, so the stream does not depend on how it is split.
 """
 
 from __future__ import annotations
@@ -69,14 +71,18 @@ def noise_sigma(ebn0_db: float, code_rate: float) -> float:
 def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex white Gaussian noise of per-quadrature deviation sigma.
 
-    Draws all in-phase samples, then all quadrature ones (none if sigma == 0).
-    run_link draws this stream chunk by chunk as sigma * z, which differs
-    from the 0.0 + sigma * z here only in a zero's sign: no decision sees it.
+    Symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1]) for the next
+    2 * symbols.size standard normals z of `rng` (none if sigma == 0), a
+    stream that run_link draws block by block; sigma must be finite and
+    non-negative.
     """
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     out = np.asarray(symbols).astype(np.complex128)
     if sigma > 0.0:
-        out.real += rng.normal(0.0, sigma, out.shape)
-        out.imag += rng.normal(0.0, sigma, out.shape)
+        z = rng.standard_normal(2 * out.size)
+        z *= sigma
+        out += z.view(np.complex128).reshape(out.shape)
     return out
 
 
@@ -128,9 +134,7 @@ def rs_residual_ber(p: float, n: int = 255, t: int = 8) -> float:
         raise ValueError("p must be in [0, 1]")
     if p == 0:
         return 0.0
-    pb = -math.expm1(8.0 * math.log1p(-p)) if p < 1 else 1.0  # survives tiny p
-    if pb == 0.0:
-        return 0.0
+    pb = -math.expm1(8.0 * math.log1p(-p)) if p < 1 else 1.0  # positive for any p > 0
     bad_bytes = math.fsum(
         j * math.comb(n, j) * pb ** j * (1 - pb) ** (n - j)
         for j in range(t + 1, n + 1)

@@ -228,7 +228,6 @@ class _Sim:
         self.occ = net + gaps
         st.output_bytes += reads - gaps
         st.underflow_events += gaps
-        st.output_gaps_after_priming += gaps
 
     def _count(self, n: int, writing: bool) -> None:
         """Count n write ticks off the burst, gap and stop-latency counters."""
@@ -347,7 +346,6 @@ class _Sim:
         st.output_bytes += reads - gaps
         st.bytes_written += occ - self.occ + reads - gaps    # by conservation
         st.underflow_events += gaps
-        st.output_gaps_after_priming += gaps
         st.max_occupancy, st.min_occupancy_after_priming = top, low
         self.kw, self.next_read, self.occ = k, m, occ
 
@@ -365,6 +363,7 @@ class _Sim:
             else:
                 self._tick()
         self.stats.final_occupancy = self.occ
+        self.stats.output_gaps_after_priming = self.stats.underflow_events  # the same reads
         return self.stats
 
 

@@ -23,12 +23,13 @@ converted through the code rate (or taken as-is with `uncoded=True`);
 feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
 for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
-in blocks of 2^16 symbols; the noise is `channel.awgn`'s stream drawn per
-2^21-symbol chunk, in-phase noise held for the chunk and quadrature noise for
-a block.  A one-worker thread pool draws that noise from the start of a run,
-beside the Tx build and ahead of detection, into one in-phase chunk buffer and
-two quadrature block slots.  A noiseless channel returns the sent bits, since
-product detection of noiseless +/-1 symbols is exact, and starts no thread.
+in blocks of 2^16 symbols.  The noise is `channel.awgn`'s stream: symbol i's
+noise is sigma * (z[2i] + 1j * z[2i + 1]) for the channel generator's
+standard normals z, the same whatever the block size.  A one-worker thread
+pool draws it block by block from the start of a run, beside the Tx build and
+ahead of detection, into two complex block slots that the detector adds the
+symbols to.  A noiseless channel returns the sent bits, since product
+detection of noiseless +/-1 symbols is exact, and starts no thread.
 `BscChannel` flips the channel bits directly, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed, a fractional frame count) when constructed.
@@ -49,7 +50,6 @@ from .elastic import _integer
 from .framing import FrameKind, P32
 from .sync import CorrelatorBankConfig, FrameSynchronizer
 
-_CHUNK_SYMBOLS = 1 << 21  # noise draw unit: fixes the random stream
 _BLOCK_SYMBOLS = 1 << 16  # detector block, sized to stay in cache
 FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
 
@@ -154,59 +154,42 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
     return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
 
 
-def _spans(n: int):
-    """(chunk start, chunk stop, block start, block stop) of each detector
-    block of an n-symbol stream, in stream order."""
-    for chunk in range(0, n, _CHUNK_SYMBOLS):
-        end = min(chunk + _CHUNK_SYMBOLS, n)
-        for lo in range(chunk, end, _BLOCK_SYMBOLS):
-            yield chunk, end, lo, min(lo + _BLOCK_SYMBOLS, end)
-
-
 def _noise_blocks(pool: ThreadPoolExecutor, rng: np.random.Generator, sigma: float, n: int):
-    """Each detector block's (in-phase, quadrature) noise of an n-symbol
-    stream, drawn on `pool` in the order of the module docstring.  Asking for
-    block k (the call asks for block 0) hands back the blocks before it and
-    queues the draws up to k + 1, or up to k if k + 1 starts a chunk."""
-    spans = list(_spans(n))
-    in_phase = np.empty(min(n, _CHUNK_SYMBOLS))
-    slots = np.empty((2, min(n, _BLOCK_SYMBOLS)))
-    futures = []
+    """Each detector block's noise of an n-symbol stream, drawn on `pool` in
+    stream order into samples 1.. of one of two complex slots; sample 0 is
+    left for the symbol before the block.  The call queues blocks 0 and 1,
+    and asking for block k > 0 queues block k + 1 before handing k back."""
+    sizes = [min(_BLOCK_SYMBOLS, n - lo) for lo in range(0, n, _BLOCK_SYMBOLS)]
+    slots = np.empty((2, sizes[0] + 1), dtype=np.complex128)
 
     def draw(j):
-        chunk, end, lo, hi = spans[j]
-        q_noise = slots[j % 2, : hi - lo]
-        # a chunk's in-phase draws all precede its quadrature draws
-        for out in (in_phase[: end - chunk], q_noise) if lo == chunk else (q_noise,):
-            np.multiply(rng.standard_normal(out=out), sigma, out=out)
-        return in_phase[lo - chunk: hi - chunk], q_noise
-
-    def queue(k):  # a chunk's first block waits: it overwrites the in-phase noise
-        last = k + (k + 1 < len(spans) and spans[k + 1][0] != spans[k + 1][2])
-        futures.extend(pool.submit(draw, j) for j in range(k + len(futures), last + 1))
+        s = slots[j % 2, : sizes[j] + 1]
+        z = s[1:].view(np.float64)  # symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1])
+        np.multiply(rng.standard_normal(out=z), sigma, out=z)
+        return s
 
     def blocks():
-        for k in range(len(spans)):
-            queue(k)
+        for k in range(len(sizes)):
+            if 0 < k < len(sizes) - 1:  # block k + 1 reuses the slot of block k - 1, now consumed
+                futures.append(pool.submit(draw, k + 1))
             yield futures.pop(0).result()
 
-    queue(0)
+    futures = [pool.submit(draw, j) for j in range(min(2, len(sizes)))]
     return blocks()
 
 
 def _demodulate_awgn(tx_bits: np.ndarray, noise) -> np.ndarray:
-    """The AWGN chain of the module docstring over `noise`, each block's
-    (in-phase, quadrature) noise in stream order; sample 0 of the block
-    buffer is the symbol before the block, the +1 reference first."""
+    """The AWGN chain of the module docstring over `noise`, each block's slot
+    from `_noise_blocks` in stream order; the +1 reference comes first."""
     enc = modem.diff_encode(tx_bits)
     out = np.empty(enc.size, dtype=np.uint8)
-    buf = np.ones(min(enc.size, _BLOCK_SYMBOLS) + 1, dtype=np.complex128)
-    for (*_, lo, hi), (i_noise, q_noise) in zip(_spans(enc.size), noise):
-        s = buf[: hi - lo + 1]
-        np.add(modem.bpsk_map(enc[lo:hi]), i_noise, out=s.real[1:])
-        s.imag[1:] = q_noise
+    lo, last = 0, 1.0 + 0.0j
+    for s in noise:
+        hi = lo + s.size - 1
+        s[0] = last
+        s.real[1:] += modem.bpsk_map(enc[lo:hi])
         out[lo:hi] = modem.diff_demod(s)
-        buf[0] = s[-1]
+        lo, last = hi, s[-1]
     return out
 
 

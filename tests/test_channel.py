@@ -61,12 +61,19 @@ class TestAwgn:
         with pytest.raises(ValueError):
             channel.noise_sigma(3.0, 0.0)
 
-    def test_draw_order_in_phase_then_quadrature(self):
+    def test_symbol_noise_is_a_consecutive_normal_pair(self):
+        """Symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1])."""
         sym = np.array([1.0, -1.0, 1.0])
         out = channel.awgn(sym, 0.5, rng(3))
-        draws = rng(3).normal(0.0, 0.5, 6)
-        assert np.array_equal(out.real, sym + draws[:3])
-        assert np.array_equal(out.imag, draws[3:])
+        z = 0.5 * rng(3).standard_normal(6)
+        assert np.array_equal(out.real, sym + z[0::2])
+        assert np.array_equal(out.imag, z[1::2])
+
+    @pytest.mark.parametrize("sigma", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        """A negative or non-finite sigma is an error, not a noiseless channel."""
+        with pytest.raises(ValueError, match="sigma"):
+            channel.awgn(np.ones(4), sigma, rng(1))
 
 
 class TestBsc:
@@ -168,8 +175,14 @@ class TestLinkBudget:
 class TestRsResidual:
     def test_zero_and_monotone(self):
         assert channel.rs_residual_ber(0.0) == 0.0
+        assert channel.rs_residual_ber(5e-324) == 0.0  # a positive byte error rate, a tail that underflows
         values = [channel.rs_residual_ber(p) for p in (1e-4, 1e-3, 1e-2, 0.1)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_validation(self, p):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            channel.rs_residual_ber(p)
 
     def test_far_below_raw_in_coding_regime(self):
         # ~2 byte errors per codeword: block failures are rare and the

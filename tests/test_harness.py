@@ -293,12 +293,9 @@ def _passthrough(frame: bytes, kind) -> bytes:
 
 def reference_demodulate(tx_bits: np.ndarray, sigma: float,
                          rng: np.random.Generator) -> np.ndarray:
-    """The whole-array AWGN chain: `channel.awgn` once per noise chunk, one
+    """The whole-array AWGN chain: `channel.awgn` once over every symbol, one
     product detection over the +1 reference and every sample."""
-    enc = modem.diff_encode(tx_bits)
-    step = harness._CHUNK_SYMBOLS
-    sym = np.concatenate([channel.awgn(modem.bpsk_map(enc[lo: lo + step]), sigma, rng)
-                          for lo in range(0, enc.size, step)])
+    sym = channel.awgn(modem.bpsk_map(modem.diff_encode(tx_bits)), sigma, rng)
     return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
 
 
@@ -314,23 +311,22 @@ def demodulate(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> n
 
 @st.composite
 def _chain_cases(draw):
-    chunk = draw(st.integers(8, 64))
-    block = draw(st.integers(1, chunk))
-    n = draw(st.integers(1, 4 * chunk + 1))
+    block = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 8 * block + 1))
     sigma = draw(st.sampled_from([0.0, 0.2, 0.7, 2.0]))
-    return chunk, block, n, sigma, draw(st.integers(0, 2**32 - 1))
+    return block, n, sigma, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_chain_cases())
-@example((8, 3, 17, 0.7, 1))  # a one-symbol last chunk
-@example((16, 16, 48, 0.0, 2))  # blocks and chunks share every edge
+@example((4, 17, 0.7, 1))  # a one-symbol last block
+@example((16, 48, 0.7, 2))  # whole blocks only
+@example((1, 5, 2.0, 3))  # one-symbol blocks
 def test_demodulate_awgn_matches_whole_array_chain(case):
-    """Bit for bit across chunk and block edges, small sizes patched in."""
-    chunk, block, n, sigma, seed = case
+    """Bit for bit across block edges, small block sizes patched in."""
+    block, n, sigma, seed = case
     tx_bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-    with mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk), \
-            mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
+    with mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
         got = demodulate(tx_bits, sigma, np.random.default_rng(seed))
         want = reference_demodulate(tx_bits, sigma, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
@@ -338,19 +334,18 @@ def test_demodulate_awgn_matches_whole_array_chain(case):
 
 def test_demodulate_awgn_memory_bounded():
     """Past the two uint8 stream arrays (the output and the differential
-    code) the chain holds one chunk of in-phase noise and a few blocks."""
-    chunk, block = 1 << 14, 1 << 10
-    n = 8 * chunk
+    code) the chain holds a few blocks: two noise slots and the detector's
+    temporaries."""
+    block, n = 1 << 10, 1 << 17
     tx_bits = np.random.default_rng(1).integers(0, 2, n, dtype=np.uint8)
-    with mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk), \
-            mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
+    with mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
         tracemalloc.start()
         try:
             demodulate(tx_bits, 0.5, np.random.default_rng(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 2 * n + 8 * chunk + 64 * block + 32 * 1024
+    assert peak < 2 * n + 64 * block + 32 * 1024
 
 
 class _InlinePool:
@@ -368,16 +363,28 @@ class _InlinePool:
 
 def test_noise_blocks_queue_ahead():
     """The call queues blocks 0 and 1, and asking for block k queues block
-    k + 1, except that a chunk's first block waits until it is asked for."""
+    k + 1."""
     pool, queued = _InlinePool(), []
-    with mock.patch.object(harness, "_CHUNK_SYMBOLS", 4096), \
-            mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024):
-        blocks = harness._noise_blocks(pool, np.random.default_rng(1), 1.0, 3 * 4096)
+    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024):
+        blocks = harness._noise_blocks(pool, np.random.default_rng(1), 1.0, 12 * 1024)
         queued.append(len(pool.submitted))
         for _ in blocks:
             queued.append(len(pool.submitted))
     assert pool.submitted == list(range(12))
-    assert queued == [2, 2, 3, 4, 4, 6, 7, 8, 8, 10, 11, 12, 12]
+    assert queued == [2, *range(2, 13), 12]
+
+
+def test_noise_blocks_stream_layout():
+    """Each block holds the stream's noise, sigma * (z[2i] + 1j * z[2i + 1]),
+    after a free sample 0 for the symbol before it."""
+    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 4):
+        blocks = [b.copy() for b in
+                  harness._noise_blocks(_InlinePool(), np.random.default_rng(3), 0.5, 10)]
+    assert [b.size for b in blocks] == [5, 5, 3]
+    noise = np.concatenate([b[1:] for b in blocks])
+    z = 0.5 * np.random.default_rng(3).standard_normal(20)
+    assert np.array_equal(noise.real, z[0::2])
+    assert np.array_equal(noise.imag, z[1::2])
 
 
 def _threads_during_tx_build(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -439,14 +446,12 @@ class _FailingRng:
         return getattr(self._rng, name)
 
 
-@pytest.mark.parametrize("fail_at, chunk", [
-    pytest.param(0, None, id="0"), pytest.param(1, None, id="1"), pytest.param(5, None, id="5"),
-    pytest.param(5, 4096, id="in-phase-5")])
-def test_noise_producer_error_reaches_caller(fail_at, chunk):
+@pytest.mark.parametrize("fail_at", [0, 1, 5])
+def test_noise_producer_error_reaches_caller(fail_at):
     """An error in the n-th draw is raised by run_link, whose thread was
     waiting for that block, within a bounded wait; no draw runs past the one
-    block already queued, and the worker is gone afterwards.  With 4096-symbol
-    chunks of four blocks, draw 5 (from 0) is the second chunk's in-phase noise."""
+    block already queued, each draw is one block's two quadratures, and the
+    worker is gone afterwards."""
     before = threading.active_count()
     default_rng, calls, raised = np.random.default_rng, [], []
 
@@ -457,7 +462,6 @@ def test_noise_producer_error_reaches_caller(fail_at, chunk):
             raised.append(exc)
 
     with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024), \
-            mock.patch.object(harness, "_CHUNK_SYMBOLS", chunk or harness._CHUNK_SYMBOLS), \
             mock.patch.object(np.random, "default_rng",
                               lambda seed: _FailingRng(default_rng(seed), fail_at, calls)):
         caller = threading.Thread(target=run, daemon=True)
@@ -466,8 +470,7 @@ def test_noise_producer_error_reaches_caller(fail_at, chunk):
     assert not caller.is_alive()
     assert [str(e) for e in raised] == ["draw failed"]
     assert fail_at + 1 <= len(calls) <= fail_at + 2
-    if chunk:
-        assert calls[fail_at] == chunk
+    assert set(calls) == {2 * 1024}
     assert threading.active_count() == before
 
 
