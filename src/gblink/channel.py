@@ -28,7 +28,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 
-_BSC_CHUNK_BITS = 1 << 16  # 512 kB of uniforms per draw
+_GAP_CHUNK = 1 << 14  # gaps drawn per pass: 128 kB of uniforms at most
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,32 @@ def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
 def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
     """Flip each bit independently with probability p.
 
-    Uniforms are drawn _BSC_CHUNK_BITS at a time to bound the temporaries;
-    Generator.random yields the same stream whatever the chunking.
+    With q = min(p, 1 - p), the bits that flip (p <= 1/2) or stay (p > 1/2)
+    sit at cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1, one Geometric(q) gap
+    per uniform u of default_rng(seed).random.  The cost scales with
+    q * bits.size; the gaps are drawn at most _GAP_CHUNK at a time, which
+    bounds the temporaries and does not change the values.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     out = np.array(bits, dtype=np.uint8)
-    if p == 0:
+    if p > 0.5:
+        out ^= 1
+    q = min(p, 1.0 - p)
+    if q == 0:
         return out
     rng = np.random.default_rng(seed)
-    for lo in range(0, out.size, _BSC_CHUNK_BITS):
-        chunk = out[lo: lo + _BSC_CHUNK_BITS]
-        chunk ^= rng.random(chunk.size) < p
+    log_keep = math.log1p(-q)
+    last = -1  # where the last gap ended
+    while last < out.size - 1:
+        left = out.size - 1 - last  # a draw sized to the gaps left usually ends the loop
+        g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * q + 4 * math.sqrt(left * q)) + 16)))
+        with np.errstate(over="ignore"):  # divide: an underflowing q gives +inf, never NaN
+            g /= log_keep
+        np.minimum(g, left, out=g)  # any gap past the end will do; keeps the cast in range
+        ends = np.cumsum(g.astype(np.int64) + 1) + last
+        out[ends[:np.searchsorted(ends, out.size)]] ^= 1
+        last = ends[-1]
     return out
 
 

@@ -30,7 +30,8 @@ pool draws it block by block from the start of a run, beside the Tx build and
 ahead of detection, into two complex block slots that the detector adds the
 symbols to.  A noiseless channel returns the sent bits, since product
 detection of noiseless +/-1 symbols is exact, and starts no thread.
-`BscChannel` flips the channel bits directly, bypassing the modem.
+`BscChannel` flips the channel bits directly through `channel.bsc`, which
+draws the gaps between flips, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed, a fractional frame count) when constructed.
 """

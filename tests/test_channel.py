@@ -1,6 +1,7 @@
 """Noise, BER theory, and link budget tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,12 +77,32 @@ class TestAwgn:
             channel.awgn(np.ones(4), sigma, rng(1))
 
 
+def gap_layout(bits, p, seed):
+    """Reference BSC: the bits at cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1,
+    for the seed's uniforms u and q = min(p, 1 - p), flip if p <= 1/2 and stay
+    if p > 1/2.  Every gap is at least 1, so bits.size + 1 uniforms reach the end."""
+    q = min(p, 1 - p)
+    u = rng(seed).random(bits.size + 1)
+    ends = np.cumsum(1 + np.floor(np.log1p(-u) / math.log1p(-q))) - 1
+    minority = np.zeros(bits.size, bool)
+    minority[ends[ends < bits.size].astype(np.int64)] = True
+    return bits ^ (minority if p <= 0.5 else ~minority)
+
+
 class TestBsc:
-    def test_p_zero_identity(self):
+    def test_p_zero_identity(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("p = 0 must draw nothing")
+
+        monkeypatch.setattr(channel.np.random, "default_rng", no_draw)
         bits = np.array([0, 1, 1, 0], np.uint8)
         assert np.array_equal(channel.bsc(bits, 0.0, 5), bits)
 
-    def test_p_one_complement(self):
+    def test_p_one_complement(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("p = 1 must draw nothing")
+
+        monkeypatch.setattr(channel.np.random, "default_rng", no_draw)
         bits = np.array([0, 1, 1, 0], np.uint8)
         assert np.array_equal(channel.bsc(bits, 1.0, 5), 1 - bits)
 
@@ -97,11 +118,56 @@ class TestBsc:
         bits = np.zeros(10_000, np.uint8)
         assert np.array_equal(channel.bsc(bits, 0.1, 9), channel.bsc(bits, 0.1, 9))
 
-    def test_chunked_draws_match_one_draw(self):
-        n = 2 * channel._BSC_CHUNK_BITS + 12345
-        bits = np.random.default_rng(1).integers(0, 2, n).astype(np.uint8)
-        flips = np.random.default_rng(4).random(n) < 0.01
-        assert np.array_equal(channel.bsc(bits, 0.01, 4), bits ^ flips)
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.3, 0.5, 0.7, 0.99])
+    def test_flips_at_gap_cumsum(self, p):
+        # 3e5 bits hold several gap chunks at p = 0.3, 0.5 and 0.7
+        bits = rng(1).integers(0, 2, 300_000).astype(np.uint8)
+        assert np.array_equal(channel.bsc(bits, p, 4), gap_layout(bits, p, 4))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.9])
+    def test_gap_chunk_does_not_change_output(self, chunk, p, monkeypatch):
+        bits = rng(2).integers(0, 2, 20_000).astype(np.uint8)
+        expect = channel.bsc(bits, p, 6)
+        monkeypatch.setattr(channel, "_GAP_CHUNK", chunk)
+        assert np.array_equal(channel.bsc(bits, p, 6), expect)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1 - 5e-324, float(np.nextafter(1.0, 0.0))])
+    def test_extreme_p_stays_in_range(self, p):
+        """Gaps of an underflowing q are +inf or past 2^63; they are clamped
+        before the int64 cast, so no NaN or overflow reaches it."""
+        bits = rng(3).integers(0, 2, 100_000).astype(np.uint8)
+        with np.errstate(all="raise"):
+            out = channel.bsc(bits, p, 8)
+        assert out.shape == bits.shape
+        assert np.array_equal(out, bits if p < 0.5 else 1 - bits)
+
+    def test_zero_uniform_is_a_gap_of_one(self, monkeypatch):
+        """Generator.random can return 0.  Dividing by a subnormal log1p(-q)
+        gives that u a gap of 1; multiplying by 1 / log1p(-q) = -inf gives NaN."""
+        class Draws:
+            def random(self, k):
+                return np.r_[0.0, np.full(k - 1, 0.5)]
+
+        monkeypatch.setattr(channel.np.random, "default_rng", lambda seed: Draws())
+        with np.errstate(all="raise"):
+            out = channel.bsc(np.zeros(10, np.uint8), 5e-324, 1)
+        assert out.tolist() == [1] + [0] * 9
+
+    def test_temporaries_bounded_by_gap_chunk(self):
+        """At p = 1/2 half the bits flip, yet beyond the n-byte output a call
+        holds at most a few float64 arrays of one gap chunk."""
+        n = 1 << 22
+        bits = np.zeros(n, np.uint8)
+        channel.bsc(bits[:1000], 0.5, 3)  # one-time numpy setup is not a temporary
+        tracemalloc.start()
+        try:
+            out = channel.bsc(bits, 0.5, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(int(out.sum()) - n / 2) <= 3 * math.sqrt(n / 4)
+        assert peak <= n + 6 * 8 * channel._GAP_CHUNK
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,12 @@
 """Golden CSV pins: seeded CLI runs must reproduce these bytes exactly.
 
-The BSC rows were produced by the per-frame receive loop that preceded the
-batch receive path; the AWGN and distance rows were re-pinned when the noise
-stream became one pair of standard normals per symbol, each changed row
-within three standard errors of its old one (see CHANGES.md).  So any change
-to the random streams, the noise and detection arithmetic or the error
-accounting shows up here.  The cases cover RS corrections and failures on
-both frame kinds, a run that spans 35 detector blocks, the distance channel,
-and a gamma sweep with sync losses.
+The AWGN and distance rows were re-pinned when the noise stream became one
+pair of standard normals per symbol, and the BSC rows when `channel.bsc` began
+to draw the gaps between flips, each changed row within three standard errors
+of its old one (see CHANGES.md).  So any change to the random streams, the
+noise and detection arithmetic or the error accounting shows up here.  The
+cases cover RS corrections and failures on both frame kinds, a run that spans
+35 detector blocks, the distance channel, and a gamma sweep with sync losses.
 """
 
 import pytest
@@ -26,9 +25,9 @@ CASES = {
     "bsc-p64-rs-failures": (
         ["sweep", "--channel", "bsc", "--kind", "p64", "--sweep", "1e-3,2e-3,4e-3",
          "--frames", "300", "--seed", "7", "--bit-offset", "5"],
-        "0.001,0.0009982303732303732,0.0,0.0,0\r\n"
-        "0.002,0.002018178893178893,0.00014295676429567644,0.043333333333333335,0\r\n"
-        "0.004,0.003927767052767052,0.0029532775453277546,0.6766666666666666,0\r\n"),
+        "0.001,0.0009523809523809524,0.0,0.0,0\r\n"
+        "0.002,0.002003700128700129,0.0001839260808926081,0.05333333333333334,0\r\n"
+        "0.004,0.003984073359073359,0.002933228730822873,0.6433333333333333,0\r\n"),
     "awgn-coded-sweep": (
         ["sweep", "--channel", "awgn", "--sweep", "5,6,7,12", "--frames", "800",
          "--seed", "3", "--bit-offset", "3"],
@@ -49,9 +48,9 @@ CASES = {
     "gamma-sync-losses": (
         ["sweep", "--channel", "bsc", "--sweep", "24,28,32", "--sweep-param", "gamma",
          "--p", "3e-2", "--frames", "200", "--seed", "8"],
-        "24.0,0.030233173076923078,0.030290271966527196,1.0,0\r\n"
-        "28.0,0.030360576923076924,0.03036610878661088,1.0,0\r\n"
-        "32.0,0.030036057692307692,0.029976464435146444,1.0,13\r\n"),
+        "24.0,0.02995673076923077,0.02996338912133891,1.0,0\r\n"
+        "28.0,0.030185096153846153,0.030159518828451883,1.0,0\r\n"
+        "32.0,0.030064903846153845,0.030028765690376567,1.0,9\r\n"),
 }
 
 
