@@ -25,11 +25,11 @@ for frame-count sizing alike.  Both become a noise deviation through
 `channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
 in blocks of 2^16 symbols.  The noise is `channel.awgn`'s stream: symbol i's
 noise is sigma * (z[2i] + 1j * z[2i + 1]) for the channel generator's
-standard normals z, the same whatever the block size.  A one-worker thread
-pool draws it block by block from the start of a run, beside the Tx build and
-ahead of detection, into two complex block slots that the detector adds the
-symbols to.  A noiseless channel returns the sent bits, since product
-detection of noiseless +/-1 symbols is exact, and starts no thread.
+standard normals z, the same whatever the block size.  It is drawn block by
+block on the calling thread into one complex slot, which then takes the
+block's symbols and goes to the detector.  A noiseless channel returns the
+sent bits, since product detection of noiseless +/-1 symbols is exact, and
+draws no noise.
 `BscChannel` flips the channel bits directly through `channel.bsc`, which
 draws the gaps between flips, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -155,42 +155,23 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
     return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
 
 
-def _noise_blocks(pool: ThreadPoolExecutor, rng: np.random.Generator, sigma: float, n: int):
-    """Each detector block's noise of an n-symbol stream, drawn on `pool` in
-    stream order into samples 1.. of one of two complex slots; sample 0 is
-    left for the symbol before the block.  The call queues blocks 0 and 1,
-    and asking for block k > 0 queues block k + 1 before handing k back."""
-    sizes = [min(_BLOCK_SYMBOLS, n - lo) for lo in range(0, n, _BLOCK_SYMBOLS)]
-    slots = np.empty((2, sizes[0] + 1), dtype=np.complex128)
-
-    def draw(j):
-        s = slots[j % 2, : sizes[j] + 1]
-        z = s[1:].view(np.float64)  # symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1])
-        np.multiply(rng.standard_normal(out=z), sigma, out=z)
-        return s
-
-    def blocks():
-        for k in range(len(sizes)):
-            if 0 < k < len(sizes) - 1:  # block k + 1 reuses the slot of block k - 1, now consumed
-                futures.append(pool.submit(draw, k + 1))
-            yield futures.pop(0).result()
-
-    futures = [pool.submit(draw, j) for j in range(min(2, len(sizes)))]
-    return blocks()
-
-
-def _demodulate_awgn(tx_bits: np.ndarray, noise) -> np.ndarray:
-    """The AWGN chain of the module docstring over `noise`, each block's slot
-    from `_noise_blocks` in stream order; the +1 reference comes first."""
+def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """The AWGN chain of the module docstring, one block at a time through
+    one complex slot: samples 1.. take the block's noise plus its symbols,
+    sample 0 the symbol before the block (the +1 reference before the first)."""
     enc = modem.diff_encode(tx_bits)
     out = np.empty(enc.size, dtype=np.uint8)
-    lo, last = 0, 1.0 + 0.0j
-    for s in noise:
-        hi = lo + s.size - 1
+    slot = np.empty(min(_BLOCK_SYMBOLS, enc.size) + 1, dtype=np.complex128)
+    last = 1.0 + 0.0j
+    for lo in range(0, enc.size, _BLOCK_SYMBOLS):
+        hi = min(lo + _BLOCK_SYMBOLS, enc.size)
+        s = slot[: hi - lo + 1]
+        z = s[1:].view(np.float64)  # symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1])
+        np.multiply(rng.standard_normal(out=z), sigma, out=z)
         s[0] = last
         s.real[1:] += modem.bpsk_map(enc[lo:hi])
         out[lo:hi] = modem.diff_demod(s)
-        lo, last = hi, s[-1]
+        last = s[-1]
     return out
 
 
@@ -201,30 +182,24 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     frame_bits = kind.frame_bits
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    noise = None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gblink-noise") as pool:
-        if not isinstance(cfg.channel, BscChannel):
-            sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
-            if sigma > 0.0:  # drawn from here on, beside the Tx build and the detector
-                n = cfg.bit_offset + cfg.frames * frame_bits + kind.preamble_bits
-                noise = _noise_blocks(pool, np.random.default_rng(chan_ss), sigma, n)
+    payload_rng = np.random.default_rng(payload_ss)
+    payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
+    frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
 
-        payload_rng = np.random.default_rng(payload_ss)
-        payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
-        frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
+    junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
+    # a trailing preamble stands in for the next frame of the continuous
+    # transmission, giving the last frame its bank-2 window
+    tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
 
-        junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
-        # a trailing preamble stands in for the next frame of the continuous
-        # transmission, giving the last frame its bank-2 window
-        tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
-
-        if isinstance(cfg.channel, BscChannel):
-            seed = int(chan_ss.generate_state(1, np.uint64)[0])
-            rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
-        elif noise is None:  # product detection of noiseless ±1 symbols is exact
+    if isinstance(cfg.channel, BscChannel):
+        seed = int(chan_ss.generate_state(1, np.uint64)[0])
+        rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
+    else:
+        sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
+        if sigma > 0.0:
+            rx_bits = _demodulate_awgn(tx_bits, sigma, np.random.default_rng(chan_ss))
+        else:  # product detection of noiseless ±1 symbols is exact
             rx_bits = tx_bits
-        else:
-            rx_bits = _demodulate_awgn(tx_bits, noise)
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits

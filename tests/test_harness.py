@@ -6,7 +6,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -230,7 +229,6 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_awgn_sweep_parallel_matches_serial():
-    """Each forked worker draws its noise on its own producer thread."""
     cfg = ExperimentConfig(channel=AwgnChannel(8.0), frames=30, master_seed=12)
     values = (5.0, 6.0, 7.0, 8.0)
     assert sweep(cfg, values, jobs=2) == sweep(cfg, values, jobs=1)
@@ -301,12 +299,8 @@ def reference_demodulate(tx_bits: np.ndarray, sigma: float,
 
 def demodulate(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """The AWGN chain as `run_link` runs it: the sent bits for a noiseless
-    channel, else `harness._demodulate_awgn` over noise drawn on one worker."""
-    if sigma == 0.0:
-        return tx_bits
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = harness._noise_blocks(pool, rng, sigma, tx_bits.size)
-        return harness._demodulate_awgn(tx_bits, noise)
+    channel, else `harness._demodulate_awgn`."""
+    return tx_bits if sigma == 0.0 else harness._demodulate_awgn(tx_bits, sigma, rng)
 
 
 @st.composite
@@ -334,7 +328,7 @@ def test_demodulate_awgn_matches_whole_array_chain(case):
 
 def test_demodulate_awgn_memory_bounded():
     """Past the two uint8 stream arrays (the output and the differential
-    code) the chain holds a few blocks: two noise slots and the detector's
+    code) the chain holds a few blocks: one noise slot and the detector's
     temporaries."""
     block, n = 1 << 10, 1 << 17
     tx_bits = np.random.default_rng(1).integers(0, 2, n, dtype=np.uint8)
@@ -345,88 +339,7 @@ def test_demodulate_awgn_memory_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 2 * n + 64 * block + 32 * 1024
-
-
-class _InlinePool:
-    """Runs each submitted draw at once and logs its block index."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, j):
-        self.submitted.append(j)
-        future = Future()
-        future.set_result(fn(j))
-        return future
-
-
-def test_noise_blocks_queue_ahead():
-    """The call queues blocks 0 and 1, and asking for block k queues block
-    k + 1."""
-    pool, queued = _InlinePool(), []
-    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024):
-        blocks = harness._noise_blocks(pool, np.random.default_rng(1), 1.0, 12 * 1024)
-        queued.append(len(pool.submitted))
-        for _ in blocks:
-            queued.append(len(pool.submitted))
-    assert pool.submitted == list(range(12))
-    assert queued == [2, *range(2, 13), 12]
-
-
-def test_noise_blocks_stream_layout():
-    """Each block holds the stream's noise, sigma * (z[2i] + 1j * z[2i + 1]),
-    after a free sample 0 for the symbol before it."""
-    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 4):
-        blocks = [b.copy() for b in
-                  harness._noise_blocks(_InlinePool(), np.random.default_rng(3), 0.5, 10)]
-    assert [b.size for b in blocks] == [5, 5, 3]
-    noise = np.concatenate([b[1:] for b in blocks])
-    z = 0.5 * np.random.default_rng(3).standard_normal(20)
-    assert np.array_equal(noise.real, z[0::2])
-    assert np.array_equal(noise.imag, z[1::2])
-
-
-def _threads_during_tx_build(cfg: ExperimentConfig) -> tuple[int, int]:
-    """Live thread counts while `framing.build_frames` runs and after the run."""
-    build, seen = framing.build_frames, []
-
-    def counting_build(*args):
-        seen.append(threading.active_count())
-        return build(*args)
-
-    with mock.patch.object(framing, "build_frames", counting_build):
-        run_link(cfg)
-    return seen[0], threading.active_count()
-
-
-def test_noise_producer_joined_after_run():
-    before = threading.active_count()
-    cfg = ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5)
-    assert _threads_during_tx_build(cfg) == (before + 1, before)
-
-
-@pytest.mark.parametrize("chan", [AwgnChannel(math.inf), BscChannel(1e-3)])
-def test_no_thread_without_noise(chan):
-    before = threading.active_count()
-    cfg = ExperimentConfig(channel=chan, frames=5, master_seed=5)
-    assert _threads_during_tx_build(cfg) == (before, before)
-
-
-def test_noise_producer_joined_after_tx_build_raises():
-    before = threading.active_count()
-    seen = []
-
-    def broken_build(*args):
-        seen.append(threading.active_count())
-        raise RuntimeError("tx build failed")
-
-    cfg = ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5)
-    with mock.patch.object(framing, "build_frames", broken_build), \
-            pytest.raises(RuntimeError, match="tx build failed"):
-        run_link(cfg)
-    assert seen == [before + 1]
-    assert threading.active_count() == before
+    assert peak < 2 * n + 32 * block + 16 * 1024
 
 
 class _FailingRng:
@@ -447,36 +360,30 @@ class _FailingRng:
 
 
 @pytest.mark.parametrize("fail_at", [0, 1, 5])
-def test_noise_producer_error_reaches_caller(fail_at):
-    """An error in the n-th draw is raised by run_link, whose thread was
-    waiting for that block, within a bounded wait; no draw runs past the one
-    block already queued, each draw is one block's two quadratures, and the
-    worker is gone afterwards."""
-    before = threading.active_count()
-    default_rng, calls, raised = np.random.default_rng, [], []
-
-    def run():
-        try:
-            run_link(ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5))
-        except FloatingPointError as exc:
-            raised.append(exc)
-
+def test_noise_draw_error_reaches_caller(fail_at):
+    """An error in the n-th draw is raised by run_link; no draw runs past it,
+    and each draw writes one block's two quadratures."""
+    default_rng, calls = np.random.default_rng, []
     with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024), \
             mock.patch.object(np.random, "default_rng",
-                              lambda seed: _FailingRng(default_rng(seed), fail_at, calls)):
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-    assert not caller.is_alive()
-    assert [str(e) for e in raised] == ["draw failed"]
-    assert fail_at + 1 <= len(calls) <= fail_at + 2
-    assert set(calls) == {2 * 1024}
-    assert threading.active_count() == before
+                              lambda seed: _FailingRng(default_rng(seed), fail_at, calls)), \
+            pytest.raises(FloatingPointError, match="draw failed"):
+        run_link(ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5))
+    assert calls == [2 * 1024] * (fail_at + 1)
+
+
+@pytest.mark.parametrize("chan", [AwgnChannel(math.inf), BscChannel(1e-3)])
+def test_noiseless_runs_draw_no_noise(chan):
+    default_rng, calls = np.random.default_rng, []
+    with mock.patch.object(np.random, "default_rng",
+                           lambda seed: _FailingRng(default_rng(seed), 0, calls)):
+        run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
+    assert calls == []
 
 
 def test_concurrent_runs_match_serial():
-    """Four runs on their own threads, each with its noise worker, and a switch
-    interval short enough to interleave every hand-off, give the serial results."""
+    """Four runs on their own threads, with a switch interval short enough to
+    interleave them block by block, give the serial results."""
     cfgs = [ExperimentConfig(channel=AwgnChannel(5.0 + i), frames=20, master_seed=i)
             for i in range(4)]
     want = [run_link(c) for c in cfgs]
