@@ -9,9 +9,9 @@ SNR bookkeeping convention (the one place it is defined):
     1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` takes
     that sigma and the generator that pins the noise realization.
   * `snr_at_distance` returns the ratio referenced to *channel* bits at the
-    875 Mbps serial rate (one bit per symbol, so it equals Es/N0).  Feed it
-    to `noise_sigma` with code_rate=1, or subtract 10*log10(code_rate) to
-    convert to an information-bit ratio.
+    serial rate CHANNEL_RATE_BPS (875 Mbps, one bit per symbol, so it equals
+    Es/N0).  Feed it to `noise_sigma` with code_rate=1, or subtract
+    10*log10(code_rate) to convert to an information-bit ratio.
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples; noiseless symbols stay on the real axis.
@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rs
+
+CHANNEL_RATE_BPS = 875e6  # the serial channel rate, one bit per symbol
 SPEED_OF_LIGHT = 299792458.0
 
 _GAP_CHUNK = 1 << 14  # gaps drawn per pass: 128 kB of uniforms at most
@@ -123,8 +126,7 @@ def dbpsk_ber_theory(ebn0_db: float) -> float:
     return 0.5 * math.exp(-_db_to_ratio(ebn0_db))
 
 
-def snr_at_distance(budget: LinkBudget, distance_m: float,
-                    channel_rate_bps: float = 875e6) -> float:
+def snr_at_distance(budget: LinkBudget, distance_m: float) -> float:
     """Free-space Eb/N0 (dB, referenced to channel bits) at a Tx-Rx distance."""
     if distance_m <= 0:
         raise ValueError("distance must be positive")
@@ -134,10 +136,10 @@ def snr_at_distance(budget: LinkBudget, distance_m: float,
               - path_loss - budget.extra_loss_db)
     noise_floor_dbm = -174.0 + 10 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
     snr_db = rx_dbm - noise_floor_dbm
-    return snr_db + 10 * math.log10(budget.bandwidth_hz / channel_rate_bps)
+    return snr_db + 10 * math.log10(budget.bandwidth_hz / CHANNEL_RATE_BPS)
 
 
-def rs_residual_ber(p: float, n: int = 255, t: int = 8) -> float:
+def rs_residual_ber(p: float) -> float:
     """Post-RS bit error rate estimate for an independent bit error rate p.
 
     Byte errors are binomial; blocks with more than t bad bytes are counted
@@ -148,6 +150,7 @@ def rs_residual_ber(p: float, n: int = 255, t: int = 8) -> float:
         raise ValueError("p must be in [0, 1]")
     if p == 0:
         return 0.0
+    n, t = rs.BLOCK_BYTES, rs.CORRECTABLE_BYTES
     pb = -math.expm1(8.0 * math.log1p(-p)) if p < 1 else 1.0  # positive for any p > 0
     bad_bytes = math.fsum(
         j * math.comb(n, j) * pb ** j * (1 - pb) ** (n - j)

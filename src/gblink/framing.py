@@ -11,8 +11,8 @@ whole number of bytes.  The scrambler sequence comes from the reciprocal
 primitive polynomial (a different m-sequence: any cyclic phase of the
 preamble's own sequence would reproduce the preamble verbatim inside scrambled
 constant data), at the phase with the lowest worst-case preamble mimicry.
-Both are frozen below as bytes; `tests/framing_oracle.py` holds the LFSR and
-the scrambler selection, and the tests pin every constant against it.
+Each `FrameKind` freezes both as bytes; `tests/framing_oracle.py` holds the
+LFSR and the scrambler selection, and the tests pin every constant against it.
 
 Bit order everywhere is MSB-first within a byte (one documented constant,
 shared with the correlators and the scrambler).
@@ -25,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rs
-
-CHANNEL_RATE_BPS = 875e6
-
-# Padded m-sequences, hex of the MSB-first bits.  Preambles: x^5+x^2+1
-# (period 31) and x^6+x+1 (period 63), all-ones seed, one trailing zero pad
-# bit.  Scramblers: the reciprocal polynomials, at the selected phase.
-PREAMBLE_P32 = bytes.fromhex("f9a42bb0")
-PREAMBLE_P64 = bytes.fromhex("fd59bb49c5e51840")
-SCRAMBLER_P32 = bytes.fromhex("f8dd4258")
-SCRAMBLER_P64 = bytes.fromhex("fc10c53d1c96ecd4")
+from .channel import CHANNEL_RATE_BPS
 
 
 class FrameError(ValueError):
@@ -44,15 +35,23 @@ class FrameError(ValueError):
 @dataclass(frozen=True)
 class FrameKind:
     tag: str
-    preamble_bits: int
-    payload_bytes: int
+    preamble: bytes
+    scrambler: bytes
     codewords_per_frame: int
     dummy_bytes: int
     default_gamma: int
 
     @property
+    def preamble_bits(self) -> int:
+        return len(self.preamble) * 8
+
+    @property
     def preamble_bytes(self) -> int:
-        return self.preamble_bits // 8
+        return len(self.preamble)
+
+    @property
+    def payload_bytes(self) -> int:
+        return self.codewords_per_frame * rs.MESSAGE_BYTES
 
     @property
     def body_bytes(self) -> int:
@@ -72,10 +71,6 @@ class FrameKind:
         return self.preamble_bytes + self.frame_bytes
 
     @property
-    def channel_rate_bps(self) -> float:
-        return CHANNEL_RATE_BPS
-
-    @property
     def source_rate_bps(self) -> float:
         return CHANNEL_RATE_BPS * self.payload_bytes / self.frame_bytes
 
@@ -85,9 +80,14 @@ class FrameKind:
         return self.payload_bytes / self.frame_bytes
 
 
-P32 = FrameKind(tag="P32", preamble_bits=32, payload_bytes=239,
+# Padded m-sequences, hex of the MSB-first bits.  Preambles: x^5+x^2+1
+# (period 31) and x^6+x+1 (period 63), all-ones seed, one trailing zero pad
+# bit.  Scramblers: the reciprocal polynomials, at the selected phase.
+P32 = FrameKind(tag="P32", preamble=bytes.fromhex("f9a42bb0"),
+                scrambler=bytes.fromhex("f8dd4258"),
                 codewords_per_frame=1, dummy_bytes=1, default_gamma=28)
-P64 = FrameKind(tag="P64", preamble_bits=64, payload_bytes=478,
+P64 = FrameKind(tag="P64", preamble=bytes.fromhex("fd59bb49c5e51840"),
+                scrambler=bytes.fromhex("fc10c53d1c96ecd4"),
                 codewords_per_frame=2, dummy_bytes=0, default_gamma=49)
 
 FRAME_KINDS = {"P32": P32, "P64": P64}
@@ -95,13 +95,7 @@ FRAME_KINDS = {"P32": P32, "P64": P64}
 
 def gen_preamble(kind: FrameKind) -> np.ndarray:
     """Preamble bit pattern for a frame kind (constant, MSB-first)."""
-    frozen = {"P32": PREAMBLE_P32, "P64": PREAMBLE_P64}[kind.tag]
-    return np.unpackbits(np.frombuffer(frozen, dtype=np.uint8))
-
-
-def gen_scrambler_seq(kind: FrameKind) -> bytes:
-    """The frozen scrambling sequence for a frame kind (4 or 8 bytes)."""
-    return {"P32": SCRAMBLER_P32, "P64": SCRAMBLER_P64}[kind.tag]
+    return np.unpackbits(np.frombuffer(kind.preamble, dtype=np.uint8))
 
 
 def scramble(data: np.ndarray, seq: bytes) -> np.ndarray:
@@ -130,8 +124,8 @@ def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
     body = np.zeros((nfrm, kind.body_bytes), dtype=np.uint8)
     body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES] = rs.encode_blocks(msgs).reshape(nfrm, -1)
     frames = np.empty((nfrm, kind.frame_bytes), dtype=np.uint8)
-    frames[:, : kind.preamble_bytes] = np.packbits(gen_preamble(kind))
-    frames[:, kind.preamble_bytes:] = scramble(body, gen_scrambler_seq(kind))
+    frames[:, : kind.preamble_bytes] = np.frombuffer(kind.preamble, dtype=np.uint8)
+    frames[:, kind.preamble_bytes:] = scramble(body, kind.scrambler)
     return frames
 
 
@@ -142,7 +136,7 @@ def frame_codewords(frames: np.ndarray, kind: FrameKind) -> np.ndarray:
     frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
     if frames.shape[1] != kind.frame_bytes:
         raise ValueError(f"frames must have {kind.frame_bytes} columns, got {frames.shape[1]}")
-    body = scramble(frames[:, kind.preamble_bytes:], gen_scrambler_seq(kind))
+    body = scramble(frames[:, kind.preamble_bytes:], kind.scrambler)
     return body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES].reshape(-1, rs.BLOCK_BYTES)
 
 

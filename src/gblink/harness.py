@@ -49,7 +49,7 @@ from . import channel as channel_mod
 from . import framing, modem, rs
 from .elastic import _integer
 from .framing import FrameKind, P32
-from .sync import CorrelatorBankConfig, FrameSynchronizer
+from .sync import FrameSynchronizer
 
 _BLOCK_SYMBOLS = 1 << 16  # detector block, sized to stay in cache
 FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
@@ -97,17 +97,16 @@ class ExperimentConfig:
     bit_offset: int = 0
 
     def __post_init__(self):
-        for name in ("frames", "master_seed", "bit_offset", "gamma"):
-            if name != "gamma" or self.gamma is not None:
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("frames", "master_seed", "bit_offset"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", FrameSynchronizer(self.frame_kind, self.gamma).gamma)
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.master_seed}")
         if not 0 <= self.bit_offset < 8:
             raise ValueError("bit_offset must be in [0, 8)")
-        if self.gamma is not None:
-            CorrelatorBankConfig(self.frame_kind, self.gamma)
 
 
 @dataclass
@@ -150,8 +149,7 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
     `channel.noise_sigma`; the ratio per channel bit is ebn0 + 10*log10(rate)."""
     if isinstance(chan, DistanceChannel):
         # the link budget already references its ratio to channel bits
-        return channel_mod.snr_at_distance(chan.budget, chan.distance_m,
-                                           kind.channel_rate_bps), 1.0
+        return channel_mod.snr_at_distance(chan.budget, chan.distance_m), 1.0
     return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
 
 
@@ -178,7 +176,7 @@ def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator
 def run_link(cfg: ExperimentConfig) -> LinkReport:
     """Run one seeded link experiment and account errors against ground truth."""
     kind = cfg.frame_kind
-    bank = CorrelatorBankConfig(kind, cfg.gamma if cfg.gamma is not None else kind.default_gamma)
+    synchronizer = FrameSynchronizer(kind, kind.default_gamma if cfg.gamma is None else cfg.gamma)
     frame_bits = kind.frame_bits
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
@@ -205,7 +203,7 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     hi = lo + cfg.frames * frame_bits
     raw_errors = int(np.count_nonzero(rx_bits[lo:hi] != tx_bits[lo:hi]))
 
-    located, sync_losses = FrameSynchronizer(bank).locate_frames(rx_bits)
+    located, sync_losses = synchronizer.locate_frames(rx_bits)
     found = np.isin(lo + frame_bits * np.arange(cfg.frames), located)
 
     # frames that miss sync deliver their pass-through payload; parse_frames

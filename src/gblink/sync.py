@@ -21,21 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elastic import _integer
 from .framing import FrameKind, gen_preamble
 
 _SCAN_CHUNK_BITS = 8 * 4096
 _TRACK_FIRST_FRAMES = 16
 
 
-@dataclass(frozen=True)
-class CorrelatorBankConfig:
-    kind: FrameKind
-    gamma: int
-
-    def __post_init__(self):
-        n = self.kind.preamble_bits
-        if not 0 <= self.gamma <= n:
-            raise ValueError(f"gamma must be in [0, {n}] for {self.kind.tag}, got {self.gamma}")
+def _threshold(n: int, gamma, where: str = "") -> int:
+    """gamma as an int in [0, n]; a bool or a fraction is an error."""
+    gamma = _integer("gamma", gamma)
+    if not 0 <= gamma <= n:
+        raise ValueError(f"gamma must be in [0, {n}]{where}, got {gamma}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,19 @@ class FrameSynchronizer:
     After lock the preamble is re-verified every frame against gamma; one miss
     is ridden out (the frame is still delivered at the flywheel position), two
     consecutive misses declare sync lost and acquisition restarts one bit
-    after the second missed preamble.  Instances hold only the configuration
-    and its preamble, so one may serve any number of streams.
+    after the second missed preamble.  Instances hold only the frame kind,
+    gamma and the preamble bits, so one may serve any number of streams.
     """
 
-    def __init__(self, cfg: CorrelatorBankConfig):
-        self.cfg = cfg
-        self._preamble = gen_preamble(cfg.kind)
+    def __init__(self, kind: FrameKind, gamma: int):
+        self.kind = kind
+        self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
+        self._preamble = gen_preamble(kind)
 
     def locate_frames(self, bits: np.ndarray) -> tuple[list[int], int]:
         """Returns (frame start bit positions, sync loss count)."""
         packed, nbits = pack(bits), np.size(bits)
-        pre, gamma, frame_bits = self._preamble, self.cfg.gamma, self.cfg.kind.frame_bits
+        pre, gamma, frame_bits = self._preamble, self.gamma, self.kind.frame_bits
         # byte-major scan over (byte, offset) pairs is a plain scan over bit
         # positions; the last bank-1 position keeps bank 2 inside the stream
         scan_end = nbits - (frame_bits + pre.size) + 1
@@ -142,9 +141,7 @@ def binomial_tail_ge(n: int, k: int, p: float) -> float:
 
 def p_miss_single(n: int, gamma: int, p: float) -> float:
     """Probability one preamble window scores below gamma on a BSC(p)."""
-    if not 0 <= gamma <= n:
-        raise ValueError(f"gamma must be in [0, {n}], got {gamma}")
-    return binomial_tail_ge(n, n - gamma + 1, p)
+    return binomial_tail_ge(n, n - _threshold(n, gamma) + 1, p)
 
 
 def p_miss(n: int, gamma: int, p: float) -> float:
@@ -159,10 +156,7 @@ def p_false(n: int, gamma: int) -> tuple[float, float]:
     Equiprobable random data makes the match count Binomial(n, 1/2), so the
     single-bank value is an exact dyadic rational sum_{i>=gamma} C(n,i) / 2^n.
     """
-    if not 0 <= gamma <= n:
-        raise ValueError(f"gamma must be in [0, {n}], got {gamma}")
-    count = sum(math.comb(n, i) for i in range(gamma, n + 1))
-    q = count / 2 ** n
+    q = sum(math.comb(n, i) for i in range(_threshold(n, gamma), n + 1)) / 2 ** n
     return q, q * q
 
 

@@ -160,7 +160,7 @@ def test_criterion_07_rate_arithmetic():
     ok = (abs(r32 - 804.33) <= 0.01 and abs(r64 - 807.43) <= 0.01
           and P32.span_bytes == 264 and P64.span_bytes == 526
           and P32.frame_bytes == 260 and P64.frame_bytes == 518
-          and P32.channel_rate_bps == 875e6)
+          and channel.CHANNEL_RATE_BPS == 875e6)
     report("criterion 7 (rate arithmetic)",
            ok, f"875*239/260={r32:.4f} Mbps, 875*478/518={r64:.4f} Mbps, spans 264/526")
 

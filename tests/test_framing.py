@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framing_oracle
-from gblink import framing, rs, sync
+from gblink import channel, framing, rs, sync
 from gblink.framing import P32, P64
 
 # Worst-case score per cyclic phase of the P32 scrambler candidate set,
@@ -18,18 +18,20 @@ P32_SCORE_TABLE[14] = 24
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
 class TestFrameKind:
     def test_sizes(self, kind):
-        expected = {"P32": (260, 264, 4, 1), "P64": (518, 526, 8, 2)}[kind.tag]
-        frame_bytes, span, pre_bytes, ncw = expected
+        expected = {"P32": (260, 264, 4, 32, 239, 1), "P64": (518, 526, 8, 64, 478, 2)}[kind.tag]
+        frame_bytes, span, pre_bytes, pre_bits, payload, ncw = expected
         assert kind.frame_bytes == frame_bytes
         assert kind.span_bytes == span
-        assert kind.preamble_bytes == pre_bytes
+        assert kind.preamble_bytes == len(kind.preamble) == len(kind.scrambler) == pre_bytes
+        assert kind.preamble_bits == pre_bits
+        assert kind.payload_bytes == payload
         assert kind.codewords_per_frame == ncw
 
     def test_rates(self, kind):
         mbps = kind.source_rate_bps / 1e6
         printed = {"P32": 804.33, "P64": 807.43}[kind.tag]
         assert abs(mbps - printed) <= 0.01
-        assert kind.channel_rate_bps == 875e6
+        assert channel.CHANNEL_RATE_BPS == 875e6
 
     def test_layout_identity(self, kind):
         assert kind.preamble_bytes + kind.body_bytes == kind.frame_bytes
@@ -42,8 +44,7 @@ class TestPreamble:
         pre = framing.gen_preamble(kind)
         assert pre.size == kind.preamble_bits
         assert np.array_equal(pre, framing_oracle.preamble(kind))
-        frozen = {"P32": framing.PREAMBLE_P32, "P64": framing.PREAMBLE_P64}[kind.tag]
-        assert np.packbits(pre).tobytes() == frozen
+        assert np.packbits(pre).tobytes() == kind.preamble
 
     def test_balanced(self, kind):
         # m-sequence has 2^(n-1) ones; the zero pad balances the count exactly
@@ -66,18 +67,18 @@ class TestPreamble:
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
 class TestScrambler:
     def test_length_and_distinct(self, kind):
-        seq = framing.gen_scrambler_seq(kind)
+        seq = kind.scrambler
         assert len(seq) == kind.preamble_bytes
-        assert seq != np.packbits(framing.gen_preamble(kind)).tobytes()
+        assert seq != kind.preamble
 
     def test_selection_reproduces_frozen_constant(self, kind):
         pre = framing_oracle.preamble(kind)
         winner = framing_oracle.select_scrambler(pre, framing_oracle.scrambler_candidates(kind))
-        assert winner == framing.gen_scrambler_seq(kind)
+        assert winner == kind.scrambler
 
     def test_worst_case_correlation_below_gamma(self, kind):
         pre = framing.gen_preamble(kind)
-        score = framing_oracle.scrambler_score(framing.gen_scrambler_seq(kind), pre)
+        score = framing_oracle.scrambler_score(kind.scrambler, pre)
         assert score < kind.default_gamma
 
 
@@ -114,25 +115,25 @@ class TestScramble:
     def test_involution(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, 256, dtype=np.uint8)
-        seq = framing.gen_scrambler_seq(P32)
+        seq = P32.scrambler
         assert np.array_equal(framing.scramble(framing.scramble(data, seq), seq), data)
 
     def test_zeros_give_sequence(self):
-        seq = framing.gen_scrambler_seq(P32)
+        seq = P32.scrambler
         assert framing.scramble(np.zeros(12, np.uint8), seq).tobytes() == seq * 3
 
     def test_sequence_gives_zeros(self):
-        seq = framing.gen_scrambler_seq(P64)
+        seq = P64.scrambler
         assert not framing.scramble(as_array(seq * 4), seq).any()
 
     def test_truncated_tail(self):
         # P64 bodies are 510 bytes against an 8-byte sequence
-        seq = framing.gen_scrambler_seq(P64)
+        seq = P64.scrambler
         out = framing.scramble(np.zeros(510, np.uint8), seq)
         assert out.tobytes() == (seq * 64)[:510]
 
     def test_rows_scrambled_along_last_axis(self):
-        seq = framing.gen_scrambler_seq(P32)
+        seq = P32.scrambler
         data = np.random.default_rng(1).integers(0, 256, (3, 10), dtype=np.uint8)
         out = framing.scramble(data, seq)
         for row_in, row_out in zip(data, out):
@@ -144,10 +145,10 @@ class TestFrameRoundTrip:
     def test_zero_payload(self, kind):
         frame = build_frame(bytes(kind.payload_bytes), kind)
         assert len(frame) == kind.frame_bytes
-        assert frame[: kind.preamble_bytes] == np.packbits(framing.gen_preamble(kind)).tobytes()
+        assert frame[: kind.preamble_bytes] == kind.preamble
         # zero payload encodes to the all-zero codeword, so the body is the
         # bare scrambling pattern
-        seq = framing.gen_scrambler_seq(kind)
+        seq = kind.scrambler
         reps = -(-kind.body_bytes // len(seq))
         assert frame[kind.preamble_bytes:] == (seq * reps)[: kind.body_bytes]
         assert framing.parse_frame(frame, kind) == (bytes(kind.payload_bytes), 0)

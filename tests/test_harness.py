@@ -18,7 +18,7 @@ from gblink import channel, framing, harness, modem, rs
 from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
                             ExperimentConfig, LinkReport, run_link, sweep)
-from gblink.sync import CorrelatorBankConfig, FrameSynchronizer
+from gblink.sync import FrameSynchronizer
 
 
 def test_noiseless_run_is_perfect():
@@ -284,7 +284,7 @@ def test_config_validation():
 
 def _passthrough(frame: bytes, kind) -> bytes:
     body = framing.scramble(np.frombuffer(frame, np.uint8)[kind.preamble_bytes:],
-                            framing.gen_scrambler_seq(kind))
+                            kind.scrambler)
     return b"".join(body[i * 255: i * 255 + 239].tobytes()
                     for i in range(kind.codewords_per_frame))
 
@@ -433,10 +433,10 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
-    located, sync_losses = FrameSynchronizer(CorrelatorBankConfig(kind, gamma)).locate_frames(rx_bits)
+    located, sync_losses = FrameSynchronizer(kind, gamma).locate_frames(rx_bits)
     located_set = set(located)
     coded_errors = frame_errors = corrected_total = partial = 0
-    seq = framing.gen_scrambler_seq(kind)
+    seq = kind.scrambler
     for i in range(cfg.frames):
         start = lo + i * frame_bits
         rx_frame = np.packbits(rx_bits[start: start + frame_bits]).tobytes()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gblink import channel, framing, sync
 from gblink.framing import P32, P64
-from gblink.sync import CorrelatorBankConfig, FrameSynchronizer
+from gblink.sync import FrameSynchronizer
 
 
 def exact_tail_ge(n: int, k: int, p: float) -> Fraction:
@@ -32,22 +32,22 @@ def build_stream(kind, payload_seed, nframes, prefix_bits=0):
 
 
 def locate(stream, kind, gamma):
-    return FrameSynchronizer(CorrelatorBankConfig(kind, gamma)).locate_frames(stream)
+    return FrameSynchronizer(kind, gamma).locate_frames(stream)
 
 
-def reference_locate_frames(bits, cfg):
+def reference_locate_frames(bits, synchronizer):
     """Frame-at-a-time tracker: after each dual-bank lock, check one preamble
     per frame, ride out a single miss, and after two misses in a row count a
     loss and re-acquire one bit past the second missed preamble."""
     bits = np.asarray(bits, dtype=np.uint8)
-    pre = framing.gen_preamble(cfg.kind)
-    n, frame_bits = pre.size, cfg.kind.frame_bits
+    pre = framing.gen_preamble(synchronizer.kind)
+    n, frame_bits = pre.size, synchronizer.kind.frame_bits
     last = bits.size - (frame_bits + n)
     if last < 0:
         return [], 0
     counts = (np.lib.stride_tricks.sliding_window_view(bits, n) == pre).sum(axis=1)
-    locks = np.flatnonzero((counts[: last + 1] >= cfg.gamma)
-                           & (counts[frame_bits: frame_bits + last + 1] >= cfg.gamma))
+    locks = np.flatnonzero((counts[: last + 1] >= synchronizer.gamma)
+                           & (counts[frame_bits: frame_bits + last + 1] >= synchronizer.gamma))
     starts: list[int] = []
     losses = 0
     pos = 0
@@ -59,7 +59,7 @@ def reference_locate_frames(bits, cfg):
         miss_streak = 0
         lost = False
         while s + frame_bits <= bits.size:
-            if np.count_nonzero(bits[s: s + n] == pre) >= cfg.gamma:
+            if np.count_nonzero(bits[s: s + n] == pre) >= synchronizer.gamma:
                 miss_streak = 0
             else:
                 miss_streak += 1
@@ -173,19 +173,30 @@ class TestDetect:
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\] for P32, got 33"):
-            CorrelatorBankConfig(P32, 33)
+            FrameSynchronizer(P32, 33)
         with pytest.raises(ValueError, match=r"gamma must be in \[0, 64\] for P64, got -1"):
-            CorrelatorBankConfig(P64, -1)
+            FrameSynchronizer(P64, -1)
         with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\], got 33"):
             sync.p_false(32, 33)
         with pytest.raises(ValueError, match=r"gamma must be in \[0, 64\], got -2"):
             sync.p_miss(64, -2, 1e-3)
 
+    @pytest.mark.parametrize("gamma", [28.5, True], ids=["fraction", "bool"])
+    def test_gamma_must_be_an_integer(self, gamma):
+        for check in (lambda: FrameSynchronizer(P32, gamma), lambda: sync.p_false(32, gamma),
+                      lambda: sync.p_miss(32, gamma, 1e-4),
+                      lambda: sync.tradeoff_table(P32, 1e-4, [gamma])):
+            with pytest.raises(ValueError, match=r"^gamma must be an integer"):
+                check()
+        synchronizer = FrameSynchronizer(P32, np.int64(28))
+        assert synchronizer.gamma == 28 and type(synchronizer.gamma) is int
+        assert sync.p_false(32, np.int64(28)) == sync.p_false(32, 28)
+
 
 class TestTracking:
     def test_clean_tracking(self):
         stream = build_stream(P32, 7, 20, prefix_bits=3)
-        starts, losses = FrameSynchronizer(CorrelatorBankConfig(P32, 28)).locate_frames(stream)
+        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
         assert losses == 0
         assert starts == [3 + i * P32.frame_bits for i in range(20)]
 
@@ -193,7 +204,7 @@ class TestTracking:
         stream = build_stream(P32, 8, 10)
         fb = P32.frame_bits
         stream[4 * fb: 4 * fb + 10] ^= 1  # corrupt one preamble beyond gamma
-        starts, losses = FrameSynchronizer(CorrelatorBankConfig(P32, 28)).locate_frames(stream)
+        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
         assert losses == 0
         assert starts == [i * fb for i in range(10)]
 
@@ -202,7 +213,7 @@ class TestTracking:
         fb = P32.frame_bits
         for i in (4, 5):
             stream[i * fb: i * fb + 12] ^= 1
-        starts, losses = FrameSynchronizer(CorrelatorBankConfig(P32, 28)).locate_frames(stream)
+        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
         assert losses == 1
         # frame 4 rides the flywheel, frame 5 is lost, 6..9 re-acquired
         assert starts == [i * fb for i in (0, 1, 2, 3, 4, 6, 7, 8, 9)]
@@ -219,7 +230,7 @@ class TestTracking:
         starts, losses = locate(stream, P32, 28)
         assert losses == 2
         assert starts == [i * fb for i in range(5)] + [i * fb + 1 for i in (5, 6, 7)] + [9 * fb]
-        assert (starts, losses) == reference_locate_frames(stream, CorrelatorBankConfig(P32, 28))
+        assert (starts, losses) == reference_locate_frames(stream, FrameSynchronizer(P32, 28))
 
 
 _FRAMES = {kind: build_stream(kind, 20, 60) for kind in (P32, P64)}
@@ -247,9 +258,9 @@ def test_locate_frames_matches_reference(case, first_block, cut):
     and streams cut off the byte grid, so the last windows border the pad."""
     kind, gamma, bits = case
     bits = bits[: bits.size - cut]
-    cfg = CorrelatorBankConfig(kind, gamma)
+    synchronizer = FrameSynchronizer(kind, gamma)
     with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
-        assert FrameSynchronizer(cfg).locate_frames(bits) == reference_locate_frames(bits, cfg)
+        assert synchronizer.locate_frames(bits) == reference_locate_frames(bits, synchronizer)
 
 
 @pytest.mark.parametrize("first_block", [1, 2, 3, 4])
@@ -259,14 +270,14 @@ def test_miss_pair_on_every_block_edge(first_block):
     and is never skipped."""
     fb = P32.frame_bits
     base = np.concatenate([build_stream(P32, 21, 40), framing.gen_preamble(P32)])
-    cfg = CorrelatorBankConfig(P32, 28)
+    synchronizer = FrameSynchronizer(P32, 28)
     with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
         for i in range(2, 39):
             stream = base.copy()
             for j in (i, i + 1):
                 stream[j * fb: j * fb + 12] ^= 1
-            got = FrameSynchronizer(cfg).locate_frames(stream)
-            assert got == reference_locate_frames(stream, cfg)
+            got = synchronizer.locate_frames(stream)
+            assert got == reference_locate_frames(stream, synchronizer)
             assert got[1] == 1 and i * fb in got[0] and (i + 1) * fb not in got[0]
 
 
