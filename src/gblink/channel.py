@@ -1,22 +1,22 @@
-"""Channel and propagation models: AWGN on symbols, BSC on bits, the DBPSK
-reference BER curve, and the 60 GHz free-space link budget.
+"""Channel and propagation models: AWGN and its DBPSK decision errors, BSC on
+bits, the DBPSK reference BER curve, and the 60 GHz free-space link budget.
 
 SNR bookkeeping convention (the one place it is defined):
 
   * `noise_sigma(ebn0_db, code_rate)` interprets `ebn0_db` as energy per
     *information* bit over N0 and converts through `code_rate` (information
     bits per channel bit): per-quadrature noise variance sigma^2 =
-    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` takes
-    that sigma and the generator that pins the noise realization.
+    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` and
+    `dbpsk` take that sigma.
   * `snr_at_distance` returns the ratio referenced to *channel* bits at the
     serial rate CHANNEL_RATE_BPS (875 Mbps, one bit per symbol, so it equals
     Es/N0).  Feed it to `noise_sigma` with code_rate=1, or subtract
     10*log10(code_rate) to convert to an information-bit ratio.
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
-`awgn` produces complex samples; noiseless symbols stay on the real axis.
-Each symbol takes its two quadratures' noise from consecutive standard
-normals of the generator, so the stream does not depend on how it is split.
+`awgn` produces complex samples, symbol i's noise from standard normals 2i
+and 2i + 1.  `dbpsk` gives the bits that the product detector decides from
+such samples, exact in distribution, without drawing most of them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ CHANNEL_RATE_BPS = 875e6  # the serial channel rate, one bit per symbol
 SPEED_OF_LIGHT = 299792458.0
 
 _GAP_CHUNK = 1 << 14  # gaps drawn per pass: 128 kB of uniforms at most
+_R0_SQ = 0.5  # only noise with |n|^2 > 1/2 takes arg(1 + n) past pi/4 and can turn a decision
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,8 @@ def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
     """Add complex white Gaussian noise of per-quadrature deviation sigma.
 
     Symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1]) for the next
-    2 * symbols.size standard normals z of `rng` (none if sigma == 0), a
-    stream that run_link draws block by block; sigma must be finite and
-    non-negative.
+    2 * symbols.size standard normals z of `rng` (none if sigma == 0); sigma
+    must be finite and non-negative.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
@@ -89,35 +89,87 @@ def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Flip each bit independently with probability p.
+def _gap_ends(size: int, q: float, rng: np.random.Generator):
+    """Yield, chunk by chunk, the sorted positions in [0, size) of Bernoulli(q)
+    events, 0 < q <= 1: cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1 for the
+    uniforms u of rng.random, drawn at most _GAP_CHUNK at a time, which bounds
+    the temporaries and does not change the values.  No chunk is empty."""
+    log_keep = math.log1p(-q) if q < 1 else -math.inf
+    last = -1  # where the last gap ended
+    while last < size - 1:
+        left = size - 1 - last  # a draw sized to the gaps left usually ends the loop
+        g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * q + 4 * math.sqrt(left * q)) + 16)))
+        with np.errstate(over="ignore"):  # divide: an underflowing q gives +inf, never NaN
+            g /= log_keep
+        np.minimum(g, left, out=g)  # any gap past the end will do; keeps the cast in range
+        ends = np.cumsum(g.astype(np.int64) + 1) + last
+        last, k = ends[-1], np.searchsorted(ends, size)
+        if k:
+            yield ends[:k]
 
-    With q = min(p, 1 - p), the bits that flip (p <= 1/2) or stay (p > 1/2)
-    sit at cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1, one Geometric(q) gap
-    per uniform u of default_rng(seed).random.  The cost scales with
-    q * bits.size; the gaps are drawn at most _GAP_CHUNK at a time, which
-    bounds the temporaries and does not change the values.
-    """
+
+def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
+    """Flip each bit independently with probability p: with q = min(p, 1 - p),
+    the `_gap_ends` events of default_rng(seed) flip (p <= 1/2) or stay."""
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     out = np.array(bits, dtype=np.uint8)
     if p > 0.5:
         out ^= 1
     q = min(p, 1.0 - p)
-    if q == 0:
+    if q > 0:
+        for ends in _gap_ends(out.size, q, np.random.default_rng(seed)):
+            out[ends] ^= 1
+    return out
+
+
+def _noise_draws(u: np.ndarray, scale: float) -> np.ndarray:
+    """Noise of a large sample and two small ones from each row of six
+    uniforms: |n|^2 is _R0_SQ + scale * E, or scale * E given E < _R0_SQ / scale,
+    for E ~ Exp(1) (scale = 2 sigma^2); every angle is uniform."""
+    small_mass = -math.expm1(-_R0_SQ / scale)  # P(E < _R0_SQ / scale)
+    r2 = -scale * np.log1p(-u[:, 0::2] * [1.0, small_mass, small_mass])
+    r2[:, 0] += _R0_SQ
+    return np.sqrt(r2) * np.exp(2j * np.pi * u[:, 1::2])
+
+
+def _wrong(a, b):
+    """Whether the product detector errs on noise a after noise b: Re((1 + a)(1 + b)*) < 0."""
+    return ((1 + a) * np.conj(1 + b)).real < 0
+
+
+def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """The bits a DBPSK product detector decides from complex AWGN of
+    per-quadrature deviation sigma: bit k flips iff `_wrong(n_k, n_{k-1})`,
+    n_{-1} = 0 being the noiseless +1 reference, whatever the data.
+
+    Only "large" noise, |n|^2 > _R0_SQ, turns a decision.  Its samples are the
+    `_gap_ends` events (rate exp(-_R0_SQ / 2 sigma^2)) of the first child of
+    SeedSequence(seed), each with a row of the second child's uniforms for
+    `_noise_draws`: its noise and its small neighbours' (at gap 2, one shared).
+    Only decisions j and j + 1 of each large j are made, so the cost is per large j.
+    """
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    out = np.array(bits, dtype=np.uint8)
+    scale = 2.0 * sigma * sigma  # the mean of |n|^2
+    p_large = math.exp(-_R0_SQ / scale) if scale else 0.0
+    if p_large == 0.0:
         return out
-    rng = np.random.default_rng(seed)
-    log_keep = math.log1p(-q)
-    last = -1  # where the last gap ended
-    while last < out.size - 1:
-        left = out.size - 1 - last  # a draw sized to the gaps left usually ends the loop
-        g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * q + 4 * math.sqrt(left * q)) + 16)))
-        with np.errstate(over="ignore"):  # divide: an underflowing q gives +inf, never NaN
-            g /= log_keep
-        np.minimum(g, left, out=g)  # any gap past the end will do; keeps the cast in range
-        ends = np.cumsum(g.astype(np.int64) + 1) + last
-        out[ends[:np.searchsorted(ends, out.size)]] ^= 1
-        last = ends[-1]
+    gap_ss, value_ss = np.random.SeedSequence(seed).spawn(2)
+    values = np.random.default_rng(value_ss)
+    pos, last, last_right = -1, 0j, 0j  # the last large sample, its noise, its right neighbour
+    for ends in _gap_ends(out.size, p_large, np.random.default_rng(gap_ss)):
+        big, left, right = _noise_draws(values.random((ends.size, 6)), scale).T
+        gaps = np.diff(ends, prepend=pos)
+        prev = np.r_[last, big[:-1]]
+        out[ends[_wrong(big, np.where(gaps == 1, prev, left))]] ^= 1
+        # decision j' + 1 of the previous large j', where that is not j
+        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, np.r_[last_right, right[:-1]]), prev)
+        out[ends[after] - gaps[after] + 1] ^= 1
+        pos, last, last_right = ends[-1], big[-1], right[-1]
+    if pos + 1 < out.size and _wrong(last_right, last):
+        out[pos + 1] ^= 1
     return out
 
 

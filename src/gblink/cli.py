@@ -174,6 +174,8 @@ def _cmd_sync_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_fifo(args: argparse.Namespace) -> int:
+    if args.cycles < 1:
+        raise ValueError(f"--cycles must be at least 1, got {args.cycles:g}")
     if args.cycles > _MAX_CYCLES:
         raise ValueError(f"--cycles must be at most {_MAX_CYCLES:g}, got {args.cycles}")
     if not args.cycles.is_integer():

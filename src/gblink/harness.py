@@ -22,14 +22,9 @@ converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` produces a per-channel-bit ratio from the link budget and
 feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
 for frame-count sizing alike.  Both become a noise deviation through
-`channel.noise_sigma`, then `modem.bpsk_map` plus noise -> `modem.diff_demod`
-in blocks of 2^16 symbols.  The noise is `channel.awgn`'s stream: symbol i's
-noise is sigma * (z[2i] + 1j * z[2i + 1]) for the channel generator's
-standard normals z, the same whatever the block size.  It is drawn block by
-block on the calling thread into one complex slot, which then takes the
-block's symbols and goes to the detector.  A noiseless channel returns the
-sent bits, since product detection of noiseless +/-1 symbols is exact, and
-draws no noise.
+`channel.noise_sigma`, and `channel.dbpsk` draws the product detector's
+decision errors: the channel bits are exact in distribution, and everything
+from them up is bit-exact.  A noiseless channel draws nothing.
 `BscChannel` flips the channel bits directly through `channel.bsc`, which
 draws the gaps between flips, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
@@ -46,12 +41,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import channel as channel_mod
-from . import framing, modem, rs
+from . import framing, rs
 from .elastic import _integer
 from .framing import FrameKind, P32
 from .sync import FrameSynchronizer
 
-_BLOCK_SYMBOLS = 1 << 16  # detector block, sized to stay in cache
 FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
 
 
@@ -153,26 +147,6 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
     return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
 
 
-def _demodulate_awgn(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """The AWGN chain of the module docstring, one block at a time through
-    one complex slot: samples 1.. take the block's noise plus its symbols,
-    sample 0 the symbol before the block (the +1 reference before the first)."""
-    enc = modem.diff_encode(tx_bits)
-    out = np.empty(enc.size, dtype=np.uint8)
-    slot = np.empty(min(_BLOCK_SYMBOLS, enc.size) + 1, dtype=np.complex128)
-    last = 1.0 + 0.0j
-    for lo in range(0, enc.size, _BLOCK_SYMBOLS):
-        hi = min(lo + _BLOCK_SYMBOLS, enc.size)
-        s = slot[: hi - lo + 1]
-        z = s[1:].view(np.float64)  # symbol i's noise is sigma * (z[2i] + 1j * z[2i + 1])
-        np.multiply(rng.standard_normal(out=z), sigma, out=z)
-        s[0] = last
-        s.real[1:] += modem.bpsk_map(enc[lo:hi])
-        out[lo:hi] = modem.diff_demod(s)
-        last = s[-1]
-    return out
-
-
 def run_link(cfg: ExperimentConfig) -> LinkReport:
     """Run one seeded link experiment and account errors against ground truth."""
     kind = cfg.frame_kind
@@ -189,15 +163,12 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     # transmission, giving the last frame its bank-2 window
     tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
 
+    seed = int(chan_ss.generate_state(1, np.uint64)[0])
     if isinstance(cfg.channel, BscChannel):
-        seed = int(chan_ss.generate_state(1, np.uint64)[0])
         rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
     else:
         sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
-        if sigma > 0.0:
-            rx_bits = _demodulate_awgn(tx_bits, sigma, np.random.default_rng(chan_ss))
-        else:  # product detection of noiseless ±1 symbols is exact
-            rx_bits = tx_bits
+        rx_bits = channel_mod.dbpsk(tx_bits, sigma, seed)
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits

@@ -379,6 +379,15 @@ def test_fractional_fifo_cycles_rejected(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cycles,shown", [("0", "0"), ("-3", "-3")])
+def test_nonpositive_fifo_cycles_rejected(cycles, shown, capsys):
+    """The lower bound is checked by the CLI, which names the flag."""
+    assert run_cli(["fifo", f"--cycles={cycles}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gblink: error: --cycles must be at least 1, got {shown}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("cycles,shown", [
     ("1e30", "1e+30"),
     ("100000000001", "100000000001.0"),

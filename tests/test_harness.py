@@ -5,16 +5,13 @@ import io
 import math
 import sys
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import rs_oracle
-from gblink import channel, framing, harness, modem, rs
+from gblink import channel, framing, harness, rs
 from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
                             ExperimentConfig, LinkReport, run_link, sweep)
@@ -289,101 +286,33 @@ def _passthrough(frame: bytes, kind) -> bytes:
                     for i in range(kind.codewords_per_frame))
 
 
-def reference_demodulate(tx_bits: np.ndarray, sigma: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """The whole-array AWGN chain: `channel.awgn` once over every symbol, one
-    product detection over the +1 reference and every sample."""
-    sym = channel.awgn(modem.bpsk_map(modem.diff_encode(tx_bits)), sigma, rng)
-    return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
+class _LoggingRng:
+    """A generator that logs the name of every method called on it."""
 
-
-def demodulate(tx_bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """The AWGN chain as `run_link` runs it: the sent bits for a noiseless
-    channel, else `harness._demodulate_awgn`."""
-    return tx_bits if sigma == 0.0 else harness._demodulate_awgn(tx_bits, sigma, rng)
-
-
-@st.composite
-def _chain_cases(draw):
-    block = draw(st.integers(1, 64))
-    n = draw(st.integers(1, 8 * block + 1))
-    sigma = draw(st.sampled_from([0.0, 0.2, 0.7, 2.0]))
-    return block, n, sigma, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_chain_cases())
-@example((4, 17, 0.7, 1))  # a one-symbol last block
-@example((16, 48, 0.7, 2))  # whole blocks only
-@example((1, 5, 2.0, 3))  # one-symbol blocks
-def test_demodulate_awgn_matches_whole_array_chain(case):
-    """Bit for bit across block edges, small block sizes patched in."""
-    block, n, sigma, seed = case
-    tx_bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-    with mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
-        got = demodulate(tx_bits, sigma, np.random.default_rng(seed))
-        want = reference_demodulate(tx_bits, sigma, np.random.default_rng(seed))
-    np.testing.assert_array_equal(got, want)
-
-
-def test_demodulate_awgn_memory_bounded():
-    """Past the two uint8 stream arrays (the output and the differential
-    code) the chain holds a few blocks: one noise slot and the detector's
-    temporaries."""
-    block, n = 1 << 10, 1 << 17
-    tx_bits = np.random.default_rng(1).integers(0, 2, n, dtype=np.uint8)
-    with mock.patch.object(harness, "_BLOCK_SYMBOLS", block):
-        tracemalloc.start()
-        try:
-            demodulate(tx_bits, 0.5, np.random.default_rng(2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 2 * n + 32 * block + 16 * 1024
-
-
-class _FailingRng:
-    """A generator whose `standard_normal` call number `fail_at` (from 0)
-    raises; every call's size is logged."""
-
-    def __init__(self, rng, fail_at, calls):
-        self._rng, self._fail_at, self._calls = rng, fail_at, calls
-
-    def standard_normal(self, *args, **kwargs):
-        self._calls.append(kwargs["out"].size)
-        if len(self._calls) == self._fail_at + 1:
-            raise FloatingPointError("draw failed")
-        return self._rng.standard_normal(*args, **kwargs)
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
 
     def __getattr__(self, name):
+        self._calls.append(name)
         return getattr(self._rng, name)
 
 
-@pytest.mark.parametrize("fail_at", [0, 1, 5])
-def test_noise_draw_error_reaches_caller(fail_at):
-    """An error in the n-th draw is raised by run_link; no draw runs past it,
-    and each draw writes one block's two quadratures."""
-    default_rng, calls = np.random.default_rng, []
-    with mock.patch.object(harness, "_BLOCK_SYMBOLS", 1024), \
-            mock.patch.object(np.random, "default_rng",
-                              lambda seed: _FailingRng(default_rng(seed), fail_at, calls)), \
-            pytest.raises(FloatingPointError, match="draw failed"):
-        run_link(ExperimentConfig(channel=AwgnChannel(6.0), frames=30, master_seed=5))
-    assert calls == [2 * 1024] * (fail_at + 1)
-
-
-@pytest.mark.parametrize("chan", [AwgnChannel(math.inf), BscChannel(1e-3)])
+@pytest.mark.parametrize("chan", [AwgnChannel(math.inf), AwgnChannel(40.0), DistanceChannel(1.0)])
 def test_noiseless_runs_draw_no_noise(chan):
+    """At sigma = 0, and where the rate of large noise samples underflows to 0,
+    the channel flips nothing and draws nothing: the payload and junk bits
+    are the only draws of the run."""
     default_rng, calls = np.random.default_rng, []
     with mock.patch.object(np.random, "default_rng",
-                           lambda seed: _FailingRng(default_rng(seed), 0, calls)):
-        run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
-    assert calls == []
+                           lambda seed: _LoggingRng(default_rng(seed), calls)):
+        rep = run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
+    assert calls == ["integers", "integers"]
+    assert rep.raw_errors == 0
 
 
 def test_concurrent_runs_match_serial():
     """Four runs on their own threads, with a switch interval short enough to
-    interleave them block by block, give the serial results."""
+    interleave them gap chunk by gap chunk, give the serial results."""
     cfgs = [ExperimentConfig(channel=AwgnChannel(5.0 + i), frames=20, master_seed=i)
             for i in range(4)]
     want = [run_link(c) for c in cfgs]
@@ -395,7 +324,7 @@ def test_concurrent_runs_match_serial():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(harness, "_BLOCK_SYMBOLS", 512):
+        with mock.patch.object(channel, "_GAP_CHUNK", 64):
             threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
             for t in threads:
                 t.start()
@@ -428,8 +357,8 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
             ebn0_db, rate = channel.snr_at_distance(cfg.channel.budget, cfg.channel.distance_m), 1.0
         else:
             ebn0_db, rate = cfg.channel.ebn0_db, 1.0 if cfg.uncoded else kind.code_rate
-        rx_bits = reference_demodulate(tx_bits, channel.noise_sigma(ebn0_db, rate),
-                                       np.random.default_rng(chan_ss))
+        rx_bits = channel.dbpsk(tx_bits, channel.noise_sigma(ebn0_db, rate),
+                                int(chan_ss.generate_state(1, np.uint64)[0]))
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
