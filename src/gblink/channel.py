@@ -6,8 +6,8 @@ SNR bookkeeping convention (the one place it is defined):
   * `noise_sigma(ebn0_db, code_rate)` interprets `ebn0_db` as energy per
     *information* bit over N0 and converts through `code_rate` (information
     bits per channel bit): per-quadrature noise variance sigma^2 =
-    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` and
-    `dbpsk` take that sigma.
+    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn`,
+    `dbpsk` and `dbpsk_flips` take that sigma.
   * `snr_at_distance` returns the ratio referenced to *channel* bits at the
     serial rate CHANNEL_RATE_BPS (875 Mbps, one bit per symbol, so it equals
     Es/N0).  Feed it to `noise_sigma` with code_rate=1, or subtract
@@ -15,12 +15,14 @@ SNR bookkeeping convention (the one place it is defined):
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples, symbol i's noise from standard normals 2i
-and 2i + 1.  `dbpsk` gives the bits that the product detector decides from
-such samples, exact in distribution, without drawing most of them.
+and 2i + 1.  `dbpsk_flips` yields the sorted positions where the product
+detector errs on such samples, exact in distribution, without drawing most
+of them, and `bsc_flips` a BSC's; `dbpsk` and `bsc` apply them to bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,18 +110,29 @@ def _gap_ends(size: int, q: float, rng: np.random.Generator):
             yield ends[:k]
 
 
-def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Flip each bit independently with probability p: with q = min(p, 1 - p),
-    the `_gap_ends` events of default_rng(seed) flip (p <= 1/2) or stay."""
+def bsc_flips(size: int, p: float, seed: int):
+    """Yield the sorted positions in [0, size) that a BSC(p) flips: the `_gap_ends`
+    events of default_rng(seed) at q = min(p, 1 - p), for p > 1/2 their complement."""
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
-    out = np.array(bits, dtype=np.uint8)
-    if p > 0.5:
-        out ^= 1
     q = min(p, 1.0 - p)
-    if q > 0:
-        for ends in _gap_ends(out.size, q, np.random.default_rng(seed)):
-            out[ends] ^= 1
+    events = _gap_ends(size, q, np.random.default_rng(seed)) if q > 0 else iter(())
+    if p <= 0.5:
+        yield from events
+        return
+    start = 0
+    for ends in itertools.chain(events, [np.array([size])]):
+        for a in range(start, min(ends[-1] + 1, size), _GAP_CHUNK):
+            span = np.arange(a, min(a + _GAP_CHUNK, ends[-1] + 1, size))
+            yield np.delete(span, ends[np.searchsorted(ends, a): np.searchsorted(ends, span[-1] + 1)] - a)
+        start = ends[-1] + 1
+
+
+def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
+    """Flip each bit independently with probability p, at the `bsc_flips` positions."""
+    out = np.array(bits, dtype=np.uint8)
+    for flips in bsc_flips(out.size, p, seed):
+        out[flips] ^= 1
     return out
 
 
@@ -138,10 +151,10 @@ def _wrong(a, b):
     return ((1 + a) * np.conj(1 + b)).real < 0
 
 
-def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """The bits a DBPSK product detector decides from complex AWGN of
-    per-quadrature deviation sigma: bit k flips iff `_wrong(n_k, n_{k-1})`,
-    n_{-1} = 0 being the noiseless +1 reference, whatever the data.
+def dbpsk_flips(size: int, sigma: float, seed: int):
+    """Yield the sorted positions in [0, size) where a DBPSK product detector
+    errs on complex AWGN of per-quadrature deviation sigma: bit k flips iff
+    `_wrong(n_k, n_{k-1})`, n_{-1} = 0 being the noiseless +1 reference.
 
     Only "large" noise, |n|^2 > _R0_SQ, turns a decision.  Its samples are the
     `_gap_ends` events (rate exp(-_R0_SQ / 2 sigma^2)) of the first child of
@@ -151,25 +164,31 @@ def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
-    out = np.array(bits, dtype=np.uint8)
     scale = 2.0 * sigma * sigma  # the mean of |n|^2
     p_large = math.exp(-_R0_SQ / scale) if scale else 0.0
     if p_large == 0.0:
-        return out
+        return
     gap_ss, value_ss = np.random.SeedSequence(seed).spawn(2)
     values = np.random.default_rng(value_ss)
     pos, last, last_right = -1, 0j, 0j  # the last large sample, its noise, its right neighbour
-    for ends in _gap_ends(out.size, p_large, np.random.default_rng(gap_ss)):
+    for ends in _gap_ends(size, p_large, np.random.default_rng(gap_ss)):
         big, left, right = _noise_draws(values.random((ends.size, 6)), scale).T
         gaps = np.diff(ends, prepend=pos)
         prev = np.r_[last, big[:-1]]
-        out[ends[_wrong(big, np.where(gaps == 1, prev, left))]] ^= 1
-        # decision j' + 1 of the previous large j', where that is not j
+        # decision j' + 1 of the previous large j', where that is not j, then decision j
         after = (gaps > 1) & _wrong(np.where(gaps == 2, left, np.r_[last_right, right[:-1]]), prev)
-        out[ends[after] - gaps[after] + 1] ^= 1
+        wrong = np.stack([after, _wrong(big, np.where(gaps == 1, prev, left))], axis=1)
+        yield np.stack([ends - gaps + 1, ends], axis=1)[wrong]
         pos, last, last_right = ends[-1], big[-1], right[-1]
-    if pos + 1 < out.size and _wrong(last_right, last):
-        out[pos + 1] ^= 1
+    if pos + 1 < size and _wrong(last_right, last):
+        yield np.array([pos + 1])
+
+
+def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """The bits a DBPSK product detector decides: `bits` flipped at the `dbpsk_flips` positions."""
+    out = np.array(bits, dtype=np.uint8)
+    for flips in dbpsk_flips(out.size, sigma, seed):
+        out[flips] ^= 1
     return out
 
 

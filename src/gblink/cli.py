@@ -94,6 +94,7 @@ _FIFO_OPTIONS = {
     "latency": ("resume_latency_cycles", "stop-signal turnaround in write cycles"),
 }
 _MAX_CYCLES = 1e11  # minutes in the slowest FIFO regime; whole counts up to it are exact floats
+_MAX_FRAMES = 250_000  # a run peaks at ~2 kB a P32 frame and ~3.7 kB a P64 one: under 1 GB
 _KINDS = tuple(tag.lower() for tag in FRAME_KINDS)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -118,8 +119,8 @@ def _add_link_options(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--distance", type=float, default=10.0,
                    help="Tx-Rx distance in m for the distance channel (default %(default)g)")
     p.add_argument("--frames", type=int,
-                   help="frames per run; default auto-sizes for ~100 expected raw error "
-                        f"events at the operating point, capped at {harness.FRAMES_CAP}")
+                   help=f"frames per run, at most {_MAX_FRAMES}; default auto-sizes for ~100 expected "
+                        f"raw error events at the operating point, capped at {harness.FRAMES_CAP}")
     p.add_argument("--gamma", type=int, help="sync threshold (default per frame kind)")
     p.add_argument("--seed", type=int, help="master seed; required for every run")
     p.add_argument("--uncoded", action="store_true",
@@ -143,6 +144,8 @@ def _experiment_config(args: argparse.Namespace) -> tuple[harness.ExperimentConf
     frames = args.frames
     if frames is None:
         frames = harness.frames_for_target_errors(chan, kind, args.uncoded)
+    if frames > _MAX_FRAMES:
+        raise ValueError(f"--frames must be at most {_MAX_FRAMES}, got {frames}")
     return harness.ExperimentConfig(
         channel=chan, frames=frames, master_seed=args.seed, frame_kind=kind, gamma=args.gamma,
         uncoded=args.uncoded, bit_offset=args.bit_offset), param

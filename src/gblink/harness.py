@@ -8,25 +8,24 @@ and sweep point i runs with the first state word of
 therefore produce byte-identical CSV, and sweep points may execute in any
 order or in parallel.
 
-Accounting: frame positions are known out-of-band, so synchronizer output is
-*compared* against the truth rather than trusted.  Raw errors are demodulated
-channel bits vs. transmitted channel bits over the frame spans.  Frames at
-located sync starts are decoded in one `framing.parse_frames` batch.  Frames
-that miss sync or hold any uncorrectable codeword deliver their uncorrected
-(pass-through) payload, count none of their corrections and count as frame
-errors; the pass-through keeps coded vs. raw comparable in any noise regime.
-Coded errors are one popcount of delivered XOR true payload bytes.
+Accounting: the receiver works in the error domain.  The channel's sorted
+flip positions are XORed into the packed Tx stream, and the synchronizer's
+output on it is *compared* against the out-of-band truth.  Raw errors are
+the flips inside the frame spans.  The scrambler is an XOR and RS syndromes
+are linear, so decoding the error bytes of a codeword gives the same ok and
+corrections as decoding the received one, and the residual errors of its
+message; only codewords that hold a flip are decoded.  Frames that miss sync
+or hold any uncorrectable codeword deliver their pass-through message bytes,
+count none of their corrections and count as frame errors.  Coded errors are
+the popcount of the delivered residuals.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
-`DistanceChannel` produces a per-channel-bit ratio from the link budget and
-feeds it straight in at rate 1; `noise_point` is that mapping, for runs and
-for frame-count sizing alike.  Both become a noise deviation through
-`channel.noise_sigma`, and `channel.dbpsk` draws the product detector's
-decision errors: the channel bits are exact in distribution, and everything
-from them up is bit-exact.  A noiseless channel draws nothing.
-`BscChannel` flips the channel bits directly through `channel.bsc`, which
-draws the gaps between flips, bypassing the modem.
+`DistanceChannel` gives a per-channel-bit ratio from the link budget at rate
+1; `noise_point` is that mapping, for runs and frame-count sizing alike.
+`channel.dbpsk_flips` draws the product detector's decision errors at the
+`channel.noise_sigma` deviation, exact in distribution (none if noiseless);
+`BscChannel` flips bits through `channel.bsc_flips`, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed, a fractional frame count) when constructed.
 """
@@ -151,50 +150,58 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     """Run one seeded link experiment and account errors against ground truth."""
     kind = cfg.frame_kind
     synchronizer = FrameSynchronizer(kind, kind.default_gamma if cfg.gamma is None else cfg.gamma)
-    frame_bits = kind.frame_bits
+    frame_bits, ncw, lo = kind.frame_bits, kind.codewords_per_frame, cfg.bit_offset
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    payload_rng = np.random.default_rng(payload_ss)
-    payloads = payload_rng.integers(0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
-    frame_stream = np.unpackbits(framing.build_frames(payloads, kind).reshape(-1))
-
-    junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
-    # a trailing preamble stands in for the next frame of the continuous
-    # transmission, giving the last frame its bank-2 window
-    tx_bits = np.concatenate([junk, frame_stream, framing.gen_preamble(kind)])
+    tx_frames = framing.build_frames(np.random.default_rng(payload_ss).integers(
+        0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8), kind)
+    junk = np.packbits(np.r_[np.zeros(8 - lo, int), np.random.default_rng(junk_ss).integers(0, 2, lo)])
+    # the junk bits, the frames and a trailing preamble (the next frame's: the last frame's
+    # bank-2 window), shifted out of the junk byte's leading zeros and packed as by `sync.pack`
+    stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
+                             np.zeros(9, np.uint8)])
+    packed = (stream[:-1] << (8 - lo)) | (stream[1:] >> lo)
+    nbits = lo + 8 * (tx_frames.size + kind.preamble_bytes)
 
     seed = int(chan_ss.generate_state(1, np.uint64)[0])
     if isinstance(cfg.channel, BscChannel):
-        rx_bits = channel_mod.bsc(tx_bits, cfg.channel.p, seed)
+        chunks = channel_mod.bsc_flips(nbits, cfg.channel.p, seed)
     else:
         sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
-        rx_bits = channel_mod.dbpsk(tx_bits, sigma, seed)
-
-    lo = cfg.bit_offset
-    hi = lo + cfg.frames * frame_bits
-    raw_errors = int(np.count_nonzero(rx_bits[lo:hi] != tx_bits[lo:hi]))
-
-    located, sync_losses = synchronizer.locate_frames(rx_bits)
+        chunks = channel_mod.dbpsk_flips(nbits, sigma, seed)
+    # a chunk of flips at a time, which bounds the temporaries at any error rate: XOR them
+    # in, count those in the frame spans and keep the error bytes of the frames' codewords
+    errors = np.zeros((cfg.frames, ncw * rs.BLOCK_BYTES), dtype=np.uint8)
+    raw_errors = 0
+    for flips in chunks:
+        np.bitwise_xor.at(packed, flips >> 3, (128 >> (flips & 7)).astype(np.uint8))
+        first, last = np.searchsorted(flips, [lo, lo + cfg.frames * frame_bits])
+        raw_errors += int(last - first)
+        frame, bit = np.divmod(flips[first:last] - lo - kind.preamble_bits, frame_bits)
+        hit = bit < 8 * rs.BLOCK_BYTES * ncw  # not in a preamble or a dummy byte
+        np.bitwise_xor.at(errors, (frame[hit], bit[hit] >> 3), (128 >> (bit[hit] & 7)).astype(np.uint8))
+    located, sync_losses = synchronizer.locate_frames(packed, nbits)
     found = np.isin(lo + frame_bits * np.arange(cfg.frames), located)
 
-    # frames that miss sync deliver their pass-through payload; parse_frames
-    # gives the pass-through for frames that fail RS decoding
-    rx_frames = np.packbits(rx_bits[lo:hi]).reshape(cfg.frames, kind.frame_bytes)
-    delivered = np.empty_like(payloads)
-    parsed, corrected, ok = framing.parse_frames(rx_frames[found], kind)
-    delivered[found] = parsed
-    missed = framing.frame_codewords(rx_frames[~found], kind)[:, : rs.MESSAGE_BYTES]
-    delivered[~found] = missed.reshape(-1, kind.payload_bytes)
+    # only the codewords of located frames that hold a flip need decoding;
+    # delivered frames carry their decoder's residual, others their error bytes
+    codewords = errors.reshape(-1, rs.BLOCK_BYTES)
+    decode = np.flatnonzero(np.repeat(found, ncw) & codewords.any(axis=1))
+    residual, corrected, ok = rs.decode_blocks(codewords[decode])
+    delivered = found.copy()
+    delivered[decode[~ok] // ncw] = False
+    good = delivered[decode // ncw]
+    passed = codewords[np.repeat(~delivered, ncw), : rs.MESSAGE_BYTES]
 
     report = LinkReport(
         raw_errors=raw_errors,
         raw_bits=cfg.frames * frame_bits,
-        coded_errors=int(np.bitwise_count(delivered ^ payloads).sum(dtype=np.int64)),
+        coded_errors=int(np.bitwise_count(passed).sum() + np.bitwise_count(residual[good]).sum()),
         coded_bits=cfg.frames * kind.payload_bytes * 8,
-        frame_errors=cfg.frames - int(ok.sum()),
+        frame_errors=cfg.frames - int(delivered.sum()),
         frames=cfg.frames,
         sync_losses=sync_losses,
-        corrected_bytes_total=int(corrected.sum()),
+        corrected_bytes_total=int(corrected[good].sum()),
     )
     report.validate()
     return report

@@ -68,8 +68,10 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-_ROWS = 256  # rows per step of the table kernels: temporaries under 1.6 MB
-_FIX_ROWS = 4 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
+# rows per step of the table kernels: temporaries under 0.8 MB (at 256 rows, a 400-frame
+# encode page-faulted its 1 MB of temporaries back in on every call)
+_ROWS = 128
+_FIX_ROWS = 8 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
 
 
 def _gf256_table(coeffs: np.ndarray) -> np.ndarray:

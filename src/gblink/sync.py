@@ -6,7 +6,8 @@ within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
 P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Acquisition and flywheel
-tracking count with one kernel, `match_counts`, on a stream packed once.
+tracking count with one kernel, `match_counts`, on a stream packed by `pack`;
+acquisition scans one frame of positions, doubling up to _SCAN_CHUNK_BITS.
 
 The correlation metric is the match count (Hamming similarity), in [0, N]:
 the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
@@ -88,21 +89,21 @@ class FrameSynchronizer:
         self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
         self._preamble = gen_preamble(kind)
 
-    def locate_frames(self, bits: np.ndarray) -> tuple[list[int], int]:
-        """Returns (frame start bit positions, sync loss count)."""
-        packed, nbits = pack(bits), np.size(bits)
+    def locate_frames(self, packed: np.ndarray, nbits: int) -> tuple[list[int], int]:
+        """(frame start bit positions, sync loss count) in nbits bits packed by `pack`."""
         pre, gamma, frame_bits = self._preamble, self.gamma, self.kind.frame_bits
         # byte-major scan over (byte, offset) pairs is a plain scan over bit
         # positions; the last bank-1 position keeps bank 2 inside the stream
         scan_end = nbits - (frame_bits + pre.size) + 1
         starts: list[int] = []
         losses = pos = 0
+        chunk = min(frame_bits, _SCAN_CHUNK_BITS)  # a lock is usually within a frame or two
         while pos < scan_end:
-            hi = min(pos + _SCAN_CHUNK_BITS, scan_end)
+            hi = min(pos + chunk, scan_end)
             ok = match_counts(packed, np.arange(pos, hi + frame_bits), pre) >= gamma
             lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits:])
             if lock.size == 0:
-                pos = hi
+                pos, chunk = hi, min(2 * chunk, _SCAN_CHUNK_BITS)
                 continue
             # the flywheel grid, checked in blocks that double in length so a lock
             # costs what it tracks; blocks overlap by one frame to see edge pairs
@@ -121,7 +122,7 @@ class FrameSynchronizer:
             if double_miss.size == 0:
                 break
             losses += 1
-            pos = end + 1
+            pos, chunk = end + 1, min(frame_bits, _SCAN_CHUNK_BITS)
         return starts, losses
 
 

@@ -406,6 +406,20 @@ def test_fifo_cycles_bounded(cycles, shown, capsys, monkeypatch):
     assert "at most 1e+11" in " ".join(_subparser("fifo").format_help().split())
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_frames_bounded(command, capsys, monkeypatch):
+    """A frame count above the memory bound is refused before any link runs."""
+    def never(*args):
+        raise AssertionError("run_link ran")
+    monkeypatch.setattr(cli.harness, "run_link", never)
+    args = [command, "--channel", "bsc", "--p", "1e-3", "--frames", "99999999999", "--seed", "1"]
+    assert run_cli(args + (["--sweep", "1e-3"] if command == "sweep" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "gblink: error: --frames must be at most 250000, got 99999999999\n"
+    assert captured.out == ""
+    assert "at most 250000" in " ".join(_subparser(command).format_help().split())
+
+
 def test_bad_fifo_clocks_rejected(capsys):
     _assert_clean_error(["fifo", "--read-hz", "inf", "--cycles", "100"], capsys)
     _assert_clean_error(["fifo", "--write-hz", "nan", "--cycles", "100"], capsys)

@@ -5,10 +5,13 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rs_oracle
 from gblink import channel, framing, harness, rs
@@ -16,6 +19,7 @@ from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
                             ExperimentConfig, LinkReport, run_link, sweep)
 from gblink.sync import FrameSynchronizer
+from test_sync import reference_locate_frames
 
 
 def test_noiseless_run_is_perfect():
@@ -337,10 +341,11 @@ def test_concurrent_runs_match_serial():
 
 
 def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
-    """The run rebuilt from public pieces and accounted frame by frame, as
-    the harness did before its batch receive path.  Also returns how many
-    frames were located and how many of those had exactly one codeword fail
-    while another decoded."""
+    """The run rebuilt densely from public pieces: the whole Tx bit stream
+    through `channel.bsc` or `channel.dbpsk`, the per-frame tracker
+    `reference_locate_frames`, and frame-by-frame decoding of the received
+    bits with the RS oracle.  Also returns how many frames were located and
+    how many of those had exactly one codeword fail while another decoded."""
     kind = cfg.frame_kind
     gamma = cfg.gamma if cfg.gamma is not None else kind.default_gamma
     frame_bits = kind.frame_bits
@@ -362,7 +367,7 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
-    located, sync_losses = FrameSynchronizer(kind, gamma).locate_frames(rx_bits)
+    located, sync_losses = reference_locate_frames(rx_bits, FrameSynchronizer(kind, gamma))
     located_set = set(located)
     coded_errors = frame_errors = corrected_total = partial = 0
     seq = kind.scrambler
@@ -427,3 +432,48 @@ def test_single_frame_run():
     # the trailing preamble gives even a single frame its bank-2 window
     rep = run_link(ExperimentConfig(channel=AwgnChannel(math.inf), frames=1, master_seed=6))
     assert rep.frame_errors == 0 and rep.coded_errors == 0
+
+
+@st.composite
+def _link_configs(draw):
+    """BSC at low p, with gamma near n in one branch so that windows miss,
+    sync is lost and false locks occur, BSC at and above 1/2, and AWGN from
+    the waterfall to the clean region."""
+    kind = draw(st.sampled_from([P32, P64]))
+    n = kind.preamble_bits
+    branch = draw(st.sampled_from(["lossy", "bsc", "awgn"]))
+    if branch == "lossy":
+        chan, gamma = BscChannel(draw(st.floats(1e-2, 5e-2))), draw(st.integers(n - 2, n))
+    elif branch == "bsc":
+        p = draw(st.one_of(st.sampled_from([0.0, 2e-3, 5e-3, 0.5, 1.0]),
+                           st.floats(1e-4, 0.05), st.floats(0.5, 1.0)))
+        chan, gamma = BscChannel(p), draw(st.one_of(st.none(), st.integers(n - 6, n)))
+    else:
+        chan, gamma = AwgnChannel(draw(st.floats(2.0, 12.0))), None
+    frames = draw(st.integers(10 if branch == "lossy" else 1, 30))
+    return ExperimentConfig(chan, frames, draw(st.integers(0, 2 ** 32 - 1)),
+                            frame_kind=kind, gamma=gamma, bit_offset=draw(st.integers(0, 7)),
+                            uncoded=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_link_configs())
+def test_run_link_matches_dense_reference(cfg):
+    """The error-domain receiver against the dense one, which shares none of
+    its stream packing, synchronizer or decoder."""
+    assert run_link(cfg) == reference_link(cfg)[0]
+
+
+def test_run_link_memory_per_frame():
+    """The receiver holds the packed stream and the codewords' error bytes,
+    not a byte per channel bit: a 20 000-frame run peaks under 3 kB a frame."""
+    frames = 20_000
+    run_link(ExperimentConfig(AwgnChannel(8.0), 10, 1))  # one-time numpy setup is not a run's
+    tracemalloc.start()
+    try:
+        rep = run_link(ExperimentConfig(AwgnChannel(8.0), frames, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.raw_errors > 0 and rep.frames == frames
+    assert peak < 3000 * frames

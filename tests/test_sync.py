@@ -32,7 +32,7 @@ def build_stream(kind, payload_seed, nframes, prefix_bits=0):
 
 
 def locate(stream, kind, gamma):
-    return FrameSynchronizer(kind, gamma).locate_frames(stream)
+    return FrameSynchronizer(kind, gamma).locate_frames(sync.pack(stream), stream.size)
 
 
 def reference_locate_frames(bits, synchronizer):
@@ -196,7 +196,7 @@ class TestDetect:
 class TestTracking:
     def test_clean_tracking(self):
         stream = build_stream(P32, 7, 20, prefix_bits=3)
-        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
+        starts, losses = locate(stream, P32, 28)
         assert losses == 0
         assert starts == [3 + i * P32.frame_bits for i in range(20)]
 
@@ -204,7 +204,7 @@ class TestTracking:
         stream = build_stream(P32, 8, 10)
         fb = P32.frame_bits
         stream[4 * fb: 4 * fb + 10] ^= 1  # corrupt one preamble beyond gamma
-        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
+        starts, losses = locate(stream, P32, 28)
         assert losses == 0
         assert starts == [i * fb for i in range(10)]
 
@@ -213,7 +213,7 @@ class TestTracking:
         fb = P32.frame_bits
         for i in (4, 5):
             stream[i * fb: i * fb + 12] ^= 1
-        starts, losses = FrameSynchronizer(P32, 28).locate_frames(stream)
+        starts, losses = locate(stream, P32, 28)
         assert losses == 1
         # frame 4 rides the flywheel, frame 5 is lost, 6..9 re-acquired
         assert starts == [i * fb for i in (0, 1, 2, 3, 4, 6, 7, 8, 9)]
@@ -260,7 +260,8 @@ def test_locate_frames_matches_reference(case, first_block, cut):
     bits = bits[: bits.size - cut]
     synchronizer = FrameSynchronizer(kind, gamma)
     with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
-        assert synchronizer.locate_frames(bits) == reference_locate_frames(bits, synchronizer)
+        got = synchronizer.locate_frames(sync.pack(bits), bits.size)
+    assert got == reference_locate_frames(bits, synchronizer)
 
 
 @pytest.mark.parametrize("first_block", [1, 2, 3, 4])
@@ -276,9 +277,68 @@ def test_miss_pair_on_every_block_edge(first_block):
             stream = base.copy()
             for j in (i, i + 1):
                 stream[j * fb: j * fb + 12] ^= 1
-            got = synchronizer.locate_frames(stream)
+            got = synchronizer.locate_frames(sync.pack(stream), stream.size)
             assert got == reference_locate_frames(stream, synchronizer)
             assert got[1] == 1 and i * fb in got[0] and (i + 1) * fb not in got[0]
+
+
+def _chunk_starts(frame_bits, chunk_bits, count):
+    """The first positions of the first `count` acquisition chunks."""
+    starts, pos, chunk = [], 0, min(frame_bits, chunk_bits)
+    for _ in range(count):
+        starts.append(pos)
+        pos, chunk = pos + chunk, min(2 * chunk, chunk_bits)
+    return starts
+
+
+@st.composite
+def _chunk_edge_streams(draw):
+    """A frame stream behind junk whose length puts the first lock on, or a
+    bit beside, an edge of the first, doubled or capped acquisition chunk."""
+    kind = draw(st.sampled_from([P32, P64]))
+    chunk_bits = draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << 15),
+                                st.sampled_from([kind.frame_bits - 1, kind.frame_bits,
+                                                 kind.frame_bits + 1, 1 << 15])))
+    edges = [e for e in _chunk_starts(kind.frame_bits, chunk_bits, 12) if e <= 3 * kind.frame_bits]
+    junk = max(0, draw(st.sampled_from(edges)) + draw(st.integers(-1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clean = np.concatenate([rng.integers(0, 2, junk).astype(np.uint8),
+                            _FRAMES[kind][: draw(st.integers(1, 20)) * kind.frame_bits],
+                            framing.gen_preamble(kind)])
+    bits = channel.bsc(clean, draw(st.sampled_from([0.0, 1e-3, 3e-2])), int(rng.integers(2 ** 32)))
+    return kind, draw(st.integers(kind.preamble_bits - 4, kind.preamble_bits)), bits, chunk_bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_chunk_edge_streams(),
+                 st.tuples(_noisy_streams(), st.integers(256, 1 << 15)).map(lambda c: (*c[0], c[1]))))
+def test_acquisition_chunks_match_reference(case):
+    """Any acquisition chunk cap gives the starts and losses of the per-frame
+    tracker: locks on and beside the edges of the first chunk, the doubled
+    ones and the capped ones, and re-acquisitions after a loss.  (Noisy
+    streams, which may scan every position, get caps of 256 bits up.)"""
+    kind, gamma, bits, chunk_bits = case
+    synchronizer = FrameSynchronizer(kind, gamma)
+    with mock.patch.object(sync, "_SCAN_CHUNK_BITS", chunk_bits):
+        got = synchronizer.locate_frames(sync.pack(bits), bits.size)
+    assert got == reference_locate_frames(bits, synchronizer)
+
+
+def test_acquisition_scans_about_one_frame_on_a_clean_stream():
+    """A lock within the first frame costs one acquisition chunk, a frame of
+    bank-1 positions and their bank-2 partners: under 3 frames of positions."""
+    stream = np.concatenate([build_stream(P32, 22, 400, prefix_bits=3), framing.gen_preamble(P32)])
+    scanned, kernel = [], sync.match_counts
+
+    def counting(packed, starts, preamble):
+        if starts.size > 1 and (np.diff(starts) == 1).all():  # tracking steps by a frame
+            scanned.append(starts.size)
+        return kernel(packed, starts, preamble)
+
+    with mock.patch.object(sync, "match_counts", counting):
+        starts, losses = locate(stream, P32, 28)
+    assert losses == 0 and starts == [3 + i * P32.frame_bits for i in range(400)]
+    assert 0 < sum(scanned) < 3 * P32.frame_bits
 
 
 class TestPfalse:
