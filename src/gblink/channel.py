@@ -15,14 +15,13 @@ SNR bookkeeping convention (the one place it is defined):
 
 The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples, symbol i's noise from standard normals 2i
-and 2i + 1.  `dbpsk_flips` yields the sorted positions where the product
-detector errs on such samples, exact in distribution, without drawing most
-of them, and `bsc_flips` a BSC's; `dbpsk` and `bsc` apply them to bits.
+and 2i + 1.  `bsc_flips`, the one Bernoulli event generator, yields a BSC's
+sorted flips; `dbpsk_flips` places the samples that can turn a decision with it
+and yields the product detector's errors; `dbpsk` and `bsc` apply them to bits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +56,9 @@ class LinkBudget:
 
 
 def _db_to_ratio(db: float) -> float:
-    """10^(db/10); a ratio past the float range is +inf, as for db = +inf."""
+    """10^(db/10) of an Eb/N0; a ratio past the float range is +inf, as for db = +inf."""
+    if math.isnan(db):
+        raise ValueError(f"Eb/N0 must be a number of dB, got {db}")
     try:
         return 10 ** (db / 10)
     except OverflowError:
@@ -91,41 +92,33 @@ def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def _gap_ends(size: int, q: float, rng: np.random.Generator):
-    """Yield, chunk by chunk, the sorted positions in [0, size) of Bernoulli(q)
-    events, 0 < q <= 1: cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1 for the
-    uniforms u of rng.random, drawn at most _GAP_CHUNK at a time, which bounds
-    the temporaries and does not change the values.  No chunk is empty."""
-    log_keep = math.log1p(-q) if q < 1 else -math.inf
+def bsc_flips(size: int, p: float, seed: int | np.random.SeedSequence):
+    """Yield, chunk by chunk, the sorted positions in [0, size) that a BSC(p)
+    flips: cumsum(1 + floor(log1p(-u) / log1p(-p))) - 1 for the uniforms u of
+    default_rng(seed), drawn at most _GAP_CHUNK at a time, which bounds the
+    temporaries and does not change the values.  The cost is in proportion to
+    p * size; p = 0 yields nothing and p = 1 every position, neither drawing
+    anything.  No chunk is empty."""
+    if not 0 <= p <= 1:
+        raise ValueError("p must be in [0, 1]")
+    if p == 0:
+        return
+    if p == 1:
+        for a in range(0, size, _GAP_CHUNK):
+            yield np.arange(a, min(a + _GAP_CHUNK, size))
+        return
+    rng, log_keep = np.random.default_rng(seed), math.log1p(-p)
     last = -1  # where the last gap ended
     while last < size - 1:
         left = size - 1 - last  # a draw sized to the gaps left usually ends the loop
-        g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * q + 4 * math.sqrt(left * q)) + 16)))
-        with np.errstate(over="ignore"):  # divide: an underflowing q gives +inf, never NaN
+        g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * p + 4 * math.sqrt(left * p)) + 16)))
+        with np.errstate(over="ignore"):  # divide: an underflowing p gives +inf, never NaN
             g /= log_keep
         np.minimum(g, left, out=g)  # any gap past the end will do; keeps the cast in range
         ends = np.cumsum(g.astype(np.int64) + 1) + last
         last, k = ends[-1], np.searchsorted(ends, size)
         if k:
             yield ends[:k]
-
-
-def bsc_flips(size: int, p: float, seed: int):
-    """Yield the sorted positions in [0, size) that a BSC(p) flips: the `_gap_ends`
-    events of default_rng(seed) at q = min(p, 1 - p), for p > 1/2 their complement."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    q = min(p, 1.0 - p)
-    events = _gap_ends(size, q, np.random.default_rng(seed)) if q > 0 else iter(())
-    if p <= 0.5:
-        yield from events
-        return
-    start = 0
-    for ends in itertools.chain(events, [np.array([size])]):
-        for a in range(start, min(ends[-1] + 1, size), _GAP_CHUNK):
-            span = np.arange(a, min(a + _GAP_CHUNK, ends[-1] + 1, size))
-            yield np.delete(span, ends[np.searchsorted(ends, a): np.searchsorted(ends, span[-1] + 1)] - a)
-        start = ends[-1] + 1
 
 
 def bsc(bits: np.ndarray, p: float, seed: int) -> np.ndarray:
@@ -157,7 +150,7 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     `_wrong(n_k, n_{k-1})`, n_{-1} = 0 being the noiseless +1 reference.
 
     Only "large" noise, |n|^2 > _R0_SQ, turns a decision.  Its samples are the
-    `_gap_ends` events (rate exp(-_R0_SQ / 2 sigma^2)) of the first child of
+    flips of a BSC(exp(-_R0_SQ / 2 sigma^2)), `bsc_flips` of the first child of
     SeedSequence(seed), each with a row of the second child's uniforms for
     `_noise_draws`: its noise and its small neighbours' (at gap 2, one shared).
     Only decisions j and j + 1 of each large j are made, so the cost is per large j.
@@ -171,7 +164,7 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     gap_ss, value_ss = np.random.SeedSequence(seed).spawn(2)
     values = np.random.default_rng(value_ss)
     pos, last, last_right = -1, 0j, 0j  # the last large sample, its noise, its right neighbour
-    for ends in _gap_ends(size, p_large, np.random.default_rng(gap_ss)):
+    for ends in bsc_flips(size, p_large, gap_ss):
         big, left, right = _noise_draws(values.random((ends.size, 6)), scale).T
         gaps = np.diff(ends, prepend=pos)
         prev = np.r_[last, big[:-1]]
@@ -199,8 +192,8 @@ def dbpsk_ber_theory(ebn0_db: float) -> float:
 
 def snr_at_distance(budget: LinkBudget, distance_m: float) -> float:
     """Free-space Eb/N0 (dB, referenced to channel bits) at a Tx-Rx distance."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
+    if not 0 < distance_m < math.inf:
+        raise ValueError(f"distance must be positive and finite, got {distance_m}")
     wavelength = SPEED_OF_LIGHT / budget.carrier_hz
     path_loss = 20 * math.log10(4 * math.pi * distance_m / wavelength)
     rx_dbm = (budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi

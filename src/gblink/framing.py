@@ -129,17 +129,6 @@ def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
     return frames
 
 
-def frame_codewords(frames: np.ndarray, kind: FrameKind) -> np.ndarray:
-    """Descramble (F, frame_bytes) frames into their (F * codewords, 255)
-    received codewords, the inverse of the body assembly in build_frames;
-    columns [0, 239) hold the uncorrected (pass-through) message bytes."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
-    if frames.shape[1] != kind.frame_bytes:
-        raise ValueError(f"frames must have {kind.frame_bytes} columns, got {frames.shape[1]}")
-    body = scramble(frames[:, kind.preamble_bytes:], kind.scrambler)
-    return body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES].reshape(-1, rs.BLOCK_BYTES)
-
-
 def parse_frames(frames: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descramble and RS-decode byte-aligned frames.
 
@@ -149,9 +138,13 @@ def parse_frames(frames: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, np.nd
     row is the uncorrected message bytes of every codeword.  Preamble content
     is the synchronizer's business and is not re-checked here.
     """
-    codewords = frame_codewords(frames, kind)
-    messages, corrected, ok = rs.decode_blocks(codewords)
+    frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
+    if frames.shape[1] != kind.frame_bytes:
+        raise ValueError(f"frames must have {kind.frame_bytes} columns, got {frames.shape[1]}")
     ncw = kind.codewords_per_frame
+    body = scramble(frames[:, kind.preamble_bytes:], kind.scrambler)
+    codewords = body[:, : ncw * rs.BLOCK_BYTES].reshape(-1, rs.BLOCK_BYTES)
+    messages, corrected, ok = rs.decode_blocks(codewords)
     ok = ok.reshape(-1, ncw).all(axis=1)
     failed = np.repeat(~ok, ncw)
     messages[failed] = codewords[failed, : rs.MESSAGE_BYTES]

@@ -72,8 +72,7 @@ class DistanceChannel:
     budget: channel_mod.LinkBudget = field(default_factory=channel_mod.LinkBudget)
 
     def __post_init__(self):
-        if not 0 < self.distance_m < math.inf:
-            raise ValueError(f"distance must be positive and finite, got {self.distance_m}")
+        channel_mod.snr_at_distance(self.budget, self.distance_m)  # the one check of 0 < d < inf
 
 
 Channel = AwgnChannel | BscChannel | DistanceChannel
@@ -224,7 +223,7 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
     follows the value list."""
     if not values:
         raise ValueError("a sweep needs at least one value")
-    if jobs < 1:
+    if _integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if param not in ("channel", "gamma"):
         raise ValueError(f"unknown sweep parameter {param!r}")

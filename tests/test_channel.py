@@ -34,6 +34,10 @@ class TestAwgn:
             with pytest.raises(ValueError, match=f"Eb/N0 of {ebn0_db} dB"):
                 channel.noise_sigma(ebn0_db, 1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="Eb/N0 must be a number"):
+            channel.noise_sigma(math.nan, 1.0)
+
     def test_noise_variance_per_quadrature(self):
         sigma2 = 1 / (2 * 1.0 * 10 ** 0.5)
         out = channel.awgn(np.ones(1_000_000), channel.noise_sigma(5.0, 1.0), rng(99))
@@ -78,15 +82,14 @@ class TestAwgn:
 
 
 def gap_layout(bits, p, seed):
-    """Reference BSC: the bits at cumsum(1 + floor(log1p(-u) / log1p(-q))) - 1,
-    for the seed's uniforms u and q = min(p, 1 - p), flip if p <= 1/2 and stay
-    if p > 1/2.  Every gap is at least 1, so bits.size + 1 uniforms reach the end."""
-    q = min(p, 1 - p)
+    """Reference BSC: the bits at cumsum(1 + floor(log1p(-u) / log1p(-p))) - 1
+    flip, for the seed's uniforms u.  Every gap is at least 1, so bits.size + 1
+    uniforms reach the end."""
     u = rng(seed).random(bits.size + 1)
-    ends = np.cumsum(1 + np.floor(np.log1p(-u) / math.log1p(-q))) - 1
-    minority = np.zeros(bits.size, bool)
-    minority[ends[ends < bits.size].astype(np.int64)] = True
-    return bits ^ (minority if p <= 0.5 else ~minority)
+    ends = np.cumsum(1 + np.floor(np.log1p(-u) / math.log1p(-p))) - 1
+    flips = np.zeros(bits.size, bool)
+    flips[ends[ends < bits.size].astype(np.int64)] = True
+    return bits ^ flips
 
 
 class TestBsc:
@@ -113,6 +116,13 @@ class TestBsc:
         flips = int(channel.bsc(bits, p, 123).sum())
         se = math.sqrt(n * p * (1 - p))
         assert abs(flips - n * p) <= 3 * se
+
+    @pytest.mark.parametrize("p", [0.7, 0.999])
+    def test_flip_count_above_one_half(self, p):
+        """Stream-independent: the flip count is n p within 3 SE."""
+        n = 1 << 20
+        flips = sum(f.size for f in channel.bsc_flips(n, p, 11))
+        assert abs(flips - n * p) <= 3 * math.sqrt(n * p * (1 - p))
 
     def test_deterministic(self):
         bits = np.zeros(10_000, np.uint8)
@@ -183,6 +193,10 @@ class TestDbpskTheory:
         assert channel.dbpsk_ber_theory(-100.0) == pytest.approx(0.5, rel=1e-3)
         assert channel.dbpsk_ber_theory(4000.0) == channel.dbpsk_ber_theory(math.inf) == 0.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="Eb/N0 must be a number"):
+            channel.dbpsk_ber_theory(math.nan)
+
 
 class TestLinkBudget:
     def test_hand_calculation_at_30m(self):
@@ -220,9 +234,13 @@ class TestLinkBudget:
         assert channel.snr_at_distance(LinkBudget(tx_power_dbm=3.0), 10.0) - base == pytest.approx(3.0)
         assert channel.snr_at_distance(LinkBudget(rx_gain_dbi=25.4), 10.0) - base == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("distance", [0.0, -1.0, math.nan, math.inf])
+    def test_distance_outside_domain_rejected(self, distance):
+        """The domain of `DistanceChannel`, 0 < d < inf."""
+        with pytest.raises(ValueError, match="distance must be positive and finite"):
+            channel.snr_at_distance(LinkBudget(), distance)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            channel.snr_at_distance(LinkBudget(), 0.0)
         bad = [("tx_power_dbm", math.nan), ("tx_gain_dbi", math.inf),
                ("rx_gain_dbi", -math.inf), ("noise_figure_db", math.nan),
                ("extra_loss_db", math.inf), ("carrier_hz", 0.0), ("carrier_hz", math.inf),

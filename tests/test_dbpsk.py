@@ -161,10 +161,10 @@ def test_flips_are_the_dense_detection_of_the_drawn_noise(esn0_db, chunk):
     """Every decision of the dense product detector over the implied noise,
     after the noiseless reference, matches the sampler's bit for bit."""
     ends, draws = [], []
-    gap_ends, noise_draws = channel._gap_ends, channel._noise_draws
+    bsc_flips, noise_draws = channel.bsc_flips, channel._noise_draws
 
     def record_ends(*args):
-        for e in gap_ends(*args):
+        for e in bsc_flips(*args):
             ends.extend(e.tolist())
             yield e
 
@@ -178,7 +178,7 @@ def test_flips_are_the_dense_detection_of_the_drawn_noise(esn0_db, chunk):
         ends.clear()
         draws.clear()
         with mock.patch.object(channel, "_GAP_CHUNK", chunk), \
-                mock.patch.object(channel, "_gap_ends", record_ends), \
+                mock.patch.object(channel, "bsc_flips", record_ends), \
                 mock.patch.object(channel, "_noise_draws", record_draws):
             errors = channel.dbpsk(bits, sigma_at(esn0_db), seed) ^ bits
         n = 1 + implied_noise(bits.size, ends, draws)

@@ -243,10 +243,11 @@ def test_sweep_requires_values():
         sweep(cfg, (8.0,), "distance")
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2"])
 def test_sweep_rejects_nonpositive_jobs(jobs):
+    """Before any run: a fractional count is not rounded, a bool is not 1."""
     cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=5, master_seed=1)
-    with pytest.raises(ValueError, match=f"got {jobs}"):
+    with pytest.raises(ValueError, match=f"jobs .*got {jobs!r}"):
         sweep(cfg, (1e-3,), jobs=jobs)
 
 
