@@ -194,13 +194,14 @@ def snr_at_distance(budget: LinkBudget, distance_m: float) -> float:
     """Free-space Eb/N0 (dB, referenced to channel bits) at a Tx-Rx distance."""
     if not 0 < distance_m < math.inf:
         raise ValueError(f"distance must be positive and finite, got {distance_m}")
-    wavelength = SPEED_OF_LIGHT / budget.carrier_hz
-    path_loss = 20 * math.log10(4 * math.pi * distance_m / wavelength)
+    ratio = 4 * math.pi * distance_m / (SPEED_OF_LIGHT / budget.carrier_hz)  # 4 pi d / wavelength
+    if ratio == 0:
+        raise ValueError(f"path loss is -inf dB at distance {distance_m} m, carrier {budget.carrier_hz} Hz")
+    path_loss = 20 * math.log10(ratio)
     rx_dbm = (budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
               - path_loss - budget.extra_loss_db)
     noise_floor_dbm = -174.0 + 10 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
-    snr_db = rx_dbm - noise_floor_dbm
-    return snr_db + 10 * math.log10(budget.bandwidth_hz / CHANNEL_RATE_BPS)
+    return rx_dbm - noise_floor_dbm + 10 * math.log10(budget.bandwidth_hz / CHANNEL_RATE_BPS)
 
 
 def rs_residual_ber(p: float) -> float:

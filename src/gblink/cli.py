@@ -192,7 +192,7 @@ def _cmd_fifo(args: argparse.Namespace) -> int:
             fp.write(json.dumps(record, sort_keys=True) + "\n")
         else:
             fp.write(",".join(record) + "\n")
-            fp.write(",".join(str(v) for v in record.values()) + "\n")
+            fp.write(",".join("" if v is None else str(v) for v in record.values()) + "\n")
     return 0
 
 

@@ -8,16 +8,16 @@ and sweep point i runs with the first state word of
 therefore produce byte-identical CSV, and sweep points may execute in any
 order or in parallel.
 
-Accounting: the receiver works in the error domain.  The channel's sorted
-flip positions are XORed into the packed Tx stream, and the synchronizer's
+Accounting: the receiver works in the error domain.  Each chunk of the
+channel's sorted flips is XORed once into one error array shaped like the Tx
+byte stream; the received stream is Tx XOR errors, and the synchronizer's
 output on it is *compared* against the out-of-band truth.  Raw errors are
 the flips inside the frame spans.  The scrambler is an XOR and RS syndromes
-are linear, so decoding the error bytes of a codeword gives the same ok and
-corrections as decoding the received one, and the residual errors of its
-message; only codewords that hold a flip are decoded.  Frames that miss sync
-or hold any uncorrectable codeword deliver their pass-through message bytes,
-count none of their corrections and count as frame errors.  Coded errors are
-the popcount of the delivered residuals.
+are linear, so decoding a codeword's bytes in that array gives the ok,
+corrections and message residual of the received one; only codewords that
+hold a flip are decoded.  Frames that miss sync or hold an uncorrectable
+codeword deliver their pass-through message bytes, count no corrections and
+are frame errors.  Coded errors are the popcount of the delivered residuals.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
@@ -155,11 +155,9 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     tx_frames = framing.build_frames(np.random.default_rng(payload_ss).integers(
         0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8), kind)
     junk = np.packbits(np.r_[np.zeros(8 - lo, int), np.random.default_rng(junk_ss).integers(0, 2, lo)])
-    # the junk bits, the frames and a trailing preamble (the next frame's: the last frame's
-    # bank-2 window), shifted out of the junk byte's leading zeros and packed as by `sync.pack`
+    # junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2 window)
     stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
                              np.zeros(9, np.uint8)])
-    packed = (stream[:-1] << (8 - lo)) | (stream[1:] >> lo)
     nbits = lo + 8 * (tx_frames.size + kind.preamble_bytes)
 
     seed = int(chan_ss.generate_state(1, np.uint64)[0])
@@ -168,29 +166,30 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     else:
         sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
         chunks = channel_mod.dbpsk_flips(nbits, sigma, seed)
-    # a chunk of flips at a time, which bounds the temporaries at any error rate: XOR them
-    # in, count those in the frame spans and keep the error bytes of the frames' codewords
-    errors = np.zeros((cfg.frames, ncw * rs.BLOCK_BYTES), dtype=np.uint8)
+    # a chunk of flips at a time, which bounds the temporaries at any error rate: count those
+    # in the frame spans and XOR them into the stream's errors, flip x at stream bit x + 8 - lo
+    errors = np.zeros_like(stream)
     raw_errors = 0
     for flips in chunks:
-        np.bitwise_xor.at(packed, flips >> 3, (128 >> (flips & 7)).astype(np.uint8))
         first, last = np.searchsorted(flips, [lo, lo + cfg.frames * frame_bits])
         raw_errors += int(last - first)
-        frame, bit = np.divmod(flips[first:last] - lo - kind.preamble_bits, frame_bits)
-        hit = bit < 8 * rs.BLOCK_BYTES * ncw  # not in a preamble or a dummy byte
-        np.bitwise_xor.at(errors, (frame[hit], bit[hit] >> 3), (128 >> (bit[hit] & 7)).astype(np.uint8))
+        flips = flips + (8 - lo)
+        np.bitwise_xor.at(errors, flips >> 3, (128 >> (flips & 7)).astype(np.uint8))
+    stream ^= errors
+    packed = (stream[:-1] << (8 - lo)) | (stream[1:] >> lo)  # as by `sync.pack`
     located, sync_losses = synchronizer.locate_frames(packed, nbits)
     found = np.isin(lo + frame_bits * np.arange(cfg.frames), located)
 
-    # only the codewords of located frames that hold a flip need decoding;
-    # delivered frames carry their decoder's residual, others their error bytes
-    codewords = errors.reshape(-1, rs.BLOCK_BYTES)
-    decode = np.flatnonzero(np.repeat(found, ncw) & codewords.any(axis=1))
-    residual, corrected, ok = rs.decode_blocks(codewords[decode])
+    # decode the codewords of located frames that hold a flip, from a frames x codewords x 255
+    # view of their error bytes; delivered frames carry the residual, others the error bytes
+    codewords = errors[1: 1 + tx_frames.size].reshape(tx_frames.shape)[
+        :, kind.preamble_bytes: kind.frame_bytes - kind.dummy_bytes].reshape(cfg.frames, ncw, -1)
+    frame, cw = np.nonzero(found[:, None] & codewords.any(axis=2))
+    residual, corrected, ok = rs.decode_blocks(codewords[frame, cw])
     delivered = found.copy()
-    delivered[decode[~ok] // ncw] = False
-    good = delivered[decode // ncw]
-    passed = codewords[np.repeat(~delivered, ncw), : rs.MESSAGE_BYTES]
+    delivered[frame[~ok]] = False
+    good = delivered[frame]
+    passed = codewords[~delivered, :, : rs.MESSAGE_BYTES]
 
     report = LinkReport(
         raw_errors=raw_errors,

@@ -240,6 +240,11 @@ class TestLinkBudget:
         with pytest.raises(ValueError, match="distance must be positive and finite"):
             channel.snr_at_distance(LinkBudget(), distance)
 
+    def test_underflowing_path_loss_rejected(self):
+        """4 pi d / wavelength underflows to 0: the free-space loss has no dB value."""
+        with pytest.raises(ValueError, match=r"-inf dB at distance 5e-324 m, carrier 1e-10 Hz"):
+            channel.snr_at_distance(LinkBudget(carrier_hz=1e-10), 5e-324)
+
     def test_validation(self):
         bad = [("tx_power_dbm", math.nan), ("tx_gain_dbi", math.inf),
                ("rx_gain_dbi", -math.inf), ("noise_figure_db", math.nan),

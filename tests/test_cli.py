@@ -139,11 +139,15 @@ def test_fifo_json(tmp_path):
 
 
 def test_fifo_csv(tmp_path):
+    """A run that never primes leaves its after-priming minimum empty."""
     out = tmp_path / "fifo.csv"
-    assert run_cli(["fifo", "--cycles", "5000", "--format", "csv", "--out", str(out)]) == 0
-    header, row = out.read_text().strip().splitlines()
-    assert "max_occupancy" in header.split(",")
-    assert len(header.split(",")) == len(row.split(","))
+    for cycles, unprimed in [("5000", False), ("1", True)]:
+        assert run_cli(["fifo", "--cycles", cycles, "--format", "csv", "--out", str(out)]) == 0
+        header, row = out.read_text().strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert "max_occupancy" in record
+        assert len(header.split(",")) == len(row.split(","))
+        assert (record["min_occupancy_after_priming"] == "") == unprimed
 
 
 def test_fifo_invalid_thresholds(capsys):
@@ -167,6 +171,9 @@ def test_invalid_gamma_exits_nonzero(capsys):
          "seed must be non-negative, got -1"),
         (["fifo", "--seed", "-1", "--cycles", "100"], "seed must be non-negative, got -1"),
         (["sync-table", "--gammas", "5:x"], "--gammas 5:x: expected LO or LO:HI integers"),
+        # 4 pi d / wavelength underflows to 0
+        (["run", "--channel", "distance", "--carrier-hz", "1e-300", "--seed", "1", "--frames", "2"],
+         "path loss is -inf dB at distance 10.0 m, carrier 1e-300 Hz"),
     ]:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
