@@ -473,6 +473,43 @@ def test_run_link_matches_dense_reference(case):
         assert run_link(cfg) == reference_link(cfg)[0]
 
 
+def test_only_codewords_beyond_correction_radius_are_decoded():
+    """In the waterfall nearly every codeword holds a flip, but those with at
+    most 8 error bytes never reach the corrector."""
+    cfg = ExperimentConfig(BscChannel(2e-3), 200, 3, frame_kind=P64, bit_offset=5)
+    with mock.patch.object(rs, "decode_blocks", wraps=rs.decode_blocks) as decode:
+        run_link(cfg)
+    rows = np.concatenate([call.args[0] for call in decode.call_args_list])
+    assert (np.count_nonzero(rows, axis=1) > rs.CORRECTABLE_BYTES).all()
+    # the codewords holding a flip, from the channel's flip positions
+    seed = int(np.random.SeedSequence(cfg.master_seed).spawn(3)[2].generate_state(1, np.uint64)[0])
+    nbits = cfg.bit_offset + 8 * (cfg.frames * P64.frame_bytes + P64.preamble_bytes)
+    byte = (np.concatenate(list(channel.bsc_flips(nbits, cfg.channel.p, seed))) - cfg.bit_offset) // 8
+    frame, body = np.divmod(byte, P64.frame_bytes)
+    body -= P64.preamble_bytes
+    inside = ((frame >= 0) & (frame < cfg.frames) & (body >= 0)
+              & (body < P64.codewords_per_frame * rs.BLOCK_BYTES))
+    flipped = np.unique(frame[inside] * P64.codewords_per_frame + body[inside] // rs.BLOCK_BYTES).size
+    assert flipped > 0.9 * cfg.frames * P64.codewords_per_frame
+    assert 10 * len(rows) < flipped
+
+
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+def test_heavy_codeword_reaches_the_decoder(kind):
+    """`test_crafted_miscorrection`'s pattern, 9 bytes of the unit message's
+    codeword, on frame 0's first codeword: the decoder corrects it by 8 bytes
+    to the unit message, one bit away from the sent one."""
+    g = rs.encode_blocks(np.r_[np.zeros(238, np.uint8), np.uint8(1)][None, :])[0]
+    support = np.flatnonzero(g)[:9]
+    cfg = ExperimentConfig(BscChannel(1e-3), 3, 9, frame_kind=kind, bit_offset=3)
+    bit = np.flatnonzero(np.unpackbits(g[support]))
+    flips = cfg.bit_offset + 8 * (kind.preamble_bytes + support[bit // 8]) + bit % 8
+    with mock.patch.object(channel, "bsc_flips", lambda size, p, seed: iter([flips])):
+        rep = run_link(cfg)
+        assert rep == reference_link(cfg)[0]
+    assert rep.corrected_bytes_total == 8 and rep.coded_errors == 1
+
+
 @pytest.mark.parametrize("chan, kind, bound", [(AwgnChannel(8.0), P32, 3000),
                                                 (BscChannel(2e-3), P64, 3800)],
                          ids=["p32-awgn", "p64-bsc"])
