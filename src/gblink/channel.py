@@ -154,6 +154,7 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     SeedSequence(seed), each with a row of the second child's uniforms for
     `_noise_draws`: its noise and its small neighbours' (at gap 2, one shared).
     Only decisions j and j + 1 of each large j are made, so the cost is per large j.
+    No chunk is empty.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
@@ -167,11 +168,12 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     for ends in bsc_flips(size, p_large, gap_ss):
         big, left, right = _noise_draws(values.random((ends.size, 6)), scale).T
         gaps = np.diff(ends, prepend=pos)
-        prev = np.r_[last, big[:-1]]
+        prev = np.concatenate([[last], big[:-1]])
         # decision j' + 1 of the previous large j', where that is not j, then decision j
-        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, np.r_[last_right, right[:-1]]), prev)
-        wrong = np.stack([after, _wrong(big, np.where(gaps == 1, prev, left))], axis=1)
-        yield np.stack([ends - gaps + 1, ends], axis=1)[wrong]
+        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, np.concatenate([[last_right], right[:-1]])), prev)
+        now = _wrong(big, np.where(gaps == 1, prev, left))
+        if after.any() or now.any():
+            yield np.stack([ends - gaps + 1, ends], axis=1)[np.stack([after, now], axis=1)]
         pos, last, last_right = ends[-1], big[-1], right[-1]
     if pos + 1 < size and _wrong(last_right, last):
         yield np.array([pos + 1])

@@ -19,7 +19,8 @@ is 17, so a codeword with w <= 8 error bytes decodes with w corrections and
 no residual; only those with more go through `rs.decode_blocks`, which fails
 or miscorrects them.  Frames that miss sync or hold an uncorrectable
 codeword deliver their pass-through message bytes, count no corrections and
-are frame errors.  Coded errors are the popcount of the delivered residuals.
+are frame errors, as are miscorrected ones (a nonzero delivered residual).
+Coded errors are the popcount of the delivered residuals.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
@@ -156,7 +157,8 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
     tx_frames = framing.build_frames(np.random.default_rng(payload_ss).integers(
         0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8), kind)
-    junk = np.packbits(np.r_[np.zeros(8 - lo, int), np.random.default_rng(junk_ss).integers(0, 2, lo)])
+    junk = np.random.default_rng(junk_ss).integers(0, 2, lo)
+    junk = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))
     # junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2 window)
     stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
                              np.zeros(9, np.uint8)])
@@ -180,7 +182,9 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     stream ^= errors
     packed = (stream[:-1] << (8 - lo)) | (stream[1:] >> lo)  # as by `sync.pack`
     located, sync_losses = synchronizer.locate_frames(packed, nbits)
-    found = np.isin(lo + frame_bits * np.arange(cfg.frames), located)
+    frame, off = np.divmod(np.asarray(located, dtype=np.int64) - lo, frame_bits)  # starts on the Tx grid
+    found = np.zeros(cfg.frames, dtype=bool)
+    found[frame[(off == 0) & (frame >= 0) & (frame < cfg.frames)]] = True
 
     # a frames x codewords x 255 view of the codewords' error bytes; only located codewords with
     # more than 8 are decoded (see Accounting); delivered frames carry the residual, others the errors
@@ -194,13 +198,15 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     delivered[frame[~ok]] = False
     good = delivered[frame]
     passed = codewords[~delivered, :, : rs.MESSAGE_BYTES]
+    right = delivered.copy()  # delivered frames less the miscorrected, whose payload is wrong
+    right[frame[good & residual.any(axis=1)]] = False
 
     report = LinkReport(
         raw_errors=raw_errors,
         raw_bits=cfg.frames * frame_bits,
         coded_errors=int(np.bitwise_count(passed).sum() + np.bitwise_count(residual[good]).sum()),
         coded_bits=cfg.frames * kind.payload_bytes * 8,
-        frame_errors=cfg.frames - int(delivered.sum()),
+        frame_errors=cfg.frames - int(right.sum()),
         frames=cfg.frames,
         sync_losses=sync_losses,
         corrected_bytes_total=int(weight[delivered].sum()),

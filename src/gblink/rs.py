@@ -13,8 +13,9 @@ Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 (first transmitted byte), matching the shift-register encoder ordering.
 
 Encoding and decoding are batch-first.  Parity, syndromes and the Chien
-search are GF(2^8)-linear maps, each one gather from a per-position product
-table and one XOR reduce (`_gf256_apply`).  Blocks with nonzero syndromes go
+search are GF(2^8)-linear maps, each a row gather from a position-major
+product table (row 256 j + x: byte x at input j) and one XOR reduce over the
+positions (`_gf256_apply`).  Blocks with nonzero syndromes go
 through one corrector, _FIX_ROWS blocks a pass: inversionless Berlekamp-Massey
 (Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders",
 IEEE TVLSI 2001) in 16 fixed steps, the table Chien search, Forney's formula
@@ -68,29 +69,30 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-# rows per step of the table kernels: temporaries under 0.8 MB (at 256 rows, a 400-frame
-# encode page-faulted its 1 MB of temporaries back in on every call)
+# gathered bytes per table-kernel pass: _ROWS rows of 4 kB (a syndrome row gathers 4080 B), 0.5 MB;
+# at 0.75-1 MB a pass, a 400-frame encode page-faulted its temporaries back in on every call
 _ROWS = 128
 _FIX_ROWS = 8 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
 
 
 def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
-    """The per-position table of y_k = sum_j coeffs[j, k] x_j over GF(2^8):
-    word [w, 256 j + x] packs outputs 8w .. 8w + 7 of the products
-    MUL[x, coeffs[j]], zero past the last output."""
+    """The position-major table of y_k = sum_j coeffs[j, k] x_j over GF(2^8):
+    row 256 j + x packs the products MUL[x, coeffs[j]] into words, outputs
+    8w .. 8w + 7 in word w, zero past the last output."""
     n_in, n_out = coeffs.shape
     products = np.zeros((n_in, 256, -(-n_out // 8) * 8), dtype=np.uint8)
     products[..., :n_out] = _MUL[:, coeffs].transpose(1, 0, 2)
-    return np.ascontiguousarray(products.view(np.uint64).reshape(n_in * 256, -1).T)
+    return products.view(np.uint64).reshape(n_in * 256, -1)
 
 
 def _gf256_apply(values: np.ndarray, table: np.ndarray, n_out: int) -> np.ndarray:
-    """The (N, n_out) outputs of a `_gf256_table` map, _ROWS input rows at a time."""
-    offsets = 256 * np.arange(values.shape[1])
-    out = np.empty((values.shape[0], table.shape[0]), dtype=np.uint64)
-    for lo in range(0, values.shape[0], _ROWS):
-        products = np.take(table, values[lo: lo + _ROWS] + offsets, axis=1)  # (words, R, n_in)
-        out[lo: lo + _ROWS] = np.bitwise_xor.reduce(products, axis=2).T
+    """The (N, n_out) outputs of a `_gf256_table` map, a row gather and an XOR reduce a pass."""
+    step = max(1, (_ROWS << 12) // (table.nbytes >> 8))  # table.nbytes >> 8: gathered bytes a row
+    offsets = 256 * np.arange(values.shape[1], dtype=np.uint16)[:, None]
+    out = np.empty((values.shape[0], table.shape[1]), dtype=np.uint64)
+    for lo in range(0, values.shape[0], step):
+        products = np.take(table, values[lo: lo + step].T + offsets, axis=0)  # (n_in, R, words)
+        np.bitwise_xor.reduce(products, axis=0, out=out[lo: lo + step])
     return out.view(np.uint8)[:, :n_out]
 
 

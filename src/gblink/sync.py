@@ -5,9 +5,9 @@ Acquisition uses two banks of 8 match-count correlators, one per bit offset
 within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
-P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  Acquisition and flywheel
-tracking count with one kernel, `match_counts`, on a stream packed by `pack`;
-acquisition scans one frame of positions, doubling up to _SCAN_CHUNK_BITS.
+P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  On a stream packed by
+`pack`, acquisition scans every bit position with `_mismatches` (one frame, then
+doubling up to _SCAN_CHUNK_BITS); tracking gathers one a frame (`match_counts`).
 
 The correlation metric is the match count (Hamming similarity), in [0, N]:
 the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
@@ -27,6 +27,7 @@ from .framing import FrameKind, gen_preamble
 
 _SCAN_CHUNK_BITS = 8 * 4096
 _TRACK_FIRST_FRAMES = 16
+_OFFSETS = np.arange(8, dtype=np.uint64)
 
 
 def _threshold(n: int, gamma, where: str = "") -> int:
@@ -88,6 +89,15 @@ class FrameSynchronizer:
         self.kind = kind
         self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
         self._preamble = gen_preamble(kind)
+        self._word, self._shift = int.from_bytes(kind.preamble, "big"), 64 - kind.preamble_bits
+
+    def _mismatches(self, packed: np.ndarray, a: int, b: int) -> np.ndarray:
+        """n - `match_counts` at each bit start in [a, b), with no gather: the 64-bit words at
+        bytes a >> 3 on, each shifted by all 8 bit offsets and topped up from its ninth byte."""
+        qa, qb = a >> 3, (b + 7) >> 3
+        window = (np.ndarray((qb - qa,), ">u8", packed, offset=qa, strides=(1,))[:, None] << _OFFSETS
+                  | packed[qa + 8: qb + 8, None] >> (8 - _OFFSETS))
+        return np.bitwise_count((window >> self._shift) ^ self._word).ravel()[a - 8 * qa: b - 8 * qa]
 
     def locate_frames(self, packed: np.ndarray, nbits: int) -> tuple[list[int], int]:
         """(frame start bit positions, sync loss count) in nbits bits packed by `pack`."""
@@ -100,7 +110,7 @@ class FrameSynchronizer:
         chunk = min(frame_bits, _SCAN_CHUNK_BITS)  # a lock is usually within a frame or two
         while pos < scan_end:
             hi = min(pos + chunk, scan_end)
-            ok = match_counts(packed, np.arange(pos, hi + frame_bits), pre) >= gamma
+            ok = self._mismatches(packed, pos, hi + frame_bits) <= pre.size - gamma
             lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits:])
             if lock.size == 0:
                 pos, chunk = hi, min(2 * chunk, _SCAN_CHUNK_BITS)

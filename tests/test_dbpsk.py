@@ -205,6 +205,15 @@ def test_gap_chunk_does_not_change_output(case):
         np.testing.assert_array_equal(channel.dbpsk(bits, sigma, seed), expect)
 
 
+@pytest.mark.parametrize("esn0_db", [11.0, 0.0])
+def test_no_chunk_is_empty(esn0_db):
+    """At 11 dB a chunk of 256 large samples seldom turns a decision, and at
+    0 dB every chunk turns many: either way each chunk yielded holds a flip."""
+    with mock.patch.object(channel, "_GAP_CHUNK", 256):
+        chunks = list(channel.dbpsk_flips(1 << 20, sigma_at(esn0_db), 9))
+    assert chunks and all(c.size for c in chunks)
+
+
 def test_deterministic_given_seed():
     bits = np.zeros(100_000, np.uint8)
     sigma = sigma_at(5.0)

@@ -393,6 +393,8 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
         if delivered is None:
             frame_errors += 1
             delivered = _passthrough(rx_frame, kind)
+        elif delivered != payloads[i].tobytes():
+            frame_errors += 1  # miscorrected: delivered, but not what was sent
         coded_errors += int(np.unpackbits(np.frombuffer(delivered, np.uint8) ^ payloads[i]).sum())
     report = LinkReport(
         raw_errors=int(np.count_nonzero(rx_bits[lo:hi] != tx_bits[lo:hi])),
@@ -498,7 +500,8 @@ def test_only_codewords_beyond_correction_radius_are_decoded():
 def test_heavy_codeword_reaches_the_decoder(kind):
     """`test_crafted_miscorrection`'s pattern, 9 bytes of the unit message's
     codeword, on frame 0's first codeword: the decoder corrects it by 8 bytes
-    to the unit message, one bit away from the sent one."""
+    to the unit message, one bit away from the sent one.  That frame is a
+    frame error, and its 8 corrections still count."""
     g = rs.encode_blocks(np.r_[np.zeros(238, np.uint8), np.uint8(1)][None, :])[0]
     support = np.flatnonzero(g)[:9]
     cfg = ExperimentConfig(BscChannel(1e-3), 3, 9, frame_kind=kind, bit_offset=3)
@@ -507,7 +510,7 @@ def test_heavy_codeword_reaches_the_decoder(kind):
     with mock.patch.object(channel, "bsc_flips", lambda size, p, seed: iter([flips])):
         rep = run_link(cfg)
         assert rep == reference_link(cfg)[0]
-    assert rep.corrected_bytes_total == 8 and rep.coded_errors == 1
+    assert rep.corrected_bytes_total == 8 and rep.coded_errors == 1 and rep.frame_errors == 1
 
 
 @pytest.mark.parametrize("chan, kind, bound", [(AwgnChannel(8.0), P32, 3000),

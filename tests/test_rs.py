@@ -3,12 +3,13 @@ carry-less multiplication with polynomial reduction for the field, scalar
 sums of products for the table kernel, plain polynomial long division for the
 encoder parity, and the scalar decoder in `rs_oracle` for the batch decoder.
 
-Batch tests that must cross chunk edges patch `rs._ROWS` (table kernels) and
-`rs._FIX_ROWS` (corrector passes) down, so they stay small whatever the chunk
-sizes.
+Batch tests that must cross chunk edges patch `rs._ROWS` (table kernels, in
+4 kB of gathered table rows a pass) and `rs._FIX_ROWS` (corrector passes)
+down, so they stay small whatever the chunk sizes.
 """
 
 import hashlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -61,7 +62,11 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("name", TABLE_DIGESTS)
 def test_tables_frozen(name):
+    """The three kernel tables are hashed word-major, (words, n_in * 256):
+    the transpose of the position-major layout the kernel reads."""
     table = np.asarray(getattr(rs, name), dtype=np.uint8 if name == "GENERATOR_POLY" else None)
+    if name in ("_PARITY_TABLE", "_SYND_TABLE", "_CHIEN_TABLE"):
+        table = np.ascontiguousarray(table.T)
     data = table.astype(table.dtype.newbyteorder("<")).tobytes()
     assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[name]
 
@@ -133,6 +138,15 @@ def test_table_kernel_matches_scalar_sum(n_in, n_out, rows):
         y = rs._gf256_apply(x, rs._gf256_table(coeffs), n_out)
     assert y.shape == (rows, n_out) and y.dtype == np.uint8
     assert np.array_equal(y, scalar_map(x, coeffs))
+
+
+def test_table_kernel_one_row_a_pass():
+    """At `_ROWS` = 0 a pass takes one row, however narrow the table."""
+    rng = np.random.default_rng(3)
+    coeffs = rng.integers(0, 256, (17, 30), dtype=np.uint8)
+    x = rng.integers(0, 256, (11, 17), dtype=np.uint8)
+    with mock.patch.object(rs, "_ROWS", 0):
+        assert np.array_equal(rs._gf256_apply(x, rs._gf256_table(coeffs), 30), scalar_map(x, coeffs))
 
 
 def _alpha_powers() -> list[int]:
@@ -426,3 +440,25 @@ def test_crafted_miscorrection():
     assert ok[0] and corrected[0] == 8
     assert messages[0].tobytes() == unit != bytes(239)
     assert rs_oracle.rs_decode(received.tobytes()) == (unit, 8)
+
+
+def test_miscorrected_share_beyond_t_under_mceliece_swanson_bound():
+    """200 000 patterns of 9-20 random byte errors, uniform in weight, on the
+    all-zero codeword.  No codeword lies within 8 bytes of both the sent word
+    and such a pattern, so every block the decoder accepts is miscorrected.
+    Their share stays under 1/t! = 2.5e-5 (McEliece & Swanson, IEEE Trans. IT
+    32(5), 1986); about 2.1e-5 of all words lie within 8 bytes of a codeword.
+    A decoder that skipped its Chien root count would accept many more."""
+    rng = np.random.default_rng(1986)
+    n, chunk, most = 200_000, 20_000, 20
+    miscorrected = 0
+    for _ in range(n // chunk):
+        weights = rng.integers(rs.CORRECTABLE_BYTES + 1, most + 1, chunk)
+        positions = rng.random((chunk, rs.BLOCK_BYTES)).argpartition(most, axis=1)[:, :most]
+        keep = np.arange(most) < weights[:, None]
+        blocks = np.zeros((chunk, rs.BLOCK_BYTES), np.uint8)
+        blocks[np.nonzero(keep)[0], positions[keep]] = rng.integers(1, 256, np.count_nonzero(keep))
+        _, corrected, ok = rs.decode_blocks(blocks)
+        assert (corrected[ok] <= rs.CORRECTABLE_BYTES).all()
+        miscorrected += int(ok.sum())
+    assert 0 < miscorrected < n / math.factorial(rs.CORRECTABLE_BYTES)

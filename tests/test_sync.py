@@ -124,6 +124,25 @@ def test_match_counts_matches_sliding_reference(kind, extra, flip, seed, picks):
     assert sync.match_counts(sync.pack(bits), starts, pre).tolist() == expect[starts].tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([P32, P64]), st.integers(0, 400), st.floats(0.0, 0.5),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+def test_acquisition_scan_matches_match_counts(kind, extra, flip, seed, a, length, to_last):
+    """The gather-free acquisition scan over [a, b) against `match_counts` at
+    every start in it, with a and b at every bit offset; `to_last` ends the
+    scan at the stream's last window, where the last bank-2 window sits."""
+    pre = framing.gen_preamble(kind)
+    n = pre.size
+    rng = np.random.default_rng(seed)
+    bits = (np.resize(pre, n + extra) ^ (rng.random(n + extra) < flip)).astype(np.uint8)
+    last = bits.size - n
+    a %= last + 1
+    b = last + 1 if to_last else a + length % (last + 2 - a)
+    packed = sync.pack(bits)
+    scan = FrameSynchronizer(kind, kind.default_gamma)._mismatches(packed, a, b)
+    assert (n - scan.astype(int)).tolist() == sync.match_counts(packed, np.arange(a, b), pre).tolist()
+
+
 class TestDetect:
     """First dual-bank lock, read as the first start locate_frames returns."""
 
@@ -326,16 +345,16 @@ def test_acquisition_chunks_match_reference(case):
 
 def test_acquisition_scans_about_one_frame_on_a_clean_stream():
     """A lock within the first frame costs one acquisition chunk, a frame of
-    bank-1 positions and their bank-2 partners: under 3 frames of positions."""
+    bank-1 positions and their bank-2 partners: under 3 frames of positions,
+    counted by the acquisition scan."""
     stream = np.concatenate([build_stream(P32, 22, 400, prefix_bits=3), framing.gen_preamble(P32)])
-    scanned, kernel = [], sync.match_counts
+    scanned, kernel = [], FrameSynchronizer._mismatches
 
-    def counting(packed, starts, preamble):
-        if starts.size > 1 and (np.diff(starts) == 1).all():  # tracking steps by a frame
-            scanned.append(starts.size)
-        return kernel(packed, starts, preamble)
+    def counting(self, packed, a, b):
+        scanned.append(b - a)
+        return kernel(self, packed, a, b)
 
-    with mock.patch.object(sync, "match_counts", counting):
+    with mock.patch.object(FrameSynchronizer, "_mismatches", counting):
         starts, losses = locate(stream, P32, 28)
     assert losses == 0 and starts == [3 + i * P32.frame_bits for i in range(400)]
     assert 0 < sum(scanned) < 3 * P32.frame_bits
