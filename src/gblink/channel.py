@@ -6,8 +6,8 @@ SNR bookkeeping convention (the one place it is defined):
   * `noise_sigma(ebn0_db, code_rate)` interprets `ebn0_db` as energy per
     *information* bit over N0 and converts through `code_rate` (information
     bits per channel bit): per-quadrature noise variance sigma^2 =
-    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn`,
-    `dbpsk` and `dbpsk_flips` take that sigma.
+    1 / (2 * code_rate * 10^(ebn0/10)) on unit-energy symbols.  `awgn` and
+    `dbpsk_flips` take that sigma.
   * `snr_at_distance` returns the ratio referenced to *channel* bits at the
     serial rate CHANNEL_RATE_BPS (875 Mbps, one bit per symbol, so it equals
     Es/N0).  Feed it to `noise_sigma` with code_rate=1, or subtract
@@ -17,7 +17,7 @@ The delay-line discriminator sees band-pass noise, i.e. both quadratures, so
 `awgn` produces complex samples, symbol i's noise from standard normals 2i
 and 2i + 1.  `bsc_flips`, the one Bernoulli event generator, yields a BSC's
 sorted flips; `dbpsk_flips` places the samples that can turn a decision with it
-and yields the product detector's errors; `dbpsk` and `bsc` apply them to bits.
+and yields the product detector's errors; `bsc` applies a BSC's flips to bits.
 """
 
 from __future__ import annotations
@@ -177,14 +177,6 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
         pos, last, last_right = ends[-1], big[-1], right[-1]
     if pos + 1 < size and _wrong(last_right, last):
         yield np.array([pos + 1])
-
-
-def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """The bits a DBPSK product detector decides: `bits` flipped at the `dbpsk_flips` positions."""
-    out = np.array(bits, dtype=np.uint8)
-    for flips in dbpsk_flips(out.size, sigma, seed):
-        out[flips] ^= 1
-    return out
 
 
 def dbpsk_ber_theory(ebn0_db: float) -> float:

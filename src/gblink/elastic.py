@@ -34,12 +34,12 @@ between them at once.  An event tick then runs alone.  Underflows need no
 event: reads can only find the FIFO empty while occupancy after reads falls,
 so once starved it passes each write straight to the next read, and its
 underflows are counted as reads minus the bytes it had.  An active, primed
-writer first crosses in one closed-form step what repeats between events: a
-bursty one every whole (burst, gap) pair, so it takes scalar steps per
-flow-control event, not per burst, and a continuous one faster than the
-reader every whole flow-control cycle, resume tick to resume tick, one
-integer pass each, so it takes scalar steps per run segment (up to priming,
-the cycles, the tail), not per stop.  The results are bit-identical to naive
+writer in a burst (a continuous writer is one burst that runs to the horizon)
+first crosses in one integer pass each every whole (burst, gap) pair and, if
+it is faster than the reader, every whole flow-control cycle whose stop
+latency ends inside its burst.  So it takes scalar steps per run segment (up
+to priming, the cycles, the tail) and at stops whose latency leaves the
+burst, not per stop or per burst.  The results are bit-identical to naive
 per-tick stepping, which the test suite checks against an independent
 reference simulator.
 
@@ -192,9 +192,9 @@ class _Sim:
         """Apply the occupancy of n quiet write ticks from kw on, committing a
         byte on each if `writing`, and of every read before the next tick.
 
-        A quiet stretch lies within one burst or gap (whole pairs are
-        `_pairs`'s), and over it occupancy after commits and after reads is
-        monotone, and its first values set no new extreme: when commits do
+        A quiet stretch lies within one burst or gap (whole pairs and cycles
+        are `_cycles`'s), and over it occupancy after commits and after reads
+        is monotone, and its first values set no new extreme: when commits do
         not rise, a read comes between the previous commit and the first, and
         a write comes between the previous read and the first.  So only the
         last commit and the last read are recorded.  Only with a faster reader
@@ -270,92 +270,88 @@ class _Sim:
         self.kw += 1
         self._advance(0, False)
 
-    def _pairs(self) -> None:
-        """Apply at once the whole (burst, gap) pairs ahead of an active,
-        primed writer at a burst that hold no event, taking each gap and next
-        burst from `lengths` as `_draw` would.  A pair's peak is its burst's
-        last commit, or its first when reads are at least as fast; its low is
-        the occupancy at the next burst, as gap reads only lower occupancy and
-        while commits rise each read leaves no less than the one before; a
-        low below 0 means -low reads found the FIFO empty (as in `_advance`).
-        Stop before a pair whose peak reaches the upper threshold, that ends
-        past k_last, or whose gap or next burst is not drawn yet.
+    def _cycles(self) -> None:
+        """Apply at once the whole flow-control cycles, resume tick to resume
+        tick, and whole (burst, gap) pairs ahead of an active, primed writer
+        in a burst, taking each gap and next burst from `lengths` as `_draw`
+        would.  A burst's peak is its last commit, or its first when reads
+        are at least as fast.  Where that reaches the upper threshold, a
+        faster writer stops at the tick solved as in `_quiet_ticks`; commits
+        rise by at most one a tick, so the cycle's peak is
+        `resume_latency_cycles` commits later, the burst (frozen while the
+        writer is paused) loses the ticks up to it, and the writer resumes at
+        the write tick after the read that leaves the lower threshold, its
+        low.  Otherwise the pair's low is the occupancy at the next burst, as
+        gap reads only lower occupancy and while commits rise each read
+        leaves no less than the one before; a low below 0 means -low reads
+        found the FIFO empty.  Stop before a cycle whose latency runs to the
+        burst's last tick or past it, whose peak overflows or whose resume
+        tick is past k_last, before a pair that ends past k_last or is not
+        drawn yet, and where a slower writer reaches the upper threshold.
         """
-        lengths, pw, pr = self.lengths, self.pw, self.pr
-        upper, k_last, faster = self.cfg.upper_threshold, self.k_last, pw < pr
-        k, m, occ, b = self.kw, self.next_read, self.occ, self.burst_left
-        top, low, gaps = self.stats.max_occupancy, self.stats.min_occupancy_after_priming, 0
+        cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
+        upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
+        cap, k_last, faster = cfg.capacity_bytes, self.k_last, pw < pr
+        k, m, occ = self.kw, self.next_read, self.occ
+        b = self.burst_left if self.bursty else k_last + 1 - k
+        top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
         i = len(lengths)
-        while i >= 2:
-            k1 = k + b + lengths[i - 1]
-            if k1 > k_last:
+        while True:
+            if faster:
+                base = occ + m - k
+                peak = base + 1 + (k + b - 1) * (pr - pw) // pr  # the burst's last commit
+            else:
+                peak = occ + 1                           # its first (reads before k are applied)
+            if peak < upper:
+                if i < 2:
+                    break
+                k1 = k + b + lengths[i - 1]
+                if k1 > k_last:
+                    break
+                m1 = -(-k1 * pw // pr)                   # the first read at or after k1
+                occ1 = occ + b - (m1 - m)
+                if occ1 < 0:
+                    gaps, occ1 = gaps - occ1, 0
+                if occ1 < low:
+                    low = occ1
+                k, m, occ = k1, m1, occ1
+                i -= 2
+                b = lengths[i]
+            elif faster:
+                j = -(-(upper - base - 1) * pr // (pr - pw))  # the stop tick
+                if j < k:
+                    j = k
+                j += latency                             # the peak's tick
+                peak = base + 1 + j * (pr - pw) // pr
+                ml = -(-j * pw // pr) + peak - lower - 1  # the read that leaves `lower`
+                jr = ml * pr // pw + 1                   # the resume tick
+                if j >= k + b - 1 or peak > cap or jr > k_last:
+                    break
+                b -= j + 1 - k
+                k, m, occ = jr, ml + 1, lower
+                stops += 1
+            else:
                 break
-            w = b if faster else 1           # the commits up to the peak
-            peak = occ + w - (-(-(k + w - 1) * pw // pr) - m)
-            if peak >= upper:
-                break
-            m1 = -(-k1 * pw // pr)           # the first read at or after k1
-            occ1 = occ + b - (m1 - m)
-            if occ1 < 0:
-                gaps, occ1 = gaps - occ1, 0
             if peak > top:
                 top = peak
-            if occ1 < low:
-                low = occ1
-            k, m, occ = k1, m1, occ1
-            i -= 2
-            b = lengths[i]
-        if i < len(lengths):
-            del lengths[i:]
-            self.burst_left = b
-            self._land(k, m, occ, top, low, gaps)
-
-    def _cycles(self) -> None:
-        """Apply at once the whole flow-control cycles ahead of an active,
-        primed, continuous writer faster than the reader, from resume tick
-        to resume tick, solved as in `_quiet_ticks`.  Commits rise by at most
-        one a tick, so a cycle's stop commit is the first to leave the upper
-        threshold (its first commit may), its peak is `resume_latency_cycles`
-        commits later, and it resumes at the write tick after the read that
-        leaves the lower threshold, its low.  Stop before a cycle whose peak
-        overflows or whose resume tick is past k_last.
-        """
-        cfg, pw, pr, st = self.cfg, self.pw, self.pr, self.stats
-        upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
-        k, top, low = self.kw, st.max_occupancy, st.min_occupancy_after_priming
-        base = self.occ + self.next_read - k
-        while True:
-            j = -(-(upper - base - 1) * pr // (pr - pw))  # the stop tick
-            if j < k:
-                j = k
-            j += latency                                 # the peak's tick
-            peak = base + 1 + j * (pr - pw) // pr
-            ml = -(-j * pw // pr) + peak - lower - 1     # the read that leaves `lower`
-            jr = ml * pr // pw + 1                       # the resume tick
-            if peak > cfg.capacity_bytes or jr > self.k_last:
-                break
-            base, k, top, low = lower + 1 + ml - jr, jr, max(top, peak), min(low, lower)
-            st.stop_assertions += 1
-        m = -(-k * pw // pr)
-        self._land(k, m, base + k - m, top, low)
-
-    def _land(self, k: int, m: int, occ: int, top: int, low: int, gaps: int = 0) -> None:
-        """Move an active writer to write tick k, read m and occupancy occ
-        after a closed-form stretch; `gaps` of its reads found the FIFO empty."""
-        st, reads = self.stats, m - self.next_read
+        if stops and lower < low:
+            low = lower
+        reads = m - self.next_read
         st.output_bytes += reads - gaps
         st.bytes_written += occ - self.occ + reads - gaps    # by conservation
         st.underflow_events += gaps
+        st.stop_assertions += stops
         st.max_occupancy, st.min_occupancy_after_priming = top, low
         self.kw, self.next_read, self.occ = k, m, occ
+        if self.bursty:
+            self.burst_left = b
+            del lengths[i:]
 
     def run(self) -> FifoStats:
         while self.kw <= self.k_last:
-            if self.state == _ACTIVE and self.primed:
-                if self.burst_left > 0:
-                    self._pairs()
-                elif self.burst_left < 0 and self.pw < self.pr:
-                    self._cycles()
+            if self.state == _ACTIVE and self.primed and (
+                    self.burst_left > 0 or self.burst_left < 0 and self.pw < self.pr):
+                self._cycles()
             n, writing = self._quiet_ticks()
             if n:
                 self._advance(n, writing)

@@ -1,14 +1,14 @@
 """DBPSK decision-error checks that hold for any correct sampler.
 
-`channel.dbpsk` draws flips only around the noise samples large enough to
-turn a product-detector decision, so its output is exact in distribution but
-shares no stream with the dense chain (`reference_demodulate`: `awgn` on
-every symbol, then `modem.diff_demod`).  These seeded runs therefore compare
-distributions: the bit error rate against 0.5 * exp(-Es/N0); adjacent error
-pairs, byte errors, 255-byte block failures and the error count per 64-bit
-window against the dense chain; the first decision, which sees the
-noiseless reference, against P(Re n < -1); and the radius and angle laws of
-the conditional noise draws.  One check is exact: every flip must be the
+`channel.dbpsk_flips` draws flips only around the noise samples large enough
+to turn a product-detector decision, so its output (applied to bits by
+`dbpsk`) is exact in distribution but shares no stream with the dense chain
+(`reference_demodulate`: `awgn` on every symbol, then `modem.diff_demod`).
+These seeded runs therefore compare distributions: the bit error rate
+against 0.5 * exp(-Es/N0); adjacent error pairs, byte errors, 255-byte block
+failures and the error count per 64-bit window against the dense chain; the
+first decision, which sees the noiseless reference, against P(Re n < -1);
+and the radius and angle laws of the conditional noise draws.  One check is exact: every flip must be the
 dense detector's decision over the noise that the sampler drew.
 """
 
@@ -35,6 +35,15 @@ def reference_demodulate(tx_bits: np.ndarray, sigma: float,
     product detection over the +1 reference and every sample."""
     sym = channel.awgn(modem.bpsk_map(modem.diff_encode(tx_bits)), sigma, rng)
     return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
+
+
+def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """The bits a DBPSK product detector decides: `bits` flipped at the
+    `channel.dbpsk_flips` positions."""
+    out = np.array(bits, dtype=np.uint8)
+    for flips in channel.dbpsk_flips(out.size, sigma, seed):
+        out[flips] ^= 1
+    return out
 
 
 def sigma_at(esn0_db):
@@ -80,14 +89,14 @@ def paired_errors(request):
     n, sigma = 1 << 21, sigma_at(request.param)
     tx = np.random.default_rng(70).integers(0, 2, n, dtype=np.uint8)
     dense = reference_demodulate(tx, sigma, np.random.default_rng(71)) ^ tx
-    sparse = channel.dbpsk(tx, sigma, 72) ^ tx
+    sparse = dbpsk(tx, sigma, 72) ^ tx
     return request.param, dense, sparse
 
 
 @pytest.mark.parametrize("esn0_db,bits", [(1.0, 1 << 20), (4.0, 1 << 20), (7.0, 1 << 21),
                                           (9.0, 1 << 22)])
 def test_bit_error_rate_matches_theory(esn0_db, bits):
-    errors = channel.dbpsk(np.zeros(bits, np.uint8), sigma_at(esn0_db), 5)
+    errors = dbpsk(np.zeros(bits, np.uint8), sigma_at(esn0_db), 5)
     rate, se = mean_se(errors)
     assert abs(rate - channel.dbpsk_ber_theory(esn0_db)) <= 3 * se
 
@@ -113,7 +122,7 @@ def test_first_decision_sees_noiseless_reference(sigma):
     """Decision 0 compares sample 0 with the noiseless +1, so it errs iff
     Re(n_0) < -1, at Phi(-1 / sigma) rather than the DBPSK rate."""
     trials = 3000
-    first = np.array([channel.dbpsk(np.zeros(2, np.uint8), sigma, seed)[0]
+    first = np.array([dbpsk(np.zeros(2, np.uint8), sigma, seed)[0]
                       for seed in range(trials)])
     p = stats.norm.cdf(-1 / sigma)
     assert abs(first.mean() - p) <= 3 * math.sqrt(p * (1 - p) / trials)
@@ -180,7 +189,7 @@ def test_flips_are_the_dense_detection_of_the_drawn_noise(esn0_db, chunk):
         with mock.patch.object(channel, "_GAP_CHUNK", chunk), \
                 mock.patch.object(channel, "bsc_flips", record_ends), \
                 mock.patch.object(channel, "_noise_draws", record_draws):
-            errors = channel.dbpsk(bits, sigma_at(esn0_db), seed) ^ bits
+            errors = dbpsk(bits, sigma_at(esn0_db), seed) ^ bits
         n = 1 + implied_noise(bits.size, ends, draws)
         dense = (n * np.conj(np.r_[1.0, n[:-1]])).real < 0
         assert len(ends) == len(draws) > 0
@@ -200,9 +209,9 @@ def _chunk_cases(draw):
 def test_gap_chunk_does_not_change_output(case):
     chunk, n, sigma, seed = case
     bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-    expect = channel.dbpsk(bits, sigma, seed)
+    expect = dbpsk(bits, sigma, seed)
     with mock.patch.object(channel, "_GAP_CHUNK", chunk):
-        np.testing.assert_array_equal(channel.dbpsk(bits, sigma, seed), expect)
+        np.testing.assert_array_equal(dbpsk(bits, sigma, seed), expect)
 
 
 @pytest.mark.parametrize("esn0_db", [11.0, 0.0])
@@ -217,7 +226,7 @@ def test_no_chunk_is_empty(esn0_db):
 def test_deterministic_given_seed():
     bits = np.zeros(100_000, np.uint8)
     sigma = sigma_at(5.0)
-    a, b, c = (channel.dbpsk(bits, sigma, seed) for seed in (3, 3, 4))
+    a, b, c = (dbpsk(bits, sigma, seed) for seed in (3, 3, 4))
     assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
@@ -228,7 +237,7 @@ def test_no_large_samples_draw_nothing(sigma, monkeypatch):
 
     monkeypatch.setattr(channel.np.random, "default_rng", no_draw)
     bits = np.array([0, 1, 1, 0], np.uint8)
-    assert np.array_equal(channel.dbpsk(bits, sigma, 5), bits)
+    assert np.array_equal(dbpsk(bits, sigma, 5), bits)
 
 
 def test_every_sample_large_is_a_coin_flip():
@@ -238,7 +247,7 @@ def test_every_sample_large_is_a_coin_flip():
     assert math.exp(-channel._R0_SQ / (2 * sigma ** 2)) == 1.0
     n = 1 << 16
     with np.errstate(all="raise"):
-        errors = channel.dbpsk(np.zeros(n, np.uint8), sigma, 6)
+        errors = dbpsk(np.zeros(n, np.uint8), sigma, 6)
     assert abs(errors.mean() - 0.5) <= 3 * math.sqrt(0.25 / n)
     rep = run_link(ExperimentConfig(AwgnChannel(-200.0), frames=20, master_seed=6, uncoded=True))
     assert abs(rep.raw_ber - 0.5) <= 3 * math.sqrt(0.25 / rep.raw_bits)
@@ -249,11 +258,11 @@ def test_temporaries_bounded_by_gap_chunk():
     output a call holds the draws of one gap chunk at a time."""
     chunk, n = 1 << 10, 1 << 20
     bits = np.zeros(n, np.uint8)
-    channel.dbpsk(bits[:1000], 0.7, 3)  # one-time numpy setup is not a temporary
+    dbpsk(bits[:1000], 0.7, 3)  # one-time numpy setup is not a temporary
     with mock.patch.object(channel, "_GAP_CHUNK", chunk):
         tracemalloc.start()
         try:
-            channel.dbpsk(bits, sigma_at(0.0), 3)
+            dbpsk(bits, sigma_at(0.0), 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,4 +272,4 @@ def test_temporaries_bounded_by_gap_chunk():
 @pytest.mark.parametrize("sigma", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_bad_sigma_rejected(sigma):
     with pytest.raises(ValueError, match="sigma"):
-        channel.dbpsk(np.zeros(4, np.uint8), sigma, 1)
+        dbpsk(np.zeros(4, np.uint8), sigma, 1)

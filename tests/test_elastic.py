@@ -125,6 +125,12 @@ REFERENCE_CASES = [
     pytest.param(FifoConfig(write_clock_hz=109.375e6, read_clock_hz=100.54e6),
                  30_000, "bursty", 11, id="rx-side-clocks"),
     pytest.param(FifoConfig(), 150_000, "continuous", 12, id="default-whole-cycles"),
+    pytest.param(FifoConfig(), 150_000, "bursty", 13, id="default-bursty-cycles"),
+    # every resume commit asserts stop again with no latency, so each burst
+    # ends on a stop and the writer pauses with the gap ahead of it
+    pytest.param(FifoConfig(capacity_bytes=10, upper_threshold=9, lower_threshold=8,
+                            write_clock_hz=100e6, read_clock_hz=90e6, resume_latency_cycles=0),
+                 3_000, "bursty", 14, id="restop-bursty"),
 ]
 
 
@@ -187,11 +193,13 @@ def test_bursty_pairs_match_per_tick_reference_hypothesis(case):
 
 @st.composite
 def writer_faster_cases(draw):
-    """Continuous runs with the writer faster, which cross whole
+    """Continuous and bursty runs with the writer faster, which cross whole
     flow-control cycles in one step: small FIFOs over horizons of a few
     cycles that mostly end inside one, with the other edges of the cycle
     step drawn often (a resume commit that asserts stop again, no stop
-    latency, a peak at the capacity or one byte past it)."""
+    latency, a peak at the capacity or one byte past it).  Bursty runs add
+    the whole pairs between cycles and stop latencies that reach the end of
+    their burst."""
     lower = draw(st.integers(1, 32))
     upper = lower + draw(st.integers(1, 32))
     headroom = draw(st.integers(1, 32))
@@ -209,7 +217,8 @@ def writer_faster_cases(draw):
     cfg = FifoConfig(capacity_bytes=upper + headroom, upper_threshold=upper,
                      lower_threshold=lower, write_clock_hz=write_steps * step,
                      read_clock_hz=read_steps * step, resume_latency_cycles=latency)
-    return cfg, draw(st.integers(1, 2_000)), "continuous", 0
+    return (cfg, draw(st.integers(1, 2_000)), draw(st.sampled_from(["continuous", "bursty"])),
+            draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,11 +332,12 @@ def steps(monkeypatch):
 
 
 def test_bursty_run_steps_per_event(steps):
-    """A bursty run takes scalar steps per flow-control event, not per burst:
-    the default 1.5M-cycle run holds 47 stop assertions but ~1900 bursts, and
-    the whole pairs between events are applied without a scalar step, also
-    where the reader (at 125 or 130 MHz) starves between bursts."""
-    for read_hz, stops, bound in [(100.54e6, 47, 600), (125e6, 0, 60), (130e6, 0, 60)]:
+    """A bursty run takes scalar steps only where a stop's latency leaves
+    its burst, not per stop or per burst: the default 1.5M-cycle run holds
+    47 stop assertions and ~1900 bursts, and the whole pairs and the whole
+    flow-control cycles inside a burst are applied without a scalar step,
+    also where the reader (at 125 or 130 MHz) starves between bursts."""
+    for read_hz, stops, bound in [(100.54e6, 47, 100), (125e6, 0, 60), (130e6, 0, 60)]:
         steps.clear()
         st = simulate_fifo(FifoConfig(read_clock_hz=read_hz), 1_500_000, "bursty", 7)
         assert st.stop_assertions == stops

@@ -1,6 +1,6 @@
 """Golden CSV pins: seeded CLI runs must reproduce these bytes exactly.
 
-The AWGN and distance rows were re-pinned when `channel.dbpsk` began to draw
+The AWGN and distance rows were re-pinned when the DBPSK channel began to draw
 the detector's errors around the large noise samples only, and the BSC rows
 when `channel.bsc` began to draw the gaps between flips, each changed row
 within three standard errors of its old one (see CHANGES.md).  So any change

@@ -19,6 +19,7 @@ from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
                             ExperimentConfig, LinkReport, run_link, sweep)
 from gblink.sync import FrameSynchronizer
+from test_dbpsk import dbpsk
 from test_sync import reference_locate_frames
 
 
@@ -345,7 +346,7 @@ def test_concurrent_runs_match_serial():
 
 def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
     """The run rebuilt densely from public pieces: the whole Tx bit stream
-    through `channel.bsc` or `channel.dbpsk`, the per-frame tracker
+    through `channel.bsc` or `test_dbpsk.dbpsk`, the per-frame tracker
     `reference_locate_frames`, and frame-by-frame decoding of the received
     bits with the RS oracle.  Also returns how many frames were located and
     how many of those had exactly one codeword fail while another decoded."""
@@ -365,8 +366,8 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
             ebn0_db, rate = channel.snr_at_distance(cfg.channel.budget, cfg.channel.distance_m), 1.0
         else:
             ebn0_db, rate = cfg.channel.ebn0_db, 1.0 if cfg.uncoded else kind.code_rate
-        rx_bits = channel.dbpsk(tx_bits, channel.noise_sigma(ebn0_db, rate),
-                                int(chan_ss.generate_state(1, np.uint64)[0]))
+        rx_bits = dbpsk(tx_bits, channel.noise_sigma(ebn0_db, rate),
+                        int(chan_ss.generate_state(1, np.uint64)[0]))
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
