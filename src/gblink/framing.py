@@ -107,7 +107,7 @@ def scramble(data: np.ndarray, seq: bytes) -> np.ndarray:
     the tail is simply truncated.
     """
     arr = np.asarray(data, dtype=np.uint8)
-    return arr ^ np.resize(np.frombuffer(seq, dtype=np.uint8), arr.shape[-1])
+    return arr ^ np.frombuffer((seq * arr.shape[-1])[: arr.shape[-1]], dtype=np.uint8)
 
 
 def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
@@ -119,13 +119,14 @@ def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
     payloads = np.atleast_2d(np.asarray(payloads, dtype=np.uint8))
     if payloads.shape[1] != kind.payload_bytes:
         raise ValueError(f"payloads must have {kind.payload_bytes} columns")
-    nfrm = payloads.shape[0]
-    msgs = payloads.reshape(nfrm * kind.codewords_per_frame, rs.MESSAGE_BYTES)
-    body = np.zeros((nfrm, kind.body_bytes), dtype=np.uint8)
-    body[:, : kind.codewords_per_frame * rs.BLOCK_BYTES] = rs.encode_blocks(msgs).reshape(nfrm, -1)
+    nfrm, pre, end = payloads.shape[0], kind.preamble_bytes, kind.frame_bytes - kind.dummy_bytes
+    seq = scramble(np.zeros(kind.body_bytes, dtype=np.uint8), kind.scrambler)  # a scrambled zero body
     frames = np.empty((nfrm, kind.frame_bytes), dtype=np.uint8)
-    frames[:, : kind.preamble_bytes] = np.frombuffer(kind.preamble, dtype=np.uint8)
-    frames[:, kind.preamble_bytes:] = scramble(body, kind.scrambler)
+    frames[:, :pre] = np.frombuffer(kind.preamble, dtype=np.uint8)
+    # the codewords scrambled straight into the frames; the dummy bytes, zeros, scramble to its tail
+    codewords = rs.encode_blocks(payloads.reshape(-1, rs.MESSAGE_BYTES)).reshape(nfrm, -1)
+    np.bitwise_xor(codewords, seq[: end - pre], out=frames[:, pre: end])
+    frames[:, end:] = seq[end - pre:]
     return frames
 
 

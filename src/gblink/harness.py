@@ -2,11 +2,12 @@
 ground-truth error accounting, plus parameter sweeps to CSV.
 
 Seeding: every run derives three independent child streams (payload bytes,
-alignment junk bits, channel noise) from `SeedSequence(master_seed).spawn(3)`,
-and sweep point i runs with the first state word of
-`SeedSequence((master_seed, i))` as its own master seed.  Identical configs
-therefore produce byte-identical CSV, and sweep points may execute in any
-order or in parallel.
+alignment junk bits, channel noise) from `SeedSequence(master_seed).spawn(3)`.
+The payload bytes are the raw output of the first child's PCG64 bit generator,
+the bytes `default_rng(child).integers(0, 256, n, np.uint8)` would draw.  Sweep
+point i runs with the first state word of `SeedSequence((master_seed, i))` as
+its own master seed.  Identical configs therefore produce byte-identical CSV,
+and sweep points may execute in any order or in parallel.
 
 Accounting: the receiver works in the error domain.  Each chunk of the
 channel's sorted flips is XORed once into one error array shaped like the Tx
@@ -155,14 +156,18 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     frame_bits, ncw, lo = kind.frame_bits, kind.codewords_per_frame, cfg.bit_offset
 
     payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    tx_frames = framing.build_frames(np.random.default_rng(payload_ss).integers(
-        0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8), kind)
+    # the payload bytes, the bit generator's words read little-endian (see Seeding)
+    n = cfg.frames * kind.payload_bytes
+    payload = np.random.PCG64(payload_ss).random_raw(-(-n // 8)).astype("<u8", copy=False)
+    tx_frames = framing.build_frames(payload.view(np.uint8)[:n].reshape(cfg.frames, -1), kind)
     junk = np.random.default_rng(junk_ss).integers(0, 2, lo)
     junk = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))
-    # junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2 window)
+    # junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2 window),
+    # then zeros to whole 64-bit words, 16 bytes or more: `packed` drops a word and keeps 8 pad bytes
+    body = tx_frames.size + kind.preamble_bytes
     stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
-                             np.zeros(9, np.uint8)])
-    nbits = lo + 8 * (tx_frames.size + kind.preamble_bytes)
+                             np.zeros(16 + (7 - body) % 8, np.uint8)])
+    nbits = lo + 8 * body
 
     seed = int(chan_ss.generate_state(1, np.uint64)[0])
     if isinstance(cfg.channel, BscChannel):
@@ -180,7 +185,9 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
         flips = flips + (8 - lo)
         np.bitwise_xor.at(errors, flips >> 3, (128 >> (flips & 7)).astype(np.uint8))
     stream ^= errors
-    packed = (stream[:-1] << (8 - lo)) | (stream[1:] >> lo)  # as by `sync.pack`
+    # the received stream shifted lo bits up, as by `sync.pack`, a 64-bit word at a time
+    words = np.ndarray((stream.size // 8,), ">u8", stream).astype(np.uint64)
+    packed = ((words[:-1] << (8 - lo)) | (words[1:] >> (56 + lo))).astype(">u8").view(np.uint8)
     located, sync_losses = synchronizer.locate_frames(packed, nbits)
     frame, off = np.divmod(np.asarray(located, dtype=np.int64) - lo, frame_bits)  # starts on the Tx grid
     found = np.zeros(cfg.frames, dtype=bool)

@@ -5,13 +5,11 @@ Acquisition uses two banks of 8 match-count correlators, one per bit offset
 within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
-P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  On a stream packed by
-`pack`, acquisition scans every bit position with `_mismatches` (one frame, then
-doubling up to _SCAN_CHUNK_BITS); tracking gathers one a frame (`match_counts`).
+P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  On a stream packed by `pack`,
+acquisition scans every bit position and tracking one word a frame, no gather.
 
-The correlation metric is the match count (Hamming similarity), in [0, N]:
-the operating thresholds (e.g. 28 out of 32, tolerating 4 errors) are defined
-on that scale.
+The correlation metric is the match count (Hamming similarity), in [0, N]: the
+operating thresholds (e.g. 28 of 32, tolerating 4 errors) are on that scale.
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastic import _integer
-from .framing import FrameKind, gen_preamble
+from .framing import FrameKind
 
 _SCAN_CHUNK_BITS = 8 * 4096
-_TRACK_FIRST_FRAMES = 16
-_OFFSETS = np.arange(8, dtype=np.uint64)
+_TRACK_FIRST_FRAMES = 128
+_OFFSETS = np.arange(8, dtype=np.uint64)[:, None]  # a column: the offsets lead the words
 
 
 def _threshold(n: int, gamma, where: str = "") -> int:
@@ -51,10 +49,9 @@ def pack(bits: np.ndarray) -> np.ndarray:
 
 
 def match_counts(packed: np.ndarray, starts: np.ndarray, preamble: np.ndarray) -> np.ndarray:
-    """Number of bits matching the preamble (1 to 64 bits) in the window at
-    each bit start of a stream packed by `pack`, read in place: the 64-bit
-    word at the start's byte, shifted by the bit offset and topped up from
-    the ninth byte, holds the window in its top n bits."""
+    """Number of bits matching the preamble (1 to 64 bits) in the window at each bit start
+    of a stream packed by `pack`, read in place: the 64-bit word at the start's byte, shifted
+    by the bit offset and topped up from the ninth byte, holds the window in its top n bits."""
     n = np.size(preamble)
     if not 0 < n <= 64:
         raise ValueError(f"preamble must be 1 to 64 bits, got {n}")
@@ -78,39 +75,47 @@ def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray | np.inte
 class FrameSynchronizer:
     """Acquisition plus flywheel tracking over a demodulated bit stream.
 
-    After lock the preamble is re-verified every frame against gamma; one miss
-    is ridden out (the frame is still delivered at the flywheel position), two
-    consecutive misses declare sync lost and acquisition restarts one bit
-    after the second missed preamble.  Instances hold only the frame kind,
-    gamma and the preamble bits, so one may serve any number of streams.
+    After lock the preamble is re-verified every frame against gamma; one miss is ridden out
+    (the frame is still delivered at the flywheel position), two consecutive misses declare
+    sync lost and acquisition restarts one bit after the second missed preamble.  Instances
+    hold only the frame kind, gamma and the preamble word, so one may serve many streams.
     """
 
     def __init__(self, kind: FrameKind, gamma: int):
         self.kind = kind
         self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
-        self._preamble = gen_preamble(kind)
         self._word, self._shift = int.from_bytes(kind.preamble, "big"), 64 - kind.preamble_bits
 
     def _mismatches(self, packed: np.ndarray, a: int, b: int) -> np.ndarray:
         """n - `match_counts` at each bit start in [a, b), with no gather: the 64-bit words at
         bytes a >> 3 on, each shifted by all 8 bit offsets and topped up from its ninth byte."""
         qa, qb = a >> 3, (b + 7) >> 3
-        window = (np.ndarray((qb - qa,), ">u8", packed, offset=qa, strides=(1,))[:, None] << _OFFSETS
-                  | packed[qa + 8: qb + 8, None] >> (8 - _OFFSETS))
-        return np.bitwise_count((window >> self._shift) ^ self._word).ravel()[a - 8 * qa: b - 8 * qa]
+        words = np.ndarray((qb - qa,), ">u8", packed, offset=qa, strides=(1,)).astype(np.uint64)
+        window = words << _OFFSETS | packed[qa + 8: qb + 8] >> (8 - _OFFSETS)
+        return np.bitwise_count((window >> self._shift) ^ self._word).T.ravel()[a - 8 * qa: b - 8 * qa]
+
+    def _grid_mismatches(self, packed: np.ndarray, s: int, count: int) -> np.ndarray:
+        """n - `match_counts` at s + frame_bits * arange(count), with no gather: frames are whole
+        bytes, so the windows share the bit offset r = s & 7 and lie a frame apart in bytes."""
+        fb, q, r = self.kind.frame_bytes, s >> 3, s & 7
+        window = (np.ndarray((count,), ">u8", packed, offset=q, strides=(fb,)) << r
+                  | packed[q + 8: q + 8 + fb * count: fb] >> (8 - r))
+        return np.bitwise_count((window >> self._shift) ^ self._word)
 
     def locate_frames(self, packed: np.ndarray, nbits: int) -> tuple[list[int], int]:
         """(frame start bit positions, sync loss count) in nbits bits packed by `pack`."""
-        pre, gamma, frame_bits = self._preamble, self.gamma, self.kind.frame_bits
-        # byte-major scan over (byte, offset) pairs is a plain scan over bit
-        # positions; the last bank-1 position keeps bank 2 inside the stream
-        scan_end = nbits - (frame_bits + pre.size) + 1
+        if getattr(packed, "dtype", None) != np.uint8 or packed.ndim != 1 \
+                or not 0 <= nbits <= 8 * packed.size - 64:
+            raise ValueError(f"packed must be 1-D uint8 holding nbits={nbits} bits and 8 pad bytes")
+        n, frame_bits = self.kind.preamble_bits, self.kind.frame_bits
+        # the last bank-1 position keeps bank 2 inside the stream
+        scan_end = nbits - (frame_bits + n) + 1
         starts: list[int] = []
         losses = pos = 0
         chunk = min(frame_bits, _SCAN_CHUNK_BITS)  # a lock is usually within a frame or two
         while pos < scan_end:
             hi = min(pos + chunk, scan_end)
-            ok = self._mismatches(packed, pos, hi + frame_bits) <= pre.size - gamma
+            ok = self._mismatches(packed, pos, hi + frame_bits) <= n - self.gamma
             lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits:])
             if lock.size == 0:
                 pos, chunk = hi, min(2 * chunk, _SCAN_CHUNK_BITS)
@@ -121,7 +126,7 @@ class FrameSynchronizer:
             count = (nbits - s) // frame_bits
             lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
             while True:
-                hit = match_counts(packed, s + frame_bits * np.arange(lo, hi), pre) >= gamma
+                hit = self._grid_mismatches(packed, s + lo * frame_bits, hi - lo) <= n - self.gamma
                 double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
                 if double_miss.size or hi == count:
                     break
@@ -137,11 +142,9 @@ class FrameSynchronizer:
 
 
 def binomial_tail_ge(n: int, k: int, p: float) -> float:
-    """P[Binomial(n, p) >= k] with exact coefficients and compensated summation.
-
-    Summing the upper tail directly keeps tiny probabilities (down to ~1e-300)
-    free of the cancellation that 1 - P[X < k] would suffer.
-    """
+    """P[Binomial(n, p) >= k] with exact coefficients and compensated summation: summing the
+    upper tail directly keeps tiny probabilities (down to ~1e-300) free of the cancellation
+    that 1 - P[X < k] would suffer."""
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     if k <= 0:
@@ -162,11 +165,9 @@ def p_miss(n: int, gamma: int, p: float) -> float:
 
 
 def p_false(n: int, gamma: int) -> tuple[float, float]:
-    """(single-bank, dual-bank) false alarm probability per correlator position.
-
-    Equiprobable random data makes the match count Binomial(n, 1/2), so the
-    single-bank value is an exact dyadic rational sum_{i>=gamma} C(n,i) / 2^n.
-    """
+    """(single-bank, dual-bank) false alarm probability per correlator position.  Equiprobable
+    random data makes the match count Binomial(n, 1/2), so the single-bank value is an exact
+    dyadic rational sum_{i>=gamma} C(n,i) / 2^n."""
     q = sum(math.comb(n, i) for i in range(_threshold(n, gamma), n + 1)) / 2 ** n
     return q, q * q
 
@@ -182,5 +183,4 @@ def write_tradeoff_csv(rows: list[tuple[int, SyncProbabilities]], fp) -> None:
     writer = csv.writer(fp)
     writer.writerow(["gamma", "p_miss", "p_false_single", "p_false_double"])
     for gamma, sp in rows:
-        writer.writerow([gamma, repr(sp.p_miss), repr(sp.p_false_single),
-                         repr(sp.p_false_double)])
+        writer.writerow([gamma, repr(sp.p_miss), repr(sp.p_false_single), repr(sp.p_false_double)])

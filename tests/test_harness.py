@@ -308,14 +308,33 @@ class _LoggingRng:
 @pytest.mark.parametrize("chan", [AwgnChannel(math.inf), AwgnChannel(40.0), DistanceChannel(1.0)])
 def test_noiseless_runs_draw_no_noise(chan):
     """At sigma = 0, and where the rate of large noise samples underflows to 0,
-    the channel flips nothing and draws nothing: the payload and junk bits
-    are the only draws of the run."""
-    default_rng, calls = np.random.default_rng, []
+    the channel flips nothing and draws nothing: every generator the run makes
+    is logged (and every bit generator it makes itself), and the payload's bit
+    generator and the junk bits are the only draws of the run."""
+    default_rng, pcg64, calls = np.random.default_rng, np.random.PCG64, []
     with mock.patch.object(np.random, "default_rng",
-                           lambda seed: _LoggingRng(default_rng(seed), calls)):
+                           lambda seed: _LoggingRng(default_rng(seed), calls)), \
+            mock.patch.object(np.random, "PCG64", lambda seed: calls.append("PCG64") or pcg64(seed)):
         rep = run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
-    assert calls == ["integers", "integers"]
+    assert calls == ["PCG64", "integers"]
     assert rep.raw_errors == 0
+
+
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+def test_payload_bytes_are_the_generator_draw(kind):
+    """run_link takes the payload bytes straight from the payload child's bit
+    generator: they are the bytes of `default_rng(child).integers(0, 256,
+    (frames, payload_bytes), uint8)`, for 1 to 70 frames, most of which do not
+    fill whole 64-bit words.  This rests on how numpy packs uint8 draws."""
+    for frames in range(1, 71):
+        cfg = ExperimentConfig(channel=BscChannel(0.0), frames=frames, master_seed=frames,
+                               frame_kind=kind)
+        with mock.patch.object(framing, "build_frames", wraps=framing.build_frames) as build:
+            run_link(cfg)
+        child = np.random.SeedSequence(cfg.master_seed).spawn(3)[0]
+        want = np.random.default_rng(child).integers(0, 256, (frames, kind.payload_bytes),
+                                                     dtype=np.uint8)
+        assert np.array_equal(build.call_args.args[0], want)
 
 
 def test_concurrent_runs_match_serial():

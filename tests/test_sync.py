@@ -143,6 +143,27 @@ def test_acquisition_scan_matches_match_counts(kind, extra, flip, seed, a, lengt
     assert (n - scan.astype(int)).tolist() == sync.match_counts(packed, np.arange(a, b), pre).tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([P32, P64]), st.integers(0, 7), st.integers(0, 800), st.integers(1, 8),
+       st.one_of(st.just(0), st.integers(1, 15)), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+def test_tracking_kernel_matches_match_counts(kind, r, q, count, extra, flip, seed):
+    """The strided tracking kernel against `match_counts` on `count` windows a frame apart
+    from s = 8 q + r, for every bit offset r (at r = 0 the ninth byte is shifted out whole):
+    noisy preambles on the grid give counts near n, and with no extra bits the last window
+    ends the stream, so its word and ninth byte reach into the pad bytes of `pack`."""
+    pre = framing.gen_preamble(kind)
+    n, fb = pre.size, kind.frame_bits
+    rng = np.random.default_rng(seed)
+    s = 8 * q + r
+    size = s + (count - 1) * fb + n + extra
+    frame = np.concatenate([pre, rng.integers(0, 2, fb - n)])
+    bits = (np.roll(np.resize(frame, size), s) ^ (rng.random(size) < flip)).astype(np.uint8)
+    packed = sync.pack(bits)
+    got = FrameSynchronizer(kind, kind.default_gamma)._grid_mismatches(packed, s, count)
+    want = sync.match_counts(packed, s + fb * np.arange(count), pre)
+    assert (n - got.astype(int)).tolist() == want.tolist()
+
+
 class TestDetect:
     """First dual-bank lock, read as the first start locate_frames returns."""
 
@@ -171,6 +192,18 @@ class TestDetect:
         pre = framing.gen_preamble(P32)
         assert locate(np.concatenate([one, pre[:-1]]), P32, 28) == ([], 0)
         assert locate(np.concatenate([one, pre]), P32, 28) == ([0], 0)
+
+    @pytest.mark.parametrize("dtype,nbits", [(np.uint8, 8352), (np.uint8, 12512), (np.int64, 6272)],
+                             ids=["past-the-data", "past-the-pad", "int64"])
+    def test_packed_must_hold_nbits(self, dtype, nbits):
+        """Three frames and the trailing preamble, 6272 bits packed by `pack`: an nbits that
+        reads past the data (where tracking would deliver a fourth frame from the pad) or past
+        the buffer, or a packed array that is not uint8, is a ValueError."""
+        stream = np.concatenate([build_stream(P32, 23, 3), framing.gen_preamble(P32)])
+        packed, synchronizer = sync.pack(stream), FrameSynchronizer(P32, 28)
+        assert synchronizer.locate_frames(packed, stream.size) == ([0, 2080, 4160], 0)
+        with pytest.raises(ValueError, match="packed must be 1-D uint8 holding"):
+            synchronizer.locate_frames(packed.astype(dtype), nbits)
 
     def test_no_lock_on_random_data(self):
         rng = np.random.default_rng(4)
@@ -271,10 +304,13 @@ def _noisy_streams(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_noisy_streams(), st.integers(1, 24), st.integers(0, 7))
+@given(_noisy_streams(),
+       st.one_of(st.integers(1, 24), st.sampled_from([sync._TRACK_FIRST_FRAMES, 10_000])),
+       st.integers(0, 7))
 def test_locate_frames_matches_reference(case, first_block, cut):
-    """Any first tracking block length, so miss pairs fall on block edges,
-    and streams cut off the byte grid, so the last windows border the pad."""
+    """Any first tracking block length, so miss pairs fall on block edges, the default one
+    and one longer than any stream, and streams cut off the byte grid, so the last windows
+    border the pad."""
     kind, gamma, bits = case
     bits = bits[: bits.size - cut]
     synchronizer = FrameSynchronizer(kind, gamma)
