@@ -5,8 +5,9 @@ Acquisition uses two banks of 8 match-count correlators, one per bit offset
 within a byte.  Bank 1 looks at a candidate preamble window, bank 2 at the
 window one frame later (the next frame's preamble); lock is declared when the
 same offset clears the threshold in both banks, so one decision spans
-P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  On a stream packed by `pack`,
-acquisition scans every bit position and tracking one word a frame, no gather.
+P1 + D1 + P2 = 264 bytes (P32) or 526 bytes (P64).  One kernel counts window
+mismatches on a stream packed by `pack`: gathered at any starts for `match_counts`,
+read in place at every bit position (acquisition) or a frame apart (tracking).
 
 The correlation metric is the match count (Hamming similarity), in [0, N]: the
 operating thresholds (e.g. 28 of 32, tolerating 4 errors) are on that scale.
@@ -44,22 +45,34 @@ class SyncProbabilities:
 
 
 def pack(bits: np.ndarray) -> np.ndarray:
-    """Bits packed MSB-first, then the 8 zero bytes `match_counts` reads ahead."""
+    """Bits packed MSB-first, then the 8 zero bytes the window kernel reads ahead."""
     return np.concatenate([np.packbits(bits), np.zeros(8, np.uint8)])
+
+
+def _preamble_word(preamble: bytes, n: int) -> tuple[int, int]:
+    """(word, shift): the n-bit preamble held MSB-first in bytes as an int, and 64 - n."""
+    if not 0 < n <= 64:
+        raise ValueError(f"preamble must be 1 to 64 bits, got {n}")
+    return int.from_bytes(preamble, "big") >> (-n % 8), 64 - n
+
+
+def _mismatches(packed: np.ndarray, q, r, word: int, shift: int) -> np.ndarray:
+    """Mismatches with the preamble word of the windows at bit 8 q + r of a stream packed by
+    `pack`: the 64-bit word at byte q, shifted by r and topped up from the ninth byte.  An int
+    array q gathers, a slice reads a strided view in place; r (array or int) broadcasts."""
+    window = np.ndarray((packed.size - 7,), ">u8", packed, strides=(1,))[q] << r
+    return np.bitwise_count((window | packed[8:][q] >> (8 - r)) >> shift ^ word)
 
 
 def match_counts(packed: np.ndarray, starts: np.ndarray, preamble: np.ndarray) -> np.ndarray:
     """Number of bits matching the preamble (1 to 64 bits) in the window at each bit start
-    of a stream packed by `pack`, read in place: the 64-bit word at the start's byte, shifted
-    by the bit offset and topped up from the ninth byte, holds the window in its top n bits."""
-    n = np.size(preamble)
-    if not 0 < n <= 64:
-        raise ValueError(f"preamble must be 1 to 64 bits, got {n}")
-    word = int.from_bytes(np.packbits(preamble).tobytes(), "big") >> (-n % 8)
-    q, r = starts >> 3, (starts & 7).astype(np.uint64)
-    window = np.ndarray((packed.size - 7,), ">u8", packed, strides=(1,))[q] << r
-    window |= packed[q + 8] >> (8 - r)
-    return np.intp(n) - np.bitwise_count((window >> (64 - n)) ^ word)
+    of a stream packed by `pack`; the starts are integers in [0, 8 packed.size - 64 - n]."""
+    n, starts = np.size(preamble), np.asarray(starts)
+    key = _preamble_word(np.packbits(preamble).tobytes(), n)  # (word, shift)
+    if starts.dtype.kind not in "iu" or starts.size and not \
+            0 <= starts.min() <= starts.max() <= 8 * packed.size - 64 - n:
+        raise ValueError(f"starts must be integers in [0, {8 * packed.size - 64 - n}]")
+    return np.intp(n) - _mismatches(packed, starts >> 3, (starts & 7).astype(np.uint64), *key)
 
 
 def correlate(windows: np.ndarray, preamble: np.ndarray) -> np.ndarray | np.integer:
@@ -83,50 +96,36 @@ class FrameSynchronizer:
 
     def __init__(self, kind: FrameKind, gamma: int):
         self.kind = kind
+        self._key = _preamble_word(kind.preamble, kind.preamble_bits)  # (word, shift)
         self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
-        self._word, self._shift = int.from_bytes(kind.preamble, "big"), 64 - kind.preamble_bits
-
-    def _mismatches(self, packed: np.ndarray, a: int, b: int) -> np.ndarray:
-        """n - `match_counts` at each bit start in [a, b), with no gather: the 64-bit words at
-        bytes a >> 3 on, each shifted by all 8 bit offsets and topped up from its ninth byte."""
-        qa, qb = a >> 3, (b + 7) >> 3
-        words = np.ndarray((qb - qa,), ">u8", packed, offset=qa, strides=(1,)).astype(np.uint64)
-        window = words << _OFFSETS | packed[qa + 8: qb + 8] >> (8 - _OFFSETS)
-        return np.bitwise_count((window >> self._shift) ^ self._word).T.ravel()[a - 8 * qa: b - 8 * qa]
-
-    def _grid_mismatches(self, packed: np.ndarray, s: int, count: int) -> np.ndarray:
-        """n - `match_counts` at s + frame_bits * arange(count), with no gather: frames are whole
-        bytes, so the windows share the bit offset r = s & 7 and lie a frame apart in bytes."""
-        fb, q, r = self.kind.frame_bytes, s >> 3, s & 7
-        window = (np.ndarray((count,), ">u8", packed, offset=q, strides=(fb,)) << r
-                  | packed[q + 8: q + 8 + fb * count: fb] >> (8 - r))
-        return np.bitwise_count((window >> self._shift) ^ self._word)
 
     def locate_frames(self, packed: np.ndarray, nbits: int) -> tuple[list[int], int]:
         """(frame start bit positions, sync loss count) in nbits bits packed by `pack`."""
+        nbits = _integer("nbits", nbits)
         if getattr(packed, "dtype", None) != np.uint8 or packed.ndim != 1 \
                 or not 0 <= nbits <= 8 * packed.size - 64:
             raise ValueError(f"packed must be 1-D uint8 holding nbits={nbits} bits and 8 pad bytes")
-        n, frame_bits = self.kind.preamble_bits, self.kind.frame_bits
-        # the last bank-1 position keeps bank 2 inside the stream
-        scan_end = nbits - (frame_bits + n) + 1
+        n, frame_bits, fb = self.kind.preamble_bits, self.kind.frame_bits, self.kind.frame_bytes
+        scan_end = nbits - (frame_bits + n) + 1  # the last bank-1 start keeps bank 2 in the stream
         starts: list[int] = []
         losses = pos = 0
         chunk = min(frame_bits, _SCAN_CHUNK_BITS)  # a lock is usually within a frame or two
         while pos < scan_end:
-            hi = min(pos + chunk, scan_end)
-            ok = self._mismatches(packed, pos, hi + frame_bits) <= n - self.gamma
-            lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits:])
+            hi, q = min(pos + chunk, scan_end), pos >> 3
+            scan = _mismatches(packed, slice(q, (hi + frame_bits + 7) >> 3), _OFFSETS, *self._key)
+            ok = scan.T.ravel()[pos - 8 * q:] <= n - self.gamma  # the offsets lead: .T is bit order
+            lock = np.flatnonzero(ok[: hi - pos] & ok[frame_bits: frame_bits + hi - pos])
             if lock.size == 0:
                 pos, chunk = hi, min(2 * chunk, _SCAN_CHUNK_BITS)
                 continue
-            # the flywheel grid, checked in blocks that double in length so a lock
-            # costs what it tracks; blocks overlap by one frame to see edge pairs
+            # the flywheel grid, in blocks that double in length so a lock costs what it tracks and
+            # overlap by one frame to see edge pairs; its windows share offset s & 7, fb bytes apart
             s = pos + int(lock[0])
-            count = (nbits - s) // frame_bits
+            count, q = (nbits - s) // frame_bits, s >> 3
             lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
             while True:
-                hit = self._grid_mismatches(packed, s + lo * frame_bits, hi - lo) <= n - self.gamma
+                grid = slice(q + lo * fb, q + hi * fb, fb)
+                hit = _mismatches(packed, grid, s & 7, *self._key) <= n - self.gamma
                 double_miss = np.flatnonzero(~hit[:-1] & ~hit[1:])
                 if double_miss.size or hi == count:
                     break

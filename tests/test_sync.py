@@ -2,6 +2,7 @@
 per-frame reference loop, and the analytic probabilities against exhaustive
 and exact-rational oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -106,6 +107,17 @@ class TestCorrelate:
             assert counts[idx] == sync.correlate(windows[idx], pre)
 
 
+def sliding_counts(bits, pre):
+    """Match counts of the preamble at every start, by comparing unpacked windows."""
+    return (np.lib.stride_tricks.sliding_window_view(bits, pre.size) == pre).sum(axis=1)
+
+
+def kernel_counts(packed, kind, q, r):
+    """n - the window kernel at bytes q (a slice), bit offsets r, against the kind's preamble."""
+    n = kind.preamble_bits
+    return n - sync._mismatches(packed, q, r, *sync._preamble_word(kind.preamble, n)).astype(int)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([P32, P64]), st.integers(0, 200), st.floats(0.0, 0.5),
        st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 10 ** 6), max_size=20))
@@ -120,17 +132,17 @@ def test_match_counts_matches_sliding_reference(kind, extra, flip, seed, picks):
     bits = (np.resize(pre, n + extra) ^ (rng.random(n + extra) < flip)).astype(np.uint8)
     last = bits.size - n
     starts = np.array([p % (last + 1) for p in picks] + [max(last - k, 0) for k in range(8)])
-    expect = (np.lib.stride_tricks.sliding_window_view(bits, n) == pre).sum(axis=1)
+    expect = sliding_counts(bits, pre)
     assert sync.match_counts(sync.pack(bits), starts, pre).tolist() == expect[starts].tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([P32, P64]), st.integers(0, 400), st.floats(0.0, 0.5),
        st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
-def test_acquisition_scan_matches_match_counts(kind, extra, flip, seed, a, length, to_last):
-    """The gather-free acquisition scan over [a, b) against `match_counts` at
-    every start in it, with a and b at every bit offset; `to_last` ends the
-    scan at the stream's last window, where the last bank-2 window sits."""
+def test_acquisition_scan_matches_sliding_reference(kind, extra, flip, seed, a, length, to_last):
+    """The kernel's acquisition form (a stride-1 slice of bytes, all 8 bit offsets) against
+    unpacked windows at every start in [a, b), with a and b at every bit offset; `to_last`
+    ends the scan at the stream's last window, where the last bank-2 window sits."""
     pre = framing.gen_preamble(kind)
     n = pre.size
     rng = np.random.default_rng(seed)
@@ -138,19 +150,20 @@ def test_acquisition_scan_matches_match_counts(kind, extra, flip, seed, a, lengt
     last = bits.size - n
     a %= last + 1
     b = last + 1 if to_last else a + length % (last + 2 - a)
-    packed = sync.pack(bits)
-    scan = FrameSynchronizer(kind, kind.default_gamma)._mismatches(packed, a, b)
-    assert (n - scan.astype(int)).tolist() == sync.match_counts(packed, np.arange(a, b), pre).tolist()
+    q = a >> 3
+    scan = kernel_counts(sync.pack(bits), kind, slice(q, (b + 7) >> 3), sync._OFFSETS)
+    assert scan.T.ravel()[a - 8 * q: b - 8 * q].tolist() == sliding_counts(bits, pre)[a:b].tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([P32, P64]), st.integers(0, 7), st.integers(0, 800), st.integers(1, 8),
        st.one_of(st.just(0), st.integers(1, 15)), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
-def test_tracking_kernel_matches_match_counts(kind, r, q, count, extra, flip, seed):
-    """The strided tracking kernel against `match_counts` on `count` windows a frame apart
-    from s = 8 q + r, for every bit offset r (at r = 0 the ninth byte is shifted out whole):
-    noisy preambles on the grid give counts near n, and with no extra bits the last window
-    ends the stream, so its word and ninth byte reach into the pad bytes of `pack`."""
+def test_tracking_form_matches_sliding_reference(kind, r, q, count, extra, flip, seed):
+    """The kernel's tracking form (a slice of stride frame_bytes, one bit offset r) against
+    unpacked windows on `count` windows a frame apart from s = 8 q + r, for every r (at r = 0
+    the ninth byte is shifted out whole): noisy preambles on the grid give counts near n, and
+    with no extra bits the last window ends the stream, so its word and ninth byte reach into
+    the pad bytes of `pack`."""
     pre = framing.gen_preamble(kind)
     n, fb = pre.size, kind.frame_bits
     rng = np.random.default_rng(seed)
@@ -158,10 +171,9 @@ def test_tracking_kernel_matches_match_counts(kind, r, q, count, extra, flip, se
     size = s + (count - 1) * fb + n + extra
     frame = np.concatenate([pre, rng.integers(0, 2, fb - n)])
     bits = (np.roll(np.resize(frame, size), s) ^ (rng.random(size) < flip)).astype(np.uint8)
-    packed = sync.pack(bits)
-    got = FrameSynchronizer(kind, kind.default_gamma)._grid_mismatches(packed, s, count)
-    want = sync.match_counts(packed, s + fb * np.arange(count), pre)
-    assert (n - got.astype(int)).tolist() == want.tolist()
+    grid = slice(q, q + count * kind.frame_bytes, kind.frame_bytes)
+    got = kernel_counts(sync.pack(bits), kind, grid, r)
+    assert got.tolist() == sliding_counts(bits, pre)[s: s + count * fb: fb].tolist()
 
 
 class TestDetect:
@@ -204,6 +216,15 @@ class TestDetect:
         assert synchronizer.locate_frames(packed, stream.size) == ([0, 2080, 4160], 0)
         with pytest.raises(ValueError, match="packed must be 1-D uint8 holding"):
             synchronizer.locate_frames(packed.astype(dtype), nbits)
+
+    @pytest.mark.parametrize("nbits", [6240.0, True, np.float64(6240)],
+                             ids=["float", "bool", "np-float"])
+    def test_nbits_must_be_an_integer(self, nbits):
+        stream = build_stream(P32, 23, 3)
+        synchronizer = FrameSynchronizer(P32, 28)
+        with pytest.raises(ValueError, match=r"^nbits must be an integer"):
+            synchronizer.locate_frames(sync.pack(stream), nbits)
+        assert synchronizer.locate_frames(sync.pack(stream), np.int64(stream.size))[1] == 0
 
     def test_no_lock_on_random_data(self):
         rng = np.random.default_rng(4)
@@ -384,13 +405,14 @@ def test_acquisition_scans_about_one_frame_on_a_clean_stream():
     bank-1 positions and their bank-2 partners: under 3 frames of positions,
     counted by the acquisition scan."""
     stream = np.concatenate([build_stream(P32, 22, 400, prefix_bits=3), framing.gen_preamble(P32)])
-    scanned, kernel = [], FrameSynchronizer._mismatches
+    scanned, kernel = [], sync._mismatches
 
-    def counting(self, packed, a, b):
-        scanned.append(b - a)
-        return kernel(self, packed, a, b)
+    def counting(packed, q, r, word, shift):
+        if r is sync._OFFSETS:  # the acquisition form: 8 positions a byte
+            scanned.append(8 * (q.stop - q.start))
+        return kernel(packed, q, r, word, shift)
 
-    with mock.patch.object(FrameSynchronizer, "_mismatches", counting):
+    with mock.patch.object(sync, "_mismatches", counting):
         starts, losses = locate(stream, P32, 28)
     assert losses == 0 and starts == [3 + i * P32.frame_bits for i in range(400)]
     assert 0 < sum(scanned) < 3 * P32.frame_bits
@@ -436,6 +458,30 @@ def test_match_counts_rejects_preamble_length():
     for n in (0, 65):
         with pytest.raises(ValueError, match="1 to 64 bits"):
             sync.match_counts(packed, np.arange(4), np.zeros(n, np.uint8))
+
+
+@pytest.mark.parametrize("starts", [[-1, -8], [0, 33], [64], [0.0, 8.0], [True]],
+                         ids=["negative", "past-the-stream", "past-the-pad", "float", "bool"])
+def test_match_counts_rejects_starts_off_the_stream(starts):
+    """A 64-bit stream holds 33 windows of 32 bits, at starts 0 to 32: a negative start
+    (which would wrap round to the pad), one whose window passes the stream, and a start
+    that is not an integer are each a ValueError; the bounds themselves are valid."""
+    bits = np.random.default_rng(24).integers(0, 2, 64).astype(np.uint8)
+    packed, pre = sync.pack(bits), framing.gen_preamble(P32)
+    assert sync.match_counts(packed, np.array([0, 32]), pre).tolist() == \
+        sliding_counts(bits, pre)[[0, 32]].tolist()
+    with pytest.raises(ValueError, match=r"^starts must be integers in \[0, 32\]"):
+        sync.match_counts(packed, np.array(starts), pre)
+
+
+@pytest.mark.parametrize("preamble", [b"", bytes(9)], ids=["empty", "nine-bytes"])
+def test_synchronizer_rejects_preamble_length(preamble):
+    """A frame kind whose preamble the 64-bit window kernel cannot hold fails when the
+    synchronizer is built, with the message of `match_counts`."""
+    kind = dataclasses.replace(P32, preamble=preamble)
+    message = f"^preamble must be 1 to 64 bits, got {8 * len(preamble)}$"
+    with pytest.raises(ValueError, match=message):
+        FrameSynchronizer(kind, 0)
 
 
 def test_binomial_tail_edges():
