@@ -26,22 +26,22 @@ occupancy is an exact integer function of the two tick counters, for either
 sign of drift: with every tick writing, a commit at write tick k leaves
 base + 1 + floor(k (pr - pw) / pr) bytes and read m leaves
 base + floor(m (pr - pw) / pw), where base is fixed at the start of the
-stretch.  Each step solves these in closed form for the next event that needs
-the per-tick rules (priming, the upper threshold, overflow at capacity,
-resume at the lower threshold, the horizon), stops earlier where a burst, gap
-or stop-latency counter runs out, and applies the write ticks and every read
-between them at once.  An event tick then runs alone.  Underflows need no
-event: reads can only find the FIFO empty while occupancy after reads falls,
-so once starved it passes each write straight to the next read, and its
-underflows are counted as reads minus the bytes it had.  An active, primed
-writer in a burst (a continuous writer is one burst that runs to the horizon)
-first crosses in one integer pass each every whole (burst, gap) pair and, if
-it is faster than the reader, every whole flow-control cycle whose stop
-latency ends inside its burst.  So it takes scalar steps per run segment (up
-to priming, the cycles, the tail) and at stops whose latency leaves the
-burst, not per stop or per burst.  The results are bit-identical to naive
-per-tick stepping, which the test suite checks against an independent
-reference simulator.
+stretch.  Each step solves these in closed form for the next event tick
+(priming, the upper threshold, the capacity, the horizon), or the tick at
+which a paused writer resumes, ends earlier where a burst, gap or
+stop-latency counter runs out, and applies the write ticks up to the event,
+its rule at the last commit, and every read before the next tick at once.
+Underflows need no event: reads can only find the FIFO empty while occupancy
+after reads falls, so once starved it passes each write straight to the next
+read, and its underflows are counted as reads minus the bytes it had.  An
+active, primed writer in a burst (a continuous writer is one burst that runs
+to the horizon) first crosses in one integer pass each every whole (burst,
+gap) pair and, if it is faster than the reader, every whole flow-control
+cycle whose stop latency ends inside its burst.  So a run takes a few scalar
+steps (up to priming, then the tail after the cycles) and more only at stops
+whose latency leaves the burst, not per stop or per burst.  The results are
+bit-identical to naive per-tick stepping, which the test suite checks against
+an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -156,45 +156,51 @@ class _Sim:
             self.lengths = self.rng.integers(*_REFILL_BOUNDS).tolist()[::-1]
         return self.lengths.pop()
 
-    def _quiet_ticks(self) -> tuple[int, bool]:
-        """The number of write ticks from kw on that hold no occupancy event,
-        and whether each of them commits a byte.  The stretch may end on a
-        burst, gap or latency boundary, which `_count` applies."""
+    def _stretch(self) -> tuple[int, bool]:
+        """The number of write ticks from kw on up to and including the next
+        one that holds an occupancy event, and whether each of them commits a
+        byte.  The stretch ends earlier on a burst, gap or latency boundary,
+        and a paused writer's before the tick at which it resumes."""
         cfg, kw, occ, pw, pr = self.cfg, self.kw, self.occ, self.pw, self.pr
         paused = self.state == _PAUSED
         writing = not paused and self.burst_left != 0
-        k = self.k_last                       # the last tick runs on its own
+        end = self.k_last + 1
         if self.state == _STOPPING:
-            k = min(k, kw + self.latency_left)
+            end = min(end, kw + self.latency_left)
         if self.bursty and not paused:
-            k = min(k, kw + (self.burst_left if writing else self.gap_left))
+            end = min(end, kw + (self.burst_left if writing else self.gap_left))
         if writing:
             # the first tick whose commit lifts occupancy to `level`: priming,
-            # the upper threshold while active, a write finding the FIFO full
-            level = cfg.upper_threshold if self.state == _ACTIVE else cfg.capacity_bytes + 1
+            # the upper threshold while active, the capacity while stopping
+            level = cfg.upper_threshold if self.state == _ACTIVE else cfg.capacity_bytes
             if not self.primed:
-                k = min(k, kw + min(level, cfg.capacity_bytes // 2) - occ - 1)
+                end = min(end, kw + min(level, cfg.capacity_bytes // 2) - occ)
             elif occ + 1 >= level:
-                k = kw
+                end = kw + 1
             elif pw < pr:
                 # occupancy before write tick j is base + j - ceil(j pw / pr),
                 # so a commit at j leaves base + 1 + floor(j (pr - pw) / pr)
                 base = occ + self.next_read - kw
-                k = min(k, -(-(level - base - 1) * pr // (pr - pw)))
+                end = min(end, -(-(level - base - 1) * pr // (pr - pw)) + 1)
         elif paused and self.primed:
-            # the read that brings occupancy down to the lower threshold, and
-            # the first write tick after it
+            # the read that brings occupancy down to the lower threshold; the
+            # writer resumes at the first write tick after it, which is past
+            # kw because `run` resumes a writer already at or below it
             m = self.next_read + occ - cfg.lower_threshold - 1
-            k = min(k, max(kw, m * pr // pw + 1))
-        return k - kw, writing
+            end = min(end, m * pr // pw + 1)
+        return end - kw, writing
 
     def _advance(self, n: int, writing: bool) -> None:
-        """Apply the occupancy of n quiet write ticks from kw on, committing a
-        byte on each if `writing`, and of every read before the next tick.
+        """Run the n write ticks of a stretch from kw on, committing a byte on
+        each if `writing`, and every read before the next tick.  Only the
+        last tick can hold an event: a one-tick write that finds the FIFO full
+        is an overflow and commits nothing, the commit that reaches half the
+        capacity primes the reads, and an active writer's commit that reaches
+        the upper threshold asserts stop.
 
-        A quiet stretch lies within one burst or gap (whole pairs and cycles
-        are `_cycles`'s), and over it occupancy after commits and after reads
-        is monotone, and its first values set no new extreme: when commits do
+        A stretch lies within one burst or gap (whole pairs and cycles are
+        `_cycles`'s), and over it occupancy after commits and after reads is
+        monotone, and its first values set no new extreme: when commits do
         not rise, a read comes between the previous commit and the first, and
         a write comes between the previous read and the first.  So only the
         last commit and the last read are recorded.  Only with a faster reader
@@ -203,16 +209,41 @@ class _Sim:
         leaves the FIFO empty, and max(0, reads - occupancy - writes) reads
         find it so.
         """
-        st, pw, pr = self.stats, self.pw, self.pr
+        cfg, st, pw, pr = self.cfg, self.stats, self.pw, self.pr
+        if writing:                           # the burst, gap and latency counters
+            if self.bursty:
+                self.burst_left -= n
+                if self.burst_left == 0:
+                    self.gap_left = self._draw()
+        elif self.state != _PAUSED:           # the pattern is frozen while paused
+            self.gap_left -= n
+            if self.gap_left == 0:
+                self.burst_left = self._draw()
+        if self.state == _STOPPING:
+            self.latency_left -= n
+            if self.latency_left == 0:
+                self.state = _PAUSED
         k0, occ0, m0 = self.kw, self.occ, self.next_read
         w = n if writing else 0               # bytes committed
+        if w and occ0 == cfg.capacity_bytes:  # a full FIFO ends a stretch at one tick
+            st.overflow_events += 1
+            w = 0
         self.kw = k1 = k0 + n
         if w:
             st.bytes_written += w
-            top = occ0 + w
-            if self.primed:                   # less the reads before the last write
-                top -= -(-(k1 - 1) * pw // pr) - m0
+            m1 = -(-(k1 - 1) * pw // pr)      # the first read at or after the last commit
+            top = occ0 + w                    # left by the last commit
+            if self.primed:                   # less the reads before it
+                top -= m1 - m0
+            elif top >= cfg.capacity_bytes // 2:
+                self.primed = True
+                self.next_read = m0 = m1
+                st.min_occupancy_after_priming = top
             st.max_occupancy = max(st.max_occupancy, top)
+            if self.state == _ACTIVE and top >= cfg.upper_threshold:
+                st.stop_assertions += 1
+                self.latency_left = cfg.resume_latency_cycles
+                self.state = _STOPPING if self.latency_left else _PAUSED
         reads = min(k1 * pw - 1, self.t_end) // pr + 1 - m0 if self.primed else 0
         if reads <= 0:
             self.occ += w
@@ -221,7 +252,7 @@ class _Sim:
         low = occ0 - reads                    # left by the last read, before clamping
         if w:
             low += (self.next_read - 1) * pr // pw - k0 + 1   # writes up to it
-        if st.min_occupancy_after_priming is None or low < st.min_occupancy_after_priming:
+        if low < st.min_occupancy_after_priming:
             st.min_occupancy_after_priming = max(0, low)
         net = occ0 + w - reads
         gaps = max(0, -net)                   # reads that found the FIFO empty
@@ -229,54 +260,13 @@ class _Sim:
         st.output_bytes += reads - gaps
         st.underflow_events += gaps
 
-    def _count(self, n: int, writing: bool) -> None:
-        """Count n write ticks off the burst, gap and stop-latency counters."""
-        if writing:
-            if self.bursty:
-                self.burst_left -= n
-                if self.burst_left == 0:
-                    self.gap_left = self._draw()
-        elif self.state != _PAUSED:
-            self.gap_left -= n
-            if self.gap_left == 0:
-                self.burst_left = self._draw()
-        if self.state == _STOPPING:
-            self.latency_left -= n
-            if self.latency_left == 0:
-                self.state = _PAUSED
-
-    def _tick(self) -> None:
-        """Run write tick kw with the per-tick rules, then the reads before the next."""
-        cfg, st = self.cfg, self.stats
-        if self.state == _PAUSED and self.occ <= cfg.lower_threshold:
-            self.state = _ACTIVE
-        writing = self.state != _PAUSED and self.burst_left != 0
-        self._count(1, writing)
-        if writing:
-            if self.occ < cfg.capacity_bytes:
-                self.occ += 1
-                st.bytes_written += 1
-                st.max_occupancy = max(st.max_occupancy, self.occ)
-            else:
-                st.overflow_events += 1
-            if not self.primed and self.occ >= cfg.capacity_bytes // 2:
-                self.primed = True
-                self.next_read = -(-self.kw * self.pw // self.pr)  # first read at or after now
-                st.min_occupancy_after_priming = self.occ
-            if self.state == _ACTIVE and self.occ >= cfg.upper_threshold:
-                st.stop_assertions += 1
-                self.state = _STOPPING if cfg.resume_latency_cycles else _PAUSED
-                self.latency_left = cfg.resume_latency_cycles
-        self.kw += 1
-        self._advance(0, False)
-
     def _cycles(self) -> None:
         """Apply at once the whole flow-control cycles, resume tick to resume
         tick, and whole (burst, gap) pairs ahead of an active, primed writer
         in a burst, taking each gap and next burst from `lengths` as `_draw`
         would.  A burst's peak is its last commit, or its first when reads
         are at least as fast.  Where that reaches the upper threshold, a
-        faster writer stops at the tick solved as in `_quiet_ticks`; commits
+        faster writer stops at the tick solved as in `_stretch`; commits
         rise by at most one a tick, so the cycle's peak is
         `resume_latency_cycles` commits later, the burst (frozen while the
         writer is paused) loses the ticks up to it, and the writer resumes at
@@ -349,15 +339,12 @@ class _Sim:
 
     def run(self) -> FifoStats:
         while self.kw <= self.k_last:
+            if self.state == _PAUSED and self.occ <= self.cfg.lower_threshold:
+                self.state = _ACTIVE
             if self.state == _ACTIVE and self.primed and (
                     self.burst_left > 0 or self.burst_left < 0 and self.pw < self.pr):
                 self._cycles()
-            n, writing = self._quiet_ticks()
-            if n:
-                self._advance(n, writing)
-                self._count(n, writing)
-            else:
-                self._tick()
+            self._advance(*self._stretch())
         self.stats.final_occupancy = self.occ
         self.stats.output_gaps_after_priming = self.stats.underflow_events  # the same reads
         return self.stats

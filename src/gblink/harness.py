@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -245,6 +244,7 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
         raise ValueError(f"unknown sweep parameter {param!r}")
     configs = [_point_config(cfg, param, v, i) for i, v in enumerate(values)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             reports = list(pool.map(run_link, configs))
     else:

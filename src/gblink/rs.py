@@ -215,10 +215,12 @@ def decode_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     blk = np.asarray(blocks, dtype=np.uint8)
     if blk.ndim != 2 or blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must be (N, {BLOCK_BYTES}), got {blk.shape}")
-    synd = syndromes_blocks(blk)
     messages = blk[:, :MESSAGE_BYTES].copy()
     corrected = np.zeros(blk.shape[0], dtype=np.int64)
     ok = np.ones(blk.shape[0], dtype=bool)
+    if not blk.shape[0]:                      # a clean link call hands over no rows
+        return messages, corrected, ok
+    synd = syndromes_blocks(blk)
     errored = np.flatnonzero(synd.any(axis=1))
     for lo in range(0, errored.size, _FIX_ROWS):
         idx = errored[lo: lo + _FIX_ROWS]

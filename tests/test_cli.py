@@ -180,11 +180,23 @@ def test_invalid_gamma_exits_nonzero(capsys):
         assert captured.err.startswith(f"gblink: error: {message}") and captured.out == ""
 
 
-def run_module(*argv):
+def run_python(*args):
     # the child does not inherit pytest's `pythonpath`, so point it at src/
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    return run_python("-m", *argv)
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a sweep with more than one job starts a process pool, so the
+    CLI's start does not import `multiprocessing`."""
+    proc = run_python("-c", "import sys, gblink.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_entry_point():

@@ -183,7 +183,7 @@ def test_sweep_refuses_bad_gamma_before_any_run():
 
     cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=20, master_seed=1)
     with mock.patch.object(harness, "run_link", no_run), \
-            mock.patch.object(harness, "ProcessPoolExecutor", no_run):
+            mock.patch("concurrent.futures.ProcessPoolExecutor", no_run):
         for jobs in (1, 2):
             with pytest.raises(ValueError, match=r"gamma must be in \[0, 32\] for P32, got 99"):
                 sweep(cfg, (28.0, 99.0), "gamma", jobs=jobs)
@@ -206,7 +206,7 @@ def test_sweep_workers_capped_at_points():
             return map(fn, items)
 
     cfg = ExperimentConfig(channel=BscChannel(1e-3), frames=5, master_seed=3)
-    with mock.patch.object(harness, "ProcessPoolExecutor", InProcessPool):
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", InProcessPool):
         rows = sweep(cfg, (1e-3, 2e-3), jobs=64)
         sweep(cfg, (1e-3, 2e-3, 4e-3), jobs=2)
     assert workers == [2, 2]

@@ -362,6 +362,18 @@ def test_decode_blocks_empty_batch():
         rs.decode_blocks(np.zeros((2, 254), np.uint8))
 
 
+def test_decode_blocks_zero_rows_skip_the_syndrome_pass():
+    """A clean link call hands over no rows: the result has the shapes and
+    dtypes of a decoded batch, and no syndrome is computed."""
+    def no_syndromes(blocks):
+        raise AssertionError("zero rows reached the syndrome pass")
+
+    with mock.patch.object(rs, "syndromes_blocks", no_syndromes):
+        messages, corrected, ok = rs.decode_blocks(np.zeros((0, 255), np.uint8))
+    assert (messages.shape, messages.dtype) == ((0, 239), np.uint8)
+    assert (corrected.shape, corrected.dtype) == ((0,), np.int64)
+    assert (ok.shape, ok.dtype) == ((0,), np.bool_)
+
 def _corrupt(rng, n: int, max_errors: int) -> tuple[np.ndarray, np.ndarray]:
     """n random codewords with 0..max_errors random byte errors each."""
     blocks = rs.encode_blocks(rng.integers(0, 256, (n, 239), dtype=np.uint8))
