@@ -267,7 +267,7 @@ def frames_for_target_errors(chan: Channel, kind: FrameKind, uncoded: bool) -> i
     else:
         ebn0_db, code_rate = noise_point(chan, kind, uncoded)
         ber = channel_mod.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
-    if ber <= 0:
+    if ber * kind.frame_bits * FRAMES_CAP <= 100:  # 100 / (frame_bits ber) is inf for a subnormal ber
         return FRAMES_CAP
     need = math.ceil(100 / (kind.frame_bits * ber))
     return max(1, min(FRAMES_CAP, need))

@@ -16,13 +16,17 @@ Encoding and decoding are batch-first.  Parity, syndromes and the Chien
 search are GF(2^8)-linear maps, each a row gather from a position-major
 product table (row 256 j + x: byte x at input j) and one XOR reduce over the
 positions (`_gf256_apply`).  Blocks with nonzero syndromes go
-through one corrector, _FIX_ROWS blocks a pass: inversionless Berlekamp-Massey
-(Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders",
-IEEE TVLSI 2001) in 16 fixed steps, the table Chien search, Forney's formula
-at the located roots, and a re-check that each block is a codeword, made by
-adding the corrections' syndromes to the received ones.  The corrector is
-coefficient-major (syndromes (16, R), Lambda (9, R)), so each XOR reduce
-combines whole rows; each product is one gather from the flattened `_MUL`.
+through one corrector, _FIX_ROWS blocks a pass: the reformulated inversionless
+Berlekamp-Massey, RiBM (Sarwate & Shanbhag, "High-speed architectures for
+Reed-Solomon decoders", IEEE TVLSI 2001), in 16 fixed steps on one (2, 26, R)
+state (delta_0 .. delta_24 and a zero over gamma, theta_0 .. theta_24), which
+ends holding the locator Lambda and the modified evaluator Omega^h; the table
+Chien search; Forney's formula e_p = X_p^-15 Omega^h(X_p^-1) / Lambda'(X_p^-1),
+exponent 15 (p + 1) in the log domain, at the located roots; and a re-check
+that each block is a codeword, made by adding the corrections' syndromes to
+the received ones.  The corrector is coefficient-major (syndromes (16, R),
+Lambda (9, R)), so each XOR reduce combines whole rows; each product is one
+gather from the flattened `_MUL`.
 
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
@@ -143,33 +147,29 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _MUL.ravel().take((a.astype(np.uint16) << 8) | b)
 
 
-def _locators(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inversionless Berlekamp-Massey over a (16, R) syndrome batch.
-
-    Returns the error locators Lambda (9, R), coefficient i in row i, each
-    scaled by a nonzero constant, and their lengths L.  Every column takes
-    the same 16 steps; `np.where` picks the register update, so there is no
-    division and no branch.  Coefficients above x^8 are dropped: a locator
-    needs them only once its length passes 8, and lengths never shrink, so
-    it then fails the length check in `_correct_rows`.
+def _key_equation(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RiBM over a (16, R) syndrome batch: the locators Lambda (9, R) and the
+    modified evaluators Omega^h (8, R), coefficient i in row i, scaled by one
+    nonzero constant a column, and the locator lengths L.  Row 0 of the state
+    is delta_0 .. delta_24 and a zero, row 1 gamma and theta_0 .. theta_24, so
+    a step's products gamma delta_(i+1) and delta_0 theta_i are one gather,
+    and one masked copy of row 0 sets gamma = delta_0 and theta_i =
+    delta_(i+1) where the length grows; k = r - 2L after r steps.  A locator
+    longer than 8 runs off the registers and fails the length check.
     """
-    lam = np.zeros((CORRECTABLE_BYTES + 1, synd.shape[1]), dtype=np.uint8)
-    lam[0] = 1
-    prev = lam.copy()  # the correction polynomial B(x)
-    gamma = np.ones(synd.shape[1], dtype=np.uint8)  # discrepancy at the last length change
-    length = np.zeros(synd.shape[1], dtype=np.int64)
-    shifted = np.zeros_like(prev)
-    for r in range(PARITY_BYTES):
-        n = min(r, CORRECTABLE_BYTES) + 1
-        delta = np.bitwise_xor.reduce(_mul(lam[:n], synd[r::-1][:n]), axis=0)
-        shifted[1:] = prev[:-1]  # x B(x)
-        grow = (delta != 0) & (2 * length <= r)
-        new = _mul(gamma, lam) ^ _mul(delta, shifted)
-        prev = np.where(grow, lam, shifted)
-        gamma = np.where(grow, delta, gamma)
-        length = np.where(grow, r + 1 - length, length)
-        lam = new
-    return lam, length
+    state = np.zeros((2, 3 * CORRECTABLE_BYTES + 2, synd.shape[1]), dtype=np.uint8)
+    state[0, :PARITY_BYTES] = state[1, 1: PARITY_BYTES + 1] = synd
+    state[0, -2] = state[1, -1] = state[1, 0] = 1  # delta_24 = theta_24 = gamma = 1
+    k = np.zeros(synd.shape[1], dtype=np.int64)
+    for _ in range(PARITY_BYTES):
+        products = _MUL.ravel().take(state[::-1, :1].astype(np.uint16) << 8 | state[:, 1:])
+        grow = (k >= 0) & (state[0, 0] != 0)
+        np.copyto(state[1], state[0], where=grow)  # reads delta before this step's update
+        np.bitwise_xor(products[0], products[1], out=state[0, :-1])
+        k += 1
+        np.negative(k, out=k, where=grow)
+    delta = state[0]
+    return delta[CORRECTABLE_BYTES: PARITY_BYTES + 1], delta[:CORRECTABLE_BYTES], (PARITY_BYTES - k) // 2
 
 
 def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,22 +180,21 @@ def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.
     byte positions (Chien), every root has a nonzero locator derivative, and
     the blocks corrected by Forney's formula have zero syndromes.
     """
-    lam, length = _locators(synd)
+    lam, omega, length = _key_equation(synd)
     rows, pos = np.divmod(np.flatnonzero(_gf256_apply(lam.T, _CHIEN_TABLE, BLOCK_BYTES) == 0), BLOCK_BYTES)
     good = (length <= CORRECTABLE_BYTES) & (np.bincount(rows, minlength=length.size) == length)
+    if not good.any():  # all past the radius, as nearly every row a link call hands over is
+        return blocks, length, good
     rows, pos = rows[good[rows]], pos[good[rows]]  # row-sorted roots of the rows still good
 
-    # Forney, first consecutive root alpha^0: Omega = S * Lambda mod x^8
-    # (deg Omega < L <= 8), e_p = X_p * Omega(X_p^-1) / Lambda'(X_p^-1), and
-    # Lambda'(x) is the odd-degree part of Lambda divided by x.
-    omega = np.zeros((CORRECTABLE_BYTES, synd.shape[1]), dtype=np.uint8)
-    for i in range(CORRECTABLE_BYTES):
-        omega[i:] ^= _mul(lam[i], synd[: CORRECTABLE_BYTES - i])
+    # Forney with the RiBM evaluator and first consecutive root alpha^0 (module
+    # docstring); Lambda'(x) is the odd-degree part of Lambda divided by x.
     powers = _CHIEN_POWERS[:CORRECTABLE_BYTES, pos]  # X_p^-k, (8, E)
     om = np.bitwise_xor.reduce(_mul(omega[:, rows], powers), axis=0)
     dlam = np.bitwise_xor.reduce(_mul(lam[1::2, rows], powers[::2]), axis=0)
     good[rows[dlam == 0]] = False
-    value = np.where(om == 0, 0, _EXP_NP[(BLOCK_BYTES - 1 - pos + _LOG_NP[om] - _LOG_NP[dlam]) % 255])
+    logs = (PARITY_BYTES - 1) * (pos + 1) + _LOG_NP[om] - _LOG_NP[dlam]
+    value = np.where(om == 0, 0, _EXP_NP[logs % 255])
     fixed = blocks.copy()
     fixed[rows, pos] ^= value
 

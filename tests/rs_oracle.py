@@ -63,8 +63,9 @@ def syndromes(block: np.ndarray) -> np.ndarray:
     return _evaluate(block, BLOCK_BYTES - 1 - np.arange(BLOCK_BYTES), PARITY_BYTES)
 
 
-def _berlekamp_massey(synd: list[int]) -> list[int]:
-    """Error locator Lambda(x) from the syndromes, ascending coefficients."""
+def _berlekamp_massey(synd: list[int]) -> tuple[list[int], int]:
+    """Error locator Lambda(x) from the syndromes, ascending coefficients,
+    and its length L (the shortest LFSR that generates the syndromes)."""
     lam = [1]
     prev = [1]
     shift = 1
@@ -96,7 +97,7 @@ def _berlekamp_massey(synd: list[int]) -> list[int]:
             shift += 1
     while len(lam) > 1 and lam[-1] == 0:
         lam.pop()
-    return lam
+    return lam, errors
 
 
 def _find_error_positions(lam: list[int]) -> list[int]:
@@ -112,7 +113,7 @@ def _correct(block: np.ndarray, synd: np.ndarray) -> int | None:
     is uncorrectable (more than 8 byte errors, in all but a vanishing
     fraction of cases)."""
     synd_list = [int(s) for s in synd]
-    lam = _berlekamp_massey(synd_list)
+    lam, _ = _berlekamp_massey(synd_list)
     nerrs = len(lam) - 1
     if nerrs == 0 or nerrs > CORRECTABLE_BYTES:
         return None

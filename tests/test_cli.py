@@ -270,6 +270,17 @@ def test_overflowing_ebn0_runs_noiseless(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--seed", "1", "--channel", "bsc", "--p", "1e-320"],
+    ["run", "--seed", "1", "--ebn0", "28.9"],
+], ids=["bsc", "awgn"])
+def test_subnormal_ber_auto_frames_runs(argv, capsys):
+    """A channel whose BER is subnormal runs the capped frame count without --frames."""
+    assert run_cli(argv) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(v) for v in fields[1:]] == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--ebn0", "-4000", "--seed", "1", "--frames", "5"],
     ["run", "--ebn0", "-4000", "--seed", "1"],
     ["run", "--channel", "distance", "--distance", "1e200", "--seed", "1", "--frames", "5"],

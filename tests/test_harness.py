@@ -252,6 +252,14 @@ def test_sweep_rejects_nonpositive_jobs(jobs):
         sweep(cfg, (1e-3,), jobs=jobs)
 
 
+@pytest.mark.parametrize("ber", [1e-320, 5e-324])
+def test_auto_frames_capped_at_subnormal_ber(ber):
+    """100 / (frame_bits ber) overflows to inf for a subnormal BER; a channel
+    that clean gets the cap, as a BER of 0 does."""
+    for kind in (P32, P64):
+        assert harness.frames_for_target_errors(BscChannel(ber), kind, False) == harness.FRAMES_CAP
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run_link(ExperimentConfig(channel=AwgnChannel(8.0), frames=0, master_seed=1))
