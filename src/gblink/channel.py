@@ -42,7 +42,6 @@ class LinkBudget:
     tx_gain_dbi: float = 22.4
     rx_gain_dbi: float = 22.4
     carrier_hz: float = 60e9
-    bandwidth_hz: float = 2e9
     noise_figure_db: float = 8.0
     extra_loss_db: float = 0.0
 
@@ -50,9 +49,8 @@ class LinkBudget:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
-            raise ValueError("carrier_hz and bandwidth_hz must be positive, got "
-                             f"{self.carrier_hz} and {self.bandwidth_hz}")
+        if not self.carrier_hz > 0:
+            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
 
 
 def _db_to_ratio(db: float) -> float:
@@ -194,8 +192,8 @@ def snr_at_distance(budget: LinkBudget, distance_m: float) -> float:
     path_loss = 20 * math.log10(ratio)
     rx_dbm = (budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
               - path_loss - budget.extra_loss_db)
-    noise_floor_dbm = -174.0 + 10 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
-    return rx_dbm - noise_floor_dbm + 10 * math.log10(budget.bandwidth_hz / CHANNEL_RATE_BPS)
+    # Es/N0 = P_rx / (N0 R_b) with N0 = -174 dBm/Hz + NF: no noise bandwidth enters
+    return rx_dbm + 174.0 - budget.noise_figure_db - 10 * math.log10(CHANNEL_RATE_BPS)
 
 
 def rs_residual_ber(p: float) -> float:

@@ -25,6 +25,8 @@ from .framing import FRAME_KINDS
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
+    if not all(item.split() for item in text.split(",")):
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
@@ -69,7 +71,7 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
                 value = _BOOL[text.lower()] if action.nargs == 0 else (action.type or str)(text)
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(text)
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, argparse.ArgumentTypeError):
                 raise ValueError(f"{path}: bad value for {key}: {text!r}") from None
             values[key] = value
     return values
@@ -81,7 +83,6 @@ _BUDGET_OPTIONS = {
     "tx_gain": ("tx_gain_dbi", "dBi"),
     "rx_gain": ("rx_gain_dbi", "dBi"),
     "carrier_hz": ("carrier_hz", "Hz"),
-    "bandwidth_hz": ("bandwidth_hz", "Hz"),
     "noise_figure": ("noise_figure_db", "dB"),
     "extra_loss": ("extra_loss_db", "dB, e.g. 15 for the blockage scenario"),
 }
@@ -198,7 +199,8 @@ def _cmd_fifo(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gblink", description="60 GHz single-carrier gigabit link simulator")
+        prog="gblink", description="60 GHz single-carrier gigabit link simulator",
+        epilog="Give values such as -1e308, -inf or -1:3 as --flag=value, or they read as options.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one link experiment, CSV row out")
@@ -236,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_run, p_sweep, p_table, p_fifo):
         p.add_argument("--out", default="-", help="output file (default stdout)")
+        p.epilog = parser.epilog
     return parser
 
 

@@ -2,34 +2,36 @@
 ground-truth error accounting, plus parameter sweeps to CSV.
 
 Seeding: every run derives three independent child streams (payload bytes,
-alignment junk bits, channel noise) from `SeedSequence(master_seed).spawn(3)`.
-The payload bytes are the raw output of the first child's PCG64 bit generator,
+alignment junk bits, channel noise), those of `SeedSequence(master_seed).spawn(3)`;
+a stage builds child i as `SeedSequence(master_seed, spawn_key=(i,))`.  The
+payload bytes are the raw output of the first child's PCG64 bit generator,
 the bytes `default_rng(child).integers(0, 256, n, np.uint8)` would draw.  Sweep
 point i runs with the first state word of `SeedSequence((master_seed, i))` as
 its own master seed.  Identical configs therefore produce byte-identical CSV,
 and sweep points may execute in any order or in parallel.
 
-Accounting: the receiver works in the error domain.  Each chunk of the
-channel's sorted flips is XORed once into one error array shaped like the Tx
-byte stream; the received stream is Tx XOR errors, and the synchronizer's
-output on it is *compared* against the out-of-band truth.  Raw errors are
-the flips inside the frame spans.  The scrambler is an XOR and RS syndromes
-are linear, so decoding a codeword's bytes in that array gives the ok,
-corrections and message residual of the received one.  The minimum distance
-is 17, so a codeword with w <= 8 error bytes decodes with w corrections and
-no residual; only those with more go through `rs.decode_blocks`, which fails
-or miscorrects them.  Frames that miss sync or hold an uncorrectable
-codeword deliver their pass-through message bytes, count no corrections and
-are frame errors, as are miscorrected ones (a nonzero delivered residual).
-Coded errors are the popcount of the delivered residuals.
+Stages: `run_link` composes four functions over plain arrays.  `_transmit`
+returns the Tx byte stream and its bit count.  `_errors` returns the channel's
+errors, laid out like that stream, and the raw error count (flips in the frame
+spans): `channel.dbpsk_flips` draws the product detector's decision errors at
+the `channel.noise_sigma` deviation, exact in distribution (none if
+noiseless), and `channel.bsc_flips` a `BscChannel`'s, bypassing the modem.
+`_receive` returns the mask of frames located on the Tx grid of the received
+stream, Tx XOR errors, and the sync losses.  `_account` returns the validated
+`LinkReport`.  The scrambler is an XOR and RS syndromes are linear, so
+decoding a codeword's bytes in the error array gives the ok, corrections and
+message residual of the received one.  The minimum distance is 17, so a
+codeword with w <= 8 error bytes decodes with w corrections and no residual;
+only those with more go through `rs.decode_blocks`, which fails or
+miscorrects them.  Frames that miss sync or hold an uncorrectable codeword
+deliver their pass-through message bytes, count no corrections and are frame
+errors, as are miscorrected ones (a nonzero delivered residual).  Coded
+errors are the popcount of the delivered residuals.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` gives a per-channel-bit ratio from the link budget at rate
 1; `noise_point` is that mapping, for runs and frame-count sizing alike.
-`channel.dbpsk_flips` draws the product detector's decision errors at the
-`channel.noise_sigma` deviation, exact in distribution (none if noiseless);
-`BscChannel` flips bits through `channel.bsc_flips`, bypassing the modem.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed, a fractional frame count) when constructed.
 """
@@ -149,53 +151,67 @@ def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
 
 
 def run_link(cfg: ExperimentConfig) -> LinkReport:
-    """Run one seeded link experiment and account errors against ground truth."""
-    kind = cfg.frame_kind
-    synchronizer = FrameSynchronizer(kind, kind.default_gamma if cfg.gamma is None else cfg.gamma)
-    frame_bits, ncw, lo = kind.frame_bits, kind.codewords_per_frame, cfg.bit_offset
+    """Run one seeded link experiment and account errors against ground truth (see Stages)."""
+    stream, nbits = _transmit(cfg)
+    errors, raw_errors = _errors(cfg, stream, nbits)
+    stream ^= errors  # in place: `stream ^ errors` would allocate a second stream
+    return _account(cfg, errors, raw_errors, *_receive(cfg, stream, nbits))
 
-    payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    # the payload bytes, the bit generator's words read little-endian (see Seeding)
+
+def _transmit(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
+    """Junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2
+    window), then zeros to whole 64-bit words, 16 bytes or more (`_receive` keeps 8 pad bytes)."""
+    kind, lo = cfg.frame_kind, cfg.bit_offset
+    payload_ss, junk_ss = (np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)) for i in (0, 1))
     n = cfg.frames * kind.payload_bytes
     payload = np.random.PCG64(payload_ss).random_raw(-(-n // 8)).astype("<u8", copy=False)
     tx_frames = framing.build_frames(payload.view(np.uint8)[:n].reshape(cfg.frames, -1), kind)
     junk = np.random.default_rng(junk_ss).integers(0, 2, lo)
     junk = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))
-    # junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2 window),
-    # then zeros to whole 64-bit words, 16 bytes or more: `packed` drops a word and keeps 8 pad bytes
     body = tx_frames.size + kind.preamble_bytes
     stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
                              np.zeros(16 + (7 - body) % 8, np.uint8)])
-    nbits = lo + 8 * body
+    return stream, lo + 8 * body
 
-    seed = int(chan_ss.generate_state(1, np.uint64)[0])
+
+def _errors(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.ndarray, int]:
+    """A chunk of flips at a time, which bounds the temporaries at any error rate: count those
+    in the frame spans and XOR them into the errors, flip x at stream bit x + 8 - lo."""
+    kind, lo = cfg.frame_kind, cfg.bit_offset
+    seed = int(np.random.SeedSequence(cfg.master_seed, spawn_key=(2,)).generate_state(1, np.uint64)[0])
     if isinstance(cfg.channel, BscChannel):
         chunks = channel_mod.bsc_flips(nbits, cfg.channel.p, seed)
     else:
         sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
         chunks = channel_mod.dbpsk_flips(nbits, sigma, seed)
-    # a chunk of flips at a time, which bounds the temporaries at any error rate: count those
-    # in the frame spans and XOR them into the stream's errors, flip x at stream bit x + 8 - lo
-    errors = np.zeros_like(stream)
-    raw_errors = 0
+    errors, raw_errors = np.zeros_like(stream), 0
     for flips in chunks:
-        first, last = np.searchsorted(flips, [lo, lo + cfg.frames * frame_bits])
+        first, last = np.searchsorted(flips, [lo, lo + cfg.frames * kind.frame_bits])
         raw_errors += int(last - first)
         flips = flips + (8 - lo)
         np.bitwise_xor.at(errors, flips >> 3, (128 >> (flips & 7)).astype(np.uint8))
-    stream ^= errors
-    # the received stream shifted lo bits up, as by `sync.pack`, a 64-bit word at a time
+    return errors, raw_errors
+
+
+def _receive(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.ndarray, int]:
+    """Locate frames in the received stream, shifted lo bits up as by `sync.pack`, a word at a time."""
+    kind, lo = cfg.frame_kind, cfg.bit_offset
+    synchronizer = FrameSynchronizer(kind, kind.default_gamma if cfg.gamma is None else cfg.gamma)
     words = np.ndarray((stream.size // 8,), ">u8", stream).astype(np.uint64)
     packed = ((words[:-1] << (8 - lo)) | (words[1:] >> (56 + lo))).astype(">u8").view(np.uint8)
     located, sync_losses = synchronizer.locate_frames(packed, nbits)
-    frame, off = np.divmod(np.asarray(located, dtype=np.int64) - lo, frame_bits)  # starts on the Tx grid
+    frame, off = np.divmod(np.asarray(located, dtype=np.int64) - lo, kind.frame_bits)
     found = np.zeros(cfg.frames, dtype=bool)
     found[frame[(off == 0) & (frame >= 0) & (frame < cfg.frames)]] = True
+    return found, sync_losses
 
-    # a frames x codewords x 255 view of the codewords' error bytes; only located codewords with
-    # more than 8 are decoded (see Accounting); delivered frames carry the residual, others the errors
-    codewords = errors[1: 1 + tx_frames.size].reshape(tx_frames.shape)[
-        :, kind.preamble_bytes: kind.frame_bytes - kind.dummy_bytes].reshape(cfg.frames, ncw, -1)
+
+def _account(cfg: ExperimentConfig, errors: np.ndarray, raw_errors: int, found: np.ndarray,
+             sync_losses: int) -> LinkReport:
+    """The report, from a frames x codewords x 255 view of the error bytes (see Stages)."""
+    kind, frames = cfg.frame_kind, cfg.frames
+    codewords = errors[1: 1 + frames * kind.frame_bytes].reshape(frames, -1)[
+        :, kind.preamble_bytes: kind.frame_bytes - kind.dummy_bytes].reshape(frames, -1, rs.BLOCK_BYTES)
     weight = (codewords != 0).sum(axis=2, dtype=np.int16)  # error bytes; twice as fast as an intp sum
     frame, cw = np.nonzero(found[:, None] & (weight > rs.CORRECTABLE_BYTES))
     residual, corrected, ok = rs.decode_blocks(codewords[frame, cw])
@@ -206,17 +222,11 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
     passed = codewords[~delivered, :, : rs.MESSAGE_BYTES]
     right = delivered.copy()  # delivered frames less the miscorrected, whose payload is wrong
     right[frame[good & residual.any(axis=1)]] = False
-
     report = LinkReport(
-        raw_errors=raw_errors,
-        raw_bits=cfg.frames * frame_bits,
+        raw_errors=raw_errors, raw_bits=frames * kind.frame_bits,
         coded_errors=int(np.bitwise_count(passed).sum() + np.bitwise_count(residual[good]).sum()),
-        coded_bits=cfg.frames * kind.payload_bytes * 8,
-        frame_errors=cfg.frames - int(right.sum()),
-        frames=cfg.frames,
-        sync_losses=sync_losses,
-        corrected_bytes_total=int(weight[delivered].sum()),
-    )
+        coded_bits=frames * kind.payload_bytes * 8, frame_errors=frames - int(right.sum()),
+        frames=frames, sync_losses=sync_losses, corrected_bytes_total=int(weight[delivered].sum()))
     report.validate()
     return report
 
@@ -269,5 +279,4 @@ def frames_for_target_errors(chan: Channel, kind: FrameKind, uncoded: bool) -> i
         ber = channel_mod.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
     if ber * kind.frame_bits * FRAMES_CAP <= 100:  # 100 / (frame_bits ber) is inf for a subnormal ber
         return FRAMES_CAP
-    need = math.ceil(100 / (kind.frame_bits * ber))
-    return max(1, min(FRAMES_CAP, need))
+    return min(FRAMES_CAP, math.ceil(100 / (kind.frame_bits * ber)))

@@ -2,15 +2,22 @@
 
 import argparse
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gblink import cli, sync
+from gblink import cli, harness, sync
 from gblink.channel import LinkBudget
 from gblink.elastic import FifoConfig
 
@@ -123,6 +130,22 @@ def test_sweep_gamma(tmp_path):
                     "--sweep-param", "gamma", "--frames", "10", "--seed", "2",
                     "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("text", ["1,,2", ",1", "1,2,", "1, ,2", ""])
+def test_empty_sweep_item_rejected(text, tmp_path, capsys):
+    """An empty item in --sweep is a usage error, not a value dropped in silence."""
+    args = ["sweep", "--channel", "bsc", "--frames", "5", "--seed", "1"]
+    _assert_usage_error(args + [f"--sweep={text}"], capsys,
+                        f"argument --sweep: empty item in {text!r}")
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"sweep = {text}\n")
+    _assert_clean_error(args + ["--config", str(conf)], capsys)
+
+
+@pytest.mark.parametrize("text", ["1,2", "1 2", "1, 2", " 1 ,2 "])
+def test_sweep_values_separated_by_commas_or_spaces(text):
+    assert cli.parse_args(["sweep", "--sweep", text]).sweep == (1.0, 2.0)
 
 
 def test_sweep_requires_values(capsys):
@@ -251,6 +274,15 @@ def _assert_clean_error(args, capsys):
     assert captured.out == ""
 
 
+def _assert_usage_error(args, capsys, message):
+    """argparse's own rejection: exit 2 with the message on stderr and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_nan_ebn0_rejected(capsys):
     _assert_clean_error(["run", "--ebn0", "nan", "--frames", "5", "--seed", "1"], capsys)
     _assert_clean_error(["run", "--ebn0", "nan", "--seed", "1"], capsys)
@@ -338,6 +370,16 @@ def test_link_budget_options_map_every_field():
     assert cfg.channel.budget == LinkBudget(extra_loss_db=15.0)
 
 
+def test_bandwidth_option_removed(tmp_path, capsys):
+    """The noise bandwidth cancels out of Es/N0, so neither a flag nor a config key sets it."""
+    args = ["run", "--channel", "distance", "--frames", "5", "--seed", "1"]
+    _assert_usage_error(args + ["--bandwidth-hz", "2e9"], capsys,
+                        "unrecognized arguments: --bandwidth-hz 2e9")
+    conf = tmp_path / "link.conf"
+    conf.write_text("bandwidth_hz = 2e9\n")
+    _assert_clean_error(args + ["--config", str(conf)], capsys)
+
+
 def test_fifo_options_map_every_field():
     """Each FifoConfig field has one option, and the defaults are its own."""
     fields = sorted(f.name for f in dataclasses.fields(FifoConfig))
@@ -398,6 +440,15 @@ def test_help_shows_defaults(command):
         assert f"(default {default})" in text, action.dest
 
 
+def test_help_says_how_to_pass_dash_values(capsys):
+    """argparse takes -1e308 after a flag for an option; --flag=value passes it, as --help says."""
+    parsers = [cli.build_parser()] + [_subparser(c) for c in ("run", "sweep", "sync-table", "fifo")]
+    assert all("--flag=value" in " ".join(p.format_help().split()) for p in parsers)
+    assert cli.parse_args(["run", "--ebn0=-1e308"]).ebn0 == -1e308
+    _assert_usage_error(["run", "--ebn0", "-1e308", "--seed", "1"], capsys,
+                        "argument --ebn0: expected one argument")
+
+
 def test_infinite_fifo_cycles_rejected(capsys):
     _assert_clean_error(["fifo", "--cycles", "inf"], capsys)
 
@@ -454,3 +505,96 @@ def test_bad_fifo_clocks_rejected(capsys):
     _assert_clean_error(["fifo", "--read-hz", "inf", "--cycles", "100"], capsys)
     _assert_clean_error(["fifo", "--write-hz", "nan", "--cycles", "100"], capsys)
     _assert_clean_error(["fifo", "--write-hz", "1e-3", "--cycles", "100"], capsys)
+
+
+# boundary values: signed zeros, subnormals, the float range's ends, nan, infinities,
+# non-integers and empty text; the largest --cycles here that the CLI accepts is 30
+_FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf", "-inf",
+           "1e-3", "0.5", "2.5", "12", "30", ""]
+_INTS = ["0", "-0", "-1", "1", "3", "20", "2.5", "1e3", "nan", ""]  # a frame count <= 20
+
+
+def _fuzz_value(action):
+    """Argument text for one option, drawn by the option's type."""
+    if action.dest == "jobs":
+        return st.sampled_from(["1", "0", "-3", "2.5"])  # never a process pool
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "p99"])
+    if action.type is cli._parse_values:
+        return st.builds(lambda items, sep: sep.join(items),
+                         st.lists(st.sampled_from(_FLOATS), max_size=3),
+                         st.sampled_from([",", " ", ", "]))
+    if action.dest == "gammas":
+        ints = st.sampled_from(_INTS + ["x"])
+        return ints | st.builds(lambda lo, hi: f"{lo}:{hi}", ints, ints)
+    return st.sampled_from({float: _FLOATS, int: _INTS}[action.type])
+
+
+def _check_output(command, text):
+    """Exit 0 prints finite numbers, each within its range."""
+    if command == "fifo":
+        if text.startswith("{"):
+            record = json.loads(text)
+        else:
+            header, row = text.splitlines()
+            record = {k: int(v) if v else None for k, v in zip(header.split(","), row.split(","))}
+        assert all(v is None or (isinstance(v, int) and v >= 0) for v in record.values())
+        assert record["bytes_written"] == record["output_bytes"] + record["final_occupancy"]
+        return
+    header, *rows = text.splitlines()
+    assert rows
+    for row in rows:
+        first, *rates, last = row.split(",")
+        assert all(0 <= float(r) <= 1 for r in rates)
+        if command == "sync-table":
+            assert header == "gamma,p_miss,p_false_single,p_false_double"
+            assert 0 <= int(first) <= 64
+            assert 0 <= float(last) <= 1
+        else:
+            assert header == "parameter,raw_ber,coded_ber,fer,sync_losses"
+            assert not math.isnan(float(first)) and int(last) >= 0  # the parameter may be inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_boundary_fuzz(data):
+    """Boundary values for the real flags of every subcommand, on the command line or
+    in a --config file, in process: each command exits 0 with finite, in-range numbers
+    or 2 with nothing printed.  Runs are small: --frames <= 20, and the auto-sized count
+    is capped at 20."""
+    command = data.draw(st.sampled_from(["run", "sweep", "sync-table", "fifo"]))
+    options = _config_options(command)
+    values = [a for a in options if a.dest == "sweep"]  # always drawn: a sweep needs values
+    others = [a for a in options if a.dest != "sweep"]
+    actions = values + data.draw(st.lists(st.sampled_from(others), unique_by=lambda a: a.dest,
+                                          max_size=5))
+    argv, lines, texts = [command], [], {}
+    for action in actions:
+        if command in ("run", "sweep") and data.draw(st.booleans()):  # a --config line
+            bools = st.sampled_from(["true", "no", "1", "maybe"])
+            texts[action.dest] = data.draw(bools if action.nargs == 0 else _fuzz_value(action))
+            lines.append(f"{action.dest} = {texts[action.dest]}\n")
+        elif action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:
+            texts[action.dest] = data.draw(_fuzz_value(action))
+            argv.append(f"{action.option_strings[0]}={texts[action.dest]}")
+    if command in ("run", "sweep") and "seed" not in texts:
+        argv.append("--seed=1")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "FRAMES_CAP", 20), \
+            redirect_stdout(out), redirect_stderr(err):
+        if lines:
+            Path(tmp, "gblink.conf").write_text("".join(lines))
+            argv += ["--config", str(Path(tmp, "gblink.conf"))]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, lines, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", (argv, lines)
+    else:
+        _check_output(command, out.getvalue())
+    if not all(item.split() for item in texts.get("sweep", "1").split(",")):
+        assert code == 2, (argv, lines)
