@@ -27,7 +27,13 @@ from .framing import FRAME_KINDS
 def _parse_values(text: str) -> tuple[float, ...]:
     if not all(item.split() for item in text.split(",")):
         raise argparse.ArgumentTypeError(f"empty item in {text!r}")
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    values = []
+    for item in text.replace(",", " ").split():
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+    return tuple(values)
 
 
 def _parse_gammas(text: str) -> range:
@@ -197,8 +203,17 @@ def _cmd_fifo(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a flag error for `main` to report on one line, as it reports
+    config and domain errors, instead of printing usage and exiting; the
+    subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gblink", description="60 GHz single-carrier gigabit link simulator",
         epilog="Give values such as -1e308, -inf or -1:3 as --flag=value, or they read as options.")
     sub = parser.add_subparsers(dest="command", required=True)

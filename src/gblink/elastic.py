@@ -37,11 +37,13 @@ read, and its underflows are counted as reads minus the bytes it had.  An
 active, primed writer in a burst (a continuous writer is one burst that runs
 to the horizon) first crosses in one integer pass each every whole (burst,
 gap) pair and, if it is faster than the reader, every whole flow-control
-cycle whose stop latency ends inside its burst.  So a run takes a few scalar
-steps (up to priming, then the tail after the cycles) and more only at stops
-whose latency leaves the burst, not per stop or per burst.  The results are
-bit-identical to naive per-tick stepping, which the test suite checks against
-an independent reference simulator.
+cycle whose stop latency ends inside its burst, back to back in one loop
+that jumps a continuous writer's whole periods (at most pw cycles each).  So
+a run takes a few scalar steps (up to priming, then the tail after the
+cycles) and more only at stops whose latency leaves the burst, not per stop
+or per burst, and its loop spans a few periods, not the horizon.  Results
+are bit-identical to naive per-tick stepping, which the test suite checks
+against an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -264,32 +266,37 @@ class _Sim:
         """Apply at once the whole flow-control cycles, resume tick to resume
         tick, and whole (burst, gap) pairs ahead of an active, primed writer
         in a burst, taking each gap and next burst from `lengths` as `_draw`
-        would.  A burst's peak is its last commit, or its first when reads
-        are at least as fast.  Where that reaches the upper threshold, a
-        faster writer stops at the tick solved as in `_stretch`; commits
-        rise by at most one a tick, so the cycle's peak is
+        would.  A burst's peak is its last commit, or its first when reads are
+        at least as fast.  Below the upper threshold the pair's low is the
+        occupancy at the next burst, as gap reads only lower occupancy and
+        while commits rise each read leaves no less than the one before; a low
+        below 0 means -low reads found the FIFO empty.  Otherwise a faster
+        writer stops back to back, each at the tick solved as in `_stretch`;
+        commits rise by at most one a tick, so it peaks at tick j,
         `resume_latency_cycles` commits later, the burst (frozen while the
-        writer is paused) loses the ticks up to it, and the writer resumes at
-        the write tick after the read that leaves the lower threshold, its
-        low.  Otherwise the pair's low is the occupancy at the next burst, as
-        gap reads only lower occupancy and while commits rise each read
-        leaves no less than the one before; a low below 0 means -low reads
-        found the FIFO empty.  Stop before a cycle whose latency runs to the
-        burst's last tick or past it, whose peak overflows or whose resume
-        tick is past k_last, before a pair that ends past k_last or is not
-        drawn yet, and where a slower writer reaches the upper threshold.
+        writer is paused) loses the ticks up to it, and the writer resumes
+        after read j + base - lower, which leaves `lower`, its low, as
+        ceil(j pw / pr) + floor(j (pr - pw) / pr) = j.  A resume at (k, m) has
+        the future of one at (k + pr t, m + pw t), so a continuous writer's
+        resumes fall in pw classes, one per m mod pw: Brent's cycle search
+        finds their period and whole periods up to k_last are crossed at once.
+        Stop before a cycle whose latency runs to the burst's last tick or
+        past it, whose peak overflows or whose resume tick is past k_last,
+        before a pair that ends past k_last or is not drawn yet, and where a
+        slower writer reaches the upper threshold.
         """
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
-        cap, k_last, faster = cfg.capacity_bytes, self.k_last, pw < pr
+        cap, k_last, faster, gain = cfg.capacity_bytes, self.k_last, pw < pr, pr - pw
         k, m, occ = self.kw, self.next_read, self.occ
         b = self.burst_left if self.bursty else k_last + 1 - k
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
         i = len(lengths)
+        r0, k0, base0, s0, power = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
         while True:
             if faster:
                 base = occ + m - k
-                peak = base + 1 + (k + b - 1) * (pr - pw) // pr  # the burst's last commit
+                peak = base + 1 + (k + b - 1) * gain // pr  # the burst's last commit
             else:
                 peak = occ + 1                           # its first (reads before k are applied)
             if peak < upper:
@@ -307,23 +314,36 @@ class _Sim:
                 k, m, occ = k1, m1, occ1
                 i -= 2
                 b = lengths[i]
-            elif faster:
-                j = -(-(upper - base - 1) * pr // (pr - pw))  # the stop tick
+                if peak > top:
+                    top = peak
+                continue
+            if not faster:
+                break
+            while True:
+                j = -(-(upper - base - 1) * pr // gain)  # the stop tick
                 if j < k:
                     j = k
-                j += latency                             # the peak's tick
-                peak = base + 1 + j * (pr - pw) // pr
-                ml = -(-j * pw // pr) + peak - lower - 1  # the read that leaves `lower`
-                jr = ml * pr // pw + 1                   # the resume tick
-                if j >= k + b - 1 or peak > cap or jr > k_last:
+                elif j >= k + b:
+                    break                                # the burst ends first
+                jp = j + latency                         # the peak's tick
+                peak = base + 1 + jp * gain // pr
+                jr, r = divmod((jp + base - lower) * pr, pw)  # resume at jr + 1, class r
+                if jp >= k + b - 1 or peak > cap or jr >= k_last:
                     break
-                b -= j + 1 - k
-                k, m, occ = jr, ml + 1, lower
-                stops += 1
-            else:
+                b -= jp + 1 - k
+                base += jp - jr
+                k, occ, stops = jr + 1, lower, stops + 1
+                if peak > top:
+                    top = peak
+                if r == r0:                              # jump the whole periods
+                    n = (k_last - k) // (k - k0)
+                    k, base, stops = (k + n * (k - k0), base + n * (base - base0),
+                                      stops + n * (stops - s0))
+                elif stops - s0 == power:
+                    r0, k0, base0, s0, power = r, k, base, stops, 2 * power
+            m = base + k - occ
+            if j < k + b:                                # at a cycle it cannot apply
                 break
-            if peak > top:
-                top = peak
         if stops and lower < low:
             low = lower
         reads = m - self.next_read

@@ -143,6 +143,33 @@ def test_empty_sweep_item_rejected(text, tmp_path, capsys):
     _assert_clean_error(args + ["--config", str(conf)], capsys)
 
 
+@pytest.mark.parametrize("text,item", [("1,x", "x"), ("1 2e", "2e"), ("nan,1e3,0x10", "0x10")])
+def test_non_numeric_sweep_item_rejected(text, item, tmp_path, capsys):
+    """A --sweep item that is not a number is named in the error."""
+    args = ["sweep", "--channel", "bsc", "--frames", "5", "--seed", "1"]
+    _assert_usage_error(args + [f"--sweep={text}"], capsys,
+                        f"argument --sweep: not a number: {item!r}")
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"sweep = {text}\n")
+    _assert_clean_error(args + ["--config", str(conf)], capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["fifo", "--pattern", "zigzag"], "argument --pattern: invalid choice: 'zigzag'"),
+    (["run", "--frames", "many"], "argument --frames: invalid int value: 'many'"),
+], ids=["unknown-flag", "no-command", "unknown-command", "bad-choice", "bad-int"])
+def test_flag_error_is_one_line(argv, message, capsys):
+    """A flag argparse refuses is reported like any other error: one line, return code 2."""
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gblink: error: {message}")
+    assert captured.err.count("\n") == 1 and "usage:" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["1,2", "1 2", "1, 2", " 1 ,2 "])
 def test_sweep_values_separated_by_commas_or_spaces(text):
     assert cli.parse_args(["sweep", "--sweep", text]).sweep == (1.0, 2.0)
@@ -275,12 +302,11 @@ def _assert_clean_error(args, capsys):
 
 
 def _assert_usage_error(args, capsys, message):
-    """argparse's own rejection: exit 2 with the message on stderr and nothing on stdout."""
-    with pytest.raises(SystemExit) as exc:
-        run_cli(args)
-    assert exc.value.code == 2
+    """argparse's own rejection: `main` returns 2 with one `gblink: error:` line naming
+    it on stderr, no usage block, and nothing on stdout."""
+    assert run_cli(args) == 2
     captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
+    assert captured.err == f"gblink: error: {message}\n" and captured.out == ""
 
 
 def test_nan_ebn0_rejected(capsys):
@@ -559,9 +585,9 @@ def _check_output(command, text):
 @given(st.data())
 def test_cli_boundary_fuzz(data):
     """Boundary values for the real flags of every subcommand, on the command line or
-    in a --config file, in process: each command exits 0 with finite, in-range numbers
-    or 2 with nothing printed.  Runs are small: --frames <= 20, and the auto-sized count
-    is capped at 20."""
+    in a --config file, in process: each command returns 0 with finite, in-range numbers
+    or 2 with one `gblink: error:` line and nothing on stdout.  Runs are small:
+    --frames <= 20, and the auto-sized count is capped at 20."""
     command = data.draw(st.sampled_from(["run", "sweep", "sync-table", "fifo"]))
     options = _config_options(command)
     values = [a for a in options if a.dest == "sweep"]  # always drawn: a sweep needs values
@@ -587,13 +613,12 @@ def test_cli_boundary_fuzz(data):
         if lines:
             Path(tmp, "gblink.conf").write_text("".join(lines))
             argv += ["--config", str(Path(tmp, "gblink.conf"))]
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 2), (argv, lines, err.getvalue())
     if code == 2:
         assert out.getvalue() == "", (argv, lines)
+        assert err.getvalue().startswith("gblink: error:"), (argv, lines, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, lines, err.getvalue())
     else:
         _check_output(command, out.getvalue())
     if not all(item.split() for item in texts.get("sweep", "1").split(",")):

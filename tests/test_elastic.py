@@ -4,6 +4,7 @@ per-tick reference that walks the merged clock timeline one event at a time.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -238,6 +239,35 @@ def test_writer_faster_cycles_match_per_tick_reference_hypothesis(case):
     assert simulate_fifo(*case) == reference_simulate(*case)
 
 
+@st.composite
+def periodic_cases(draw):
+    """Continuous runs with the writer faster whose resumes repeat after a
+    few stops, over horizons of at least 3 periods, so each run crosses
+    whole periods at once.  The clocks are a and b steps of 10 MHz, a > b
+    coprime, so the tick periods are pw = b and pr = a, and a resume falls
+    in one of b classes: a period is at most b flow-control cycles, each
+    at most `cycle` read cycles (fill, latency, drain).  The upper threshold
+    is at least half the capacity, so the reads prime, and the latency
+    keeps the peak within the capacity."""
+    a = draw(st.integers(2, 16))
+    b = draw(st.integers(1, a - 1).filter(lambda b: math.gcd(a, b) == 1))
+    capacity = draw(st.integers(4, 64))
+    upper = draw(st.integers(capacity // 2, capacity - 2))
+    lower = draw(st.integers(1, upper - 1))
+    latency = draw(st.integers(0, (capacity - upper - 1) * a // (a - b)))
+    cfg = FifoConfig(capacity_bytes=capacity, upper_threshold=upper, lower_threshold=lower,
+                     write_clock_hz=a * 10**7, read_clock_hz=b * 10**7,
+                     resume_latency_cycles=latency)
+    cycle = (upper - lower + 1) * b // (a - b) + latency + capacity + 2
+    return cfg, draw(st.integers(3 * b * cycle, 4 * b * cycle)), "continuous", 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_cases())
+def test_whole_periods_match_per_tick_reference_hypothesis(case):
+    assert simulate_fifo(*case) == reference_simulate(*case)
+
+
 @pytest.mark.parametrize("cfg", [
     FifoConfig(capacity_bytes=16, upper_threshold=10, lower_threshold=4,
                write_clock_hz=100e6, read_clock_hz=70e6, resume_latency_cycles=3),
@@ -326,6 +356,24 @@ def test_long_continuous_run_fixture():
         bytes_written=10000862,
         final_occupancy=2509,
     )
+
+
+@pytest.mark.parametrize("cfg,cycles,expected", [
+    (FifoConfig(), 10**10, (3084, 1024, 0, 0, 950337, 9999998353, 0, 9999999822, 1469)),
+    (FifoConfig(), 10**11, (3084, 1024, 0, 0, 9503369, 99999998353, 0, 100000000782, 2429)),
+    (FifoConfig(lower_threshold=3071), 10**9,
+     (3085, 2047, 0, 0, 15384526, 999998353, 0, 1000001429, 3076)),
+], ids=["default-1e10", "default-1e11", "restop-1e9"])
+def test_long_horizon_fixture(cfg, cycles, expected):
+    """Frozen results of continuous runs up to the CLI's 1e11-cycle cap, with
+    up to 15M stops, frozen from per-stop stepping.  Whole periods of
+    flow-control cycles are crossed at once, so even the longest run is
+    quick: without the jump the 1e11 run takes seconds."""
+    start = time.perf_counter()
+    st = simulate_fifo(cfg, cycles)
+    elapsed = time.perf_counter() - start
+    assert st == FifoStats(*expected)
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.fixture
