@@ -21,28 +21,15 @@ Semantics
   * `duration_cycles` counts read-clock cycles from t = 0; the simulation
     horizon is the last of those ticks.
 
-Stepping is one event loop over write ticks.  While the writer's state holds,
-occupancy is an exact integer function of the two tick counters, for either
-sign of drift: with every tick writing, a commit at write tick k leaves
-base + 1 + floor(k (pr - pw) / pr) bytes and read m leaves
-base + floor(m (pr - pw) / pw), where base is fixed at the start of the
-stretch.  Each step solves these in closed form for the next event tick
-(priming, the upper threshold, the capacity, the horizon), or the tick at
-which a paused writer resumes, ends earlier where a burst, gap or
-stop-latency counter runs out, and applies the write ticks up to the event,
-its rule at the last commit, and every read before the next tick at once.
-Underflows need no event: reads can only find the FIFO empty while occupancy
-after reads falls, so once starved it passes each write straight to the next
-read, and its underflows are counted as reads minus the bytes it had.  An
-active, primed writer in a burst (a continuous writer is one burst that runs
-to the horizon) first crosses in one integer pass each every whole (burst,
-gap) pair and, if it is faster than the reader, every whole flow-control
-cycle whose stop latency ends inside its burst, back to back in one loop
-that jumps a continuous writer's whole periods (at most pw cycles each).  So
-a run takes a few scalar steps (up to priming, then the tail after the
-cycles) and more only at stops whose latency leaves the burst, not per stop
-or per burst, and its loop spans a few periods, not the horizon.  Results
-are bit-identical to naive per-tick stepping, which the test suite checks
+Stepping: each scalar step (`_Sim._step`) solves the next occupancy event
+tick in closed form and applies the write ticks up to it and the reads
+between them at once; `_Sim._cycles` crosses whole (burst, gap) pairs and
+whole flow-control cycles in one integer loop, and jumps a continuous
+writer's whole periods (at most pw cycles each).  A continuous writer is one
+burst that outlasts the run.  So a run takes a few steps (up to priming, then
+the tail after the cycles), more only at stops whose latency leaves their
+burst, and its cost does not grow with the horizon.  Results are
+bit-identical to naive per-tick stepping, which the test suite checks
 against an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
@@ -143,11 +130,12 @@ class _Sim:
         self.kw = 0                 # next write tick; every read before it is applied
         self.occ = 0
         self.state = _ACTIVE
-        self.latency_left = 0
+        self.pause_at = 0           # the write tick at which a stopping writer pauses
         self.primed = False
         self.next_read = 0          # next unprocessed read tick index (once primed)
-        # bursty: one of burst_left and gap_left is positive; continuous: -1
-        self.burst_left = self._draw() if self.bursty else -1
+        # one of burst_left and gap_left is positive; a continuous writer is
+        # one burst that outlasts the run (k + burst_left > k_last + 1)
+        self.burst_left = self._draw() if self.bursty else self.k_last + 2
         self.gap_left = 0
 
     def _draw(self) -> int:
@@ -158,49 +146,17 @@ class _Sim:
             self.lengths = self.rng.integers(*_REFILL_BOUNDS).tolist()[::-1]
         return self.lengths.pop()
 
-    def _stretch(self) -> tuple[int, bool]:
-        """The number of write ticks from kw on up to and including the next
-        one that holds an occupancy event, and whether each of them commits a
-        byte.  The stretch ends earlier on a burst, gap or latency boundary,
-        and a paused writer's before the tick at which it resumes."""
-        cfg, kw, occ, pw, pr = self.cfg, self.kw, self.occ, self.pw, self.pr
-        paused = self.state == _PAUSED
-        writing = not paused and self.burst_left != 0
-        end = self.k_last + 1
-        if self.state == _STOPPING:
-            end = min(end, kw + self.latency_left)
-        if self.bursty and not paused:
-            end = min(end, kw + (self.burst_left if writing else self.gap_left))
-        if writing:
-            # the first tick whose commit lifts occupancy to `level`: priming,
-            # the upper threshold while active, the capacity while stopping
-            level = cfg.upper_threshold if self.state == _ACTIVE else cfg.capacity_bytes
-            if not self.primed:
-                end = min(end, kw + min(level, cfg.capacity_bytes // 2) - occ)
-            elif occ + 1 >= level:
-                end = kw + 1
-            elif pw < pr:
-                # occupancy before write tick j is base + j - ceil(j pw / pr),
-                # so a commit at j leaves base + 1 + floor(j (pr - pw) / pr)
-                base = occ + self.next_read - kw
-                end = min(end, -(-(level - base - 1) * pr // (pr - pw)) + 1)
-        elif paused and self.primed:
-            # the read that brings occupancy down to the lower threshold; the
-            # writer resumes at the first write tick after it, which is past
-            # kw because `run` resumes a writer already at or below it
-            m = self.next_read + occ - cfg.lower_threshold - 1
-            end = min(end, m * pr // pw + 1)
-        return end - kw, writing
-
-    def _advance(self, n: int, writing: bool) -> None:
-        """Run the n write ticks of a stretch from kw on, committing a byte on
-        each if `writing`, and every read before the next tick.  Only the
-        last tick can hold an event: a one-tick write that finds the FIFO full
-        is an overflow and commits nothing, the commit that reaches half the
+    def _step(self) -> None:
+        """Run the write ticks from kw on up to and including the next one
+        that holds an occupancy event, and every read before the tick after
+        it.  The step ends earlier on a burst, gap or pause tick, and a paused
+        writer's before the tick at which it resumes.  Only the last tick can
+        hold an event: a one-tick write that finds the FIFO full is an
+        overflow and commits nothing, the commit that reaches half the
         capacity primes the reads, and an active writer's commit that reaches
         the upper threshold asserts stop.
 
-        A stretch lies within one burst or gap (whole pairs and cycles are
+        A step lies within one burst or gap (whole pairs and cycles are
         `_cycles`'s), and over it occupancy after commits and after reads is
         monotone, and its first values set no new extreme: when commits do
         not rise, a read comes between the previous commit and the first, and
@@ -212,25 +168,46 @@ class _Sim:
         find it so.
         """
         cfg, st, pw, pr = self.cfg, self.stats, self.pw, self.pr
-        if writing:                           # the burst, gap and latency counters
-            if self.bursty:
-                self.burst_left -= n
-                if self.burst_left == 0:
-                    self.gap_left = self._draw()
-        elif self.state != _PAUSED:           # the pattern is frozen while paused
-            self.gap_left -= n
+        k0, occ0, state = self.kw, self.occ, self.state
+        writing = state != _PAUSED and self.burst_left > 0
+        k1 = self.k_last + 1
+        if state == _STOPPING:
+            k1 = min(k1, self.pause_at)
+        if writing:
+            # the first tick whose commit lifts occupancy to `level`: priming,
+            # the upper threshold while active, the capacity while stopping
+            level = cfg.upper_threshold if state == _ACTIVE else cfg.capacity_bytes
+            k1 = min(k1, k0 + self.burst_left)
+            if not self.primed:
+                k1 = min(k1, k0 + min(level, cfg.capacity_bytes // 2) - occ0)
+            elif occ0 + 1 >= level:
+                k1 = k0 + 1
+            elif pw < pr:
+                # occupancy before write tick j is base + j - ceil(j pw / pr),
+                # so a commit at j leaves base + 1 + floor(j (pr - pw) / pr)
+                base = occ0 + self.next_read - k0
+                k1 = min(k1, -(-(level - base - 1) * pr // (pr - pw)) + 1)
+            self.burst_left -= k1 - k0
+            if self.burst_left == 0:
+                self.gap_left = self._draw()
+        elif state != _PAUSED:                # the pattern is frozen while paused
+            k1 = min(k1, k0 + self.gap_left)
+            self.gap_left -= k1 - k0
             if self.gap_left == 0:
                 self.burst_left = self._draw()
-        if self.state == _STOPPING:
-            self.latency_left -= n
-            if self.latency_left == 0:
-                self.state = _PAUSED
-        k0, occ0, m0 = self.kw, self.occ, self.next_read
-        w = n if writing else 0               # bytes committed
-        if w and occ0 == cfg.capacity_bytes:  # a full FIFO ends a stretch at one tick
+        elif self.primed:
+            # the read that brings occupancy down to the lower threshold; the
+            # writer resumes at the first write tick after it, which is past
+            # kw because `run` resumes a writer already at or below it
+            m = self.next_read + occ0 - cfg.lower_threshold - 1
+            k1 = min(k1, m * pr // pw + 1)
+        if state == _STOPPING and k1 == self.pause_at:
+            self.state = _PAUSED
+        self.kw, m0 = k1, self.next_read
+        w = k1 - k0 if writing else 0         # bytes committed
+        if w and occ0 == cfg.capacity_bytes:  # a full FIFO ends a step at one tick
             st.overflow_events += 1
             w = 0
-        self.kw = k1 = k0 + n
         if w:
             st.bytes_written += w
             m1 = -(-(k1 - 1) * pw // pr)      # the first read at or after the last commit
@@ -242,10 +219,10 @@ class _Sim:
                 self.next_read = m0 = m1
                 st.min_occupancy_after_priming = top
             st.max_occupancy = max(st.max_occupancy, top)
-            if self.state == _ACTIVE and top >= cfg.upper_threshold:
+            if state == _ACTIVE and top >= cfg.upper_threshold:
                 st.stop_assertions += 1
-                self.latency_left = cfg.resume_latency_cycles
-                self.state = _STOPPING if self.latency_left else _PAUSED
+                self.pause_at = k1 + cfg.resume_latency_cycles
+                self.state = _STOPPING if cfg.resume_latency_cycles else _PAUSED
         reads = min(k1 * pw - 1, self.t_end) // pr + 1 - m0 if self.primed else 0
         if reads <= 0:
             self.occ += w
@@ -271,7 +248,7 @@ class _Sim:
         occupancy at the next burst, as gap reads only lower occupancy and
         while commits rise each read leaves no less than the one before; a low
         below 0 means -low reads found the FIFO empty.  Otherwise a faster
-        writer stops back to back, each at the tick solved as in `_stretch`;
+        writer stops back to back, each at the tick solved as in `_step`;
         commits rise by at most one a tick, so it peaks at tick j,
         `resume_latency_cycles` commits later, the burst (frozen while the
         writer is paused) loses the ticks up to it, and the writer resumes
@@ -288,8 +265,7 @@ class _Sim:
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
         cap, k_last, faster, gain = cfg.capacity_bytes, self.k_last, pw < pr, pr - pw
-        k, m, occ = self.kw, self.next_read, self.occ
-        b = self.burst_left if self.bursty else k_last + 1 - k
+        k, m, occ, b = self.kw, self.next_read, self.occ, self.burst_left
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
         i = len(lengths)
         r0, k0, base0, s0, power = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
@@ -352,19 +328,18 @@ class _Sim:
         st.underflow_events += gaps
         st.stop_assertions += stops
         st.max_occupancy, st.min_occupancy_after_priming = top, low
-        self.kw, self.next_read, self.occ = k, m, occ
-        if self.bursty:
-            self.burst_left = b
-            del lengths[i:]
+        self.kw, self.next_read, self.occ, self.burst_left = k, m, occ, b
+        del lengths[i:]
 
     def run(self) -> FifoStats:
         while self.kw <= self.k_last:
             if self.state == _PAUSED and self.occ <= self.cfg.lower_threshold:
                 self.state = _ACTIVE
-            if self.state == _ACTIVE and self.primed and (
-                    self.burst_left > 0 or self.burst_left < 0 and self.pw < self.pr):
+            # a continuous writer no faster than the reads has no cycles to cross
+            if self.state == _ACTIVE and self.primed and self.burst_left > 0 and (
+                    self.bursty or self.pw < self.pr):
                 self._cycles()
-            self._advance(*self._stretch())
+            self._step()
         self.stats.final_occupancy = self.occ
         self.stats.output_gaps_after_priming = self.stats.underflow_events  # the same reads
         return self.stats

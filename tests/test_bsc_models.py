@@ -4,9 +4,9 @@
 draws them in, so these seeded runs are compared with closed forms, not with
 pinned values: flip counts per 64-bit window against Binomial(64, p), gaps
 between flips against Geometric(p), P64 frame errors against i.i.d. binomial
-byte errors, and P32 sync losses at gamma = n against the flywheel's renewal
-cycle.  A change of the BSC random stream has to pass them before any golden
-row is re-pinned.
+byte errors, and P32 and P64 sync losses at gamma = n against the flywheel's
+renewal cycle.  A change of the BSC random stream has to pass them before any
+golden row is re-pinned.
 """
 
 import math
@@ -65,15 +65,16 @@ def test_p64_fer_matches_binomial_byte_errors(p, frames):
     assert abs(rep.frame_errors / frames - fer) <= 3 * se
 
 
-def test_p32_sync_losses_match_renewal_cycle():
-    """At gamma = n any flip misses a window, so m = 1 - (1 - p)^32.  A lock
+@pytest.mark.parametrize("kind,p", [(P32, 3e-2), (P64, 1.5e-2)], ids=["p32", "p64"])
+def test_sync_losses_match_renewal_cycle(kind, p):
+    """At gamma = n any flip misses a window, so m = 1 - (1 - p)^n.  A lock
     is tracked to a double miss, then windows are scanned to a double hit:
     E[cycle] = (1 + m) / m^2 + (1 + h) / h^2 frames per loss, h = 1 - m."""
-    p, frames = 3e-2, 6000
-    m = 1 - (1 - p) ** 32
+    n, frames = kind.preamble_bits, 6000
+    m = 1 - (1 - p) ** n
     h = 1 - m
     cycle = (1 + m) / m ** 2 + (1 + h) / h ** 2
-    rates = [run_link(ExperimentConfig(BscChannel(p), frames, seed, gamma=32)).sync_losses / frames
-             for seed in range(1, 7)]
+    rates = [run_link(ExperimentConfig(BscChannel(p), frames, seed, kind, gamma=n)).sync_losses
+             / frames for seed in range(1, 7)]
     se = statistics.stdev(rates) / math.sqrt(len(rates))
     assert abs(statistics.mean(rates) - 1 / cycle) <= 3 * se

@@ -283,13 +283,20 @@ def test_writer_faster_every_horizon(cfg):
 
 
 @pytest.mark.parametrize("read_hz", [125e6, 130e6], ids=["equal", "reader-faster"])
-def test_long_run_closed_form(read_hz):
+def test_long_run_closed_form(steps, monkeypatch, read_hz):
     """1e8 read cycles with a writer that never reaches the upper threshold:
     it writes on every tick up to the horizon, and after priming at half
-    capacity each write is matched (equal clocks) or outrun by a read."""
+    capacity each write is matched (equal clocks) or outrun by a read.  So
+    `run` never hands it to `_cycles`, and priming and the rest of the run
+    take a scalar step each."""
+    def no_cycles(sim):
+        raise AssertionError("_cycles entered")
+
+    monkeypatch.setattr(elastic._Sim, "_cycles", no_cycles)
     cfg = FifoConfig(read_clock_hz=read_hz)
     cycles = 10**8
     stats = simulate_fifo(cfg, cycles)
+    assert len(steps) <= 3
     pw, pr = periods(cfg)
     assert stats.bytes_written == (cycles - 1) * pr // pw + 1
     assert stats.bytes_written == stats.output_bytes + stats.final_occupancy
@@ -378,15 +385,15 @@ def test_long_horizon_fixture(cfg, cycles, expected):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """A list that grows by one on every scalar step (`_stretch` call)."""
+    """A list that grows by one on every scalar step (`_step` call)."""
     calls = []
-    stretch = elastic._Sim._stretch
+    step = elastic._Sim._step
 
     def counted(sim):
         calls.append(None)
-        return stretch(sim)
+        return step(sim)
 
-    monkeypatch.setattr(elastic._Sim, "_stretch", counted)
+    monkeypatch.setattr(elastic._Sim, "_step", counted)
     return calls
 
 
@@ -431,16 +438,26 @@ def test_restop_cycles_steps_per_segment(steps):
     assert len(steps) < 5
 
 
-def test_continuous_run_builds_no_generator(monkeypatch):
-    """Only a bursty writer draws lengths, so only it builds a generator;
-    the seed is validated for both patterns."""
-    expected = simulate_fifo(FifoConfig(), 50_000, "continuous", 0)
+@pytest.mark.parametrize("cfg,cycles", [
+    (FifoConfig(), 50_000),
+    (FifoConfig(), 10**10),
+    (FifoConfig(lower_threshold=3071), 10**9),
+], ids=["default-50k", "default-1e10", "restop-1e9"])
+def test_continuous_run_builds_no_generator(monkeypatch, cfg, cycles):
+    """Only a bursty writer draws lengths, so only it builds a generator: a
+    continuous writer's one burst never ends, also across the whole periods
+    jumped at once.  The seed is validated for both patterns."""
+    expected = simulate_fifo(cfg, cycles, "continuous", 0)
 
     def no_generator(seed):
         raise AssertionError("generator built")
 
+    def no_draw(sim):
+        raise AssertionError("length drawn")
+
     monkeypatch.setattr(elastic.np.random, "default_rng", no_generator)
-    assert simulate_fifo(FifoConfig(), 50_000, "continuous", 3) == expected
+    monkeypatch.setattr(elastic._Sim, "_draw", no_draw)
+    assert simulate_fifo(cfg, cycles, "continuous", 3) == expected
     for bad in (-1, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             simulate_fifo(FifoConfig(), 1000, "continuous", bad)
