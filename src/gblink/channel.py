@@ -160,21 +160,22 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     p_large = math.exp(-_R0_SQ / scale) if scale else 0.0
     if p_large == 0.0:
         return
-    gap_ss, value_ss = np.random.SeedSequence(seed).spawn(2)
+    gap_ss, value_ss = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in (0, 1))
     values = np.random.default_rng(value_ss)
-    pos, last, last_right = -1, 0j, 0j  # the last large sample, its noise, its right neighbour
+    pos, shifted = np.empty(_GAP_CHUNK + 1, np.int64), np.empty((2, _GAP_CHUNK + 1), complex)
+    pos[0], shifted[:, 0] = -1, 0  # slot 0 holds the last large sample: position, noise, right
     for ends in bsc_flips(size, p_large, gap_ss):
-        big, left, right = _noise_draws(values.random((ends.size, 6)), scale).T
-        gaps = np.diff(ends, prepend=pos)
-        prev = np.concatenate([[last], big[:-1]])
+        big, left, right = _noise_draws(values.random((m := ends.size, 6)), scale).T
+        pos[1: m + 1], shifted[0, 1: m + 1], shifted[1, 1: m + 1] = ends, big, right
+        gaps, prev, prev_right = ends - pos[:m], shifted[0, :m], shifted[1, :m]
         # decision j' + 1 of the previous large j', where that is not j, then decision j
-        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, np.concatenate([[last_right], right[:-1]])), prev)
+        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, prev_right), prev)
         now = _wrong(big, np.where(gaps == 1, prev, left))
         if after.any() or now.any():
-            yield np.stack([ends - gaps + 1, ends], axis=1)[np.stack([after, now], axis=1)]
-        pos, last, last_right = ends[-1], big[-1], right[-1]
-    if pos + 1 < size and _wrong(last_right, last):
-        yield np.array([pos + 1])
+            yield np.sort(np.concatenate([pos[:m][after] + 1, ends[now]]))
+        pos[0], shifted[:, 0] = pos[m], shifted[:, m]
+    if pos[0] + 1 < size and _wrong(shifted[1, 0], shifted[0, 0]):
+        yield np.array([pos[0] + 1])
 
 
 def dbpsk_ber_theory(ebn0_db: float) -> float:

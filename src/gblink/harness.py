@@ -17,7 +17,8 @@ spans): `channel.dbpsk_flips` draws the product detector's decision errors at
 the `channel.noise_sigma` deviation, exact in distribution (none if
 noiseless), and `channel.bsc_flips` a `BscChannel`'s, bypassing the modem.
 `_receive` returns the mask of frames located on the Tx grid of the received
-stream, Tx XOR errors, and the sync losses.  `_account` returns the validated
+stream, Tx XOR errors, searched in place from bit 8 - lo (channel bit 0), and
+the sync losses.  `_account` returns the validated
 `LinkReport`.  The scrambler is an XOR and RS syndromes are linear, so
 decoding a codeword's bytes in the error array gives the ok, corrections and
 message residual of the received one.  The minimum distance is 17, so a
@@ -159,19 +160,19 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
 
 
 def _transmit(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
-    """Junk bits, the frames and a trailing preamble (the next frame's: the last frame's bank-2
-    window), then zeros to whole 64-bit words, 16 bytes or more (`_receive` keeps 8 pad bytes)."""
+    """Junk bits ending byte 0, the frames, the next frame's preamble (the last one's bank-2 window)
+    and 8 zero bytes to read ahead.  Junk bit i is bit 31 of PCG64 half-word i: `integers(0, 2, lo)`."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
-    payload_ss, junk_ss = (np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)) for i in (0, 1))
     n = cfg.frames * kind.payload_bytes
+    payload_ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0,))
     payload = np.random.PCG64(payload_ss).random_raw(-(-n // 8)).astype("<u8", copy=False)
     tx_frames = framing.build_frames(payload.view(np.uint8)[:n].reshape(cfg.frames, -1), kind)
-    junk = np.random.default_rng(junk_ss).integers(0, 2, lo)
-    junk = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))
-    body = tx_frames.size + kind.preamble_bytes
-    stream = np.concatenate([junk, tx_frames.ravel(), np.frombuffer(kind.preamble, np.uint8),
-                             np.zeros(16 + (7 - body) % 8, np.uint8)])
-    return stream, lo + 8 * body
+    stream = np.concatenate([np.zeros(1, np.uint8), tx_frames.ravel(),
+                             np.frombuffer(kind.preamble, np.uint8), np.zeros(8, np.uint8)])
+    if lo:
+        junk = np.random.PCG64(np.random.SeedSequence(cfg.master_seed, spawn_key=(1,))).random_raw(4)
+        stream[0] = np.packbits(junk.astype("<u8", copy=False).view("<u4")[:lo] >> 31)[0] >> (8 - lo)
+    return stream, lo + 8 * (stream.size - 9)
 
 
 def _errors(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.ndarray, int]:
@@ -194,13 +195,11 @@ def _errors(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.n
 
 
 def _receive(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.ndarray, int]:
-    """Locate frames in the received stream, shifted lo bits up as by `sync.pack`, a word at a time."""
+    """Locate frames in the received stream in place: channel bit 0 is stream bit 8 - lo."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
     synchronizer = FrameSynchronizer(kind, kind.default_gamma if cfg.gamma is None else cfg.gamma)
-    words = np.ndarray((stream.size // 8,), ">u8", stream).astype(np.uint64)
-    packed = ((words[:-1] << (8 - lo)) | (words[1:] >> (56 + lo))).astype(">u8").view(np.uint8)
-    located, sync_losses = synchronizer.locate_frames(packed, nbits)
-    frame, off = np.divmod(np.asarray(located, dtype=np.int64) - lo, kind.frame_bits)
+    located, sync_losses = synchronizer.locate_frames(stream, nbits, 8 - lo)
+    frame, off = np.divmod(located - lo, kind.frame_bits)
     found = np.zeros(cfg.frames, dtype=bool)
     found[frame[(off == 0) & (frame >= 0) & (frame < cfg.frames)]] = True
     return found, sync_losses

@@ -161,11 +161,12 @@ def _key_equation(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     state[0, :PARITY_BYTES] = state[1, 1: PARITY_BYTES + 1] = synd
     state[0, -2] = state[1, -1] = state[1, 0] = 1  # delta_24 = theta_24 = gamma = 1
     k = np.zeros(synd.shape[1], dtype=np.int64)
-    for _ in range(PARITY_BYTES):
-        products = _MUL.ravel().take(state[::-1, :1].astype(np.uint16) << 8 | state[:, 1:])
+    for r in range(PARITY_BYTES):
+        live = min(3 * CORRECTABLE_BYTES + 1, 2 * PARITY_BYTES - r)  # no later step reads the rest
+        products = _MUL.ravel().take(state[::-1, :1].astype(np.uint16) << 8 | state[:, 1: live + 1])
         grow = (k >= 0) & (state[0, 0] != 0)
         np.copyto(state[1], state[0], where=grow)  # reads delta before this step's update
-        np.bitwise_xor(products[0], products[1], out=state[0, :-1])
+        np.bitwise_xor(products[0], products[1], out=state[0, :live])
         k += 1
         np.negative(k, out=k, where=grow)
     delta = state[0]

@@ -99,16 +99,15 @@ class FrameSynchronizer:
         self._key = _preamble_word(kind.preamble, kind.preamble_bits)  # (word, shift)
         self.gamma = _threshold(kind.preamble_bits, gamma, f" for {kind.tag}")
 
-    def locate_frames(self, packed: np.ndarray, nbits: int) -> tuple[list[int], int]:
-        """(frame start bit positions, sync loss count) in nbits bits packed by `pack`."""
-        nbits = _integer("nbits", nbits)
+    def locate_frames(self, packed: np.ndarray, nbits: int, first: int = 0) -> tuple[np.ndarray, int]:
+        """(int64 frame starts counted from bit `first`, sync losses) in nbits bits from there."""
+        nbits, first = _integer("nbits", nbits), _integer("first", first)
         if getattr(packed, "dtype", None) != np.uint8 or packed.ndim != 1 \
-                or not 0 <= nbits <= 8 * packed.size - 64:
-            raise ValueError(f"packed must be 1-D uint8 holding nbits={nbits} bits and 8 pad bytes")
+                or not 0 <= nbits <= 8 * packed.size - 64 - first or first < 0:
+            raise ValueError(f"packed must be 1-D uint8 holding nbits={nbits} bits from {first}, 8 pad bytes")
         n, frame_bits, fb = self.kind.preamble_bits, self.kind.frame_bits, self.kind.frame_bytes
-        scan_end = nbits - (frame_bits + n) + 1  # the last bank-1 start keeps bank 2 in the stream
-        starts: list[int] = []
-        losses = pos = 0
+        scan_end = first + nbits - (frame_bits + n) + 1  # the last bank-1 start whose bank 2 fits
+        runs, losses, pos = [np.empty(0, np.int64)], 0, first
         chunk = min(frame_bits, _SCAN_CHUNK_BITS)  # a lock is usually within a frame or two
         while pos < scan_end:
             hi, q = min(pos + chunk, scan_end), pos >> 3
@@ -121,7 +120,7 @@ class FrameSynchronizer:
             # the flywheel grid, in blocks that double in length so a lock costs what it tracks and
             # overlap by one frame to see edge pairs; its windows share offset s & 7, fb bytes apart
             s = pos + int(lock[0])
-            count, q = (nbits - s) // frame_bits, s >> 3
+            count, q = (first + nbits - s) // frame_bits, s >> 3
             lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
             while True:
                 grid = slice(q + lo * fb, q + hi * fb, fb)
@@ -132,12 +131,12 @@ class FrameSynchronizer:
                 lo, hi = hi - 1, min(2 * hi, count)
             # frames up to the first miss of a pair are delivered
             end = s + (lo + int(double_miss[0]) + 1 if double_miss.size else count) * frame_bits
-            starts.extend(range(s, end, frame_bits))
+            runs.append(np.arange(s - first, end - first, frame_bits, dtype=np.int64))
             if double_miss.size == 0:
                 break
             losses += 1
             pos, chunk = end + 1, min(frame_bits, _SCAN_CHUNK_BITS)
-        return starts, losses
+        return np.concatenate(runs), losses
 
 
 def binomial_tail_ge(n: int, k: int, p: float) -> float:

@@ -317,14 +317,14 @@ class _LoggingRng:
 def test_noiseless_runs_draw_no_noise(chan):
     """At sigma = 0, and where the rate of large noise samples underflows to 0,
     the channel flips nothing and draws nothing: every generator the run makes
-    is logged (and every bit generator it makes itself), and the payload's bit
-    generator and the junk bits are the only draws of the run."""
+    is logged (and every bit generator it makes itself), and at bit offset 0 the
+    payload's bit generator is the only one the run makes."""
     default_rng, pcg64, calls = np.random.default_rng, np.random.PCG64, []
     with mock.patch.object(np.random, "default_rng",
                            lambda seed: _LoggingRng(default_rng(seed), calls)), \
             mock.patch.object(np.random, "PCG64", lambda seed: calls.append("PCG64") or pcg64(seed)):
         rep = run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
-    assert calls == ["PCG64", "integers"]
+    assert calls == ["PCG64"]
     assert rep.raw_errors == 0
 
 
@@ -343,6 +343,19 @@ def test_payload_bytes_are_the_generator_draw(kind):
         want = np.random.default_rng(child).integers(0, 256, (frames, kind.payload_bytes),
                                                      dtype=np.uint8)
         assert np.array_equal(build.call_args.args[0], want)
+
+
+def test_junk_bits_are_the_generator_draw():
+    """run_link takes the lo junk bits that end byte 0 of the Tx stream straight from
+    the junk child's bit generator: they are `default_rng(child).integers(0, 2, lo)`,
+    packed MSB-first.  This rests on how numpy draws bounded integers."""
+    for seed in range(300):
+        for lo in range(8):
+            cfg = ExperimentConfig(channel=BscChannel(0.0), frames=1, master_seed=seed, bit_offset=lo)
+            child = np.random.SeedSequence(seed).spawn(3)[1]
+            junk = np.random.default_rng(child).integers(0, 2, lo)
+            want = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))[0]
+            assert harness._transmit(cfg)[0][0] == want, (seed, lo)
 
 
 def test_concurrent_runs_match_serial():

@@ -31,7 +31,7 @@ def test_deserialize_offsets(offset):
     frames = np.unpackbits(framing.build_frames(payloads, P32).reshape(-1))
     bits = np.concatenate([junk, frames, framing.gen_preamble(P32)])
     located, _ = sync.FrameSynchronizer(P32, 28).locate_frames(sync.pack(bits), bits.size)
-    assert located == [offset + k * P32.frame_bits for k in range(3)]
+    assert located.tolist() == [offset + k * P32.frame_bits for k in range(3)]
     realigned = np.packbits(bits[offset: offset + frames.size]).reshape(3, -1)
     parsed, corrected, ok = framing.parse_frames(realigned, P32)
     assert np.array_equal(parsed, payloads) and ok.all()

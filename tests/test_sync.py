@@ -32,8 +32,15 @@ def build_stream(kind, payload_seed, nframes, prefix_bits=0):
     return np.concatenate([junk, bits])
 
 
+def located(synchronizer, packed, nbits, first=0):
+    """`locate_frames` with its int64 starts as a list, to compare with lists."""
+    starts, losses = synchronizer.locate_frames(packed, nbits, first)
+    assert starts.dtype == np.int64 and starts.ndim == 1
+    return starts.tolist(), losses
+
+
 def locate(stream, kind, gamma):
-    return FrameSynchronizer(kind, gamma).locate_frames(sync.pack(stream), stream.size)
+    return located(FrameSynchronizer(kind, gamma), sync.pack(stream), stream.size)
 
 
 def reference_locate_frames(bits, synchronizer):
@@ -205,17 +212,24 @@ class TestDetect:
         assert locate(np.concatenate([one, pre[:-1]]), P32, 28) == ([], 0)
         assert locate(np.concatenate([one, pre]), P32, 28) == ([0], 0)
 
-    @pytest.mark.parametrize("dtype,nbits", [(np.uint8, 8352), (np.uint8, 12512), (np.int64, 6272)],
-                             ids=["past-the-data", "past-the-pad", "int64"])
-    def test_packed_must_hold_nbits(self, dtype, nbits):
+    @pytest.mark.parametrize("dtype,nbits,first,match", [
+        (np.uint8, 8352, 0, "packed must be"), (np.uint8, 12512, 0, "packed must be"),
+        (np.int64, 6272, 0, "packed must be"), (np.uint8, 6272, 1, "packed must be"),
+        (np.uint8, 6240, -1, "packed must be"), (np.uint8, 6240, 2.0, "^first must be an integer"),
+        (np.uint8, 6240, True, "^first must be an integer"),
+        (np.uint8, 6240, np.float64(2), "^first must be an integer")],
+        ids=["past-the-data", "past-the-pad", "int64", "first-past-the-pad", "negative-first",
+             "float-first", "bool-first", "np-float-first"])
+    def test_packed_must_hold_nbits(self, dtype, nbits, first, match):
         """Three frames and the trailing preamble, 6272 bits packed by `pack`: an nbits that
         reads past the data (where tracking would deliver a fourth frame from the pad) or past
-        the buffer, or a packed array that is not uint8, is a ValueError."""
+        the buffer, from bit 0 or a later first bit, a negative first bit, a first bit that is
+        not an integer, or a packed array that is not uint8, is a ValueError."""
         stream = np.concatenate([build_stream(P32, 23, 3), framing.gen_preamble(P32)])
         packed, synchronizer = sync.pack(stream), FrameSynchronizer(P32, 28)
-        assert synchronizer.locate_frames(packed, stream.size) == ([0, 2080, 4160], 0)
-        with pytest.raises(ValueError, match="packed must be 1-D uint8 holding"):
-            synchronizer.locate_frames(packed.astype(dtype), nbits)
+        assert located(synchronizer, packed, stream.size) == ([0, 2080, 4160], 0)
+        with pytest.raises(ValueError, match=match):
+            synchronizer.locate_frames(packed.astype(dtype), nbits, first)
 
     @pytest.mark.parametrize("nbits", [6240.0, True, np.float64(6240)],
                              ids=["float", "bool", "np-float"])
@@ -336,8 +350,20 @@ def test_locate_frames_matches_reference(case, first_block, cut):
     bits = bits[: bits.size - cut]
     synchronizer = FrameSynchronizer(kind, gamma)
     with mock.patch.object(sync, "_TRACK_FIRST_FRAMES", first_block):
-        got = synchronizer.locate_frames(sync.pack(bits), bits.size)
+        got = located(synchronizer, sync.pack(bits), bits.size)
     assert got == reference_locate_frames(bits, synchronizer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_noisy_streams(), st.lists(st.integers(0, 1), max_size=15))
+def test_starts_count_from_first(case, prefix):
+    """The bits from bit `first` of a stream give the starts and losses of those bits alone,
+    counted from `first`, whatever bits precede them."""
+    kind, gamma, bits = case
+    synchronizer = FrameSynchronizer(kind, gamma)
+    behind = sync.pack(np.concatenate([np.array(prefix, np.uint8), bits]))
+    assert located(synchronizer, behind, bits.size, len(prefix)) == \
+        located(synchronizer, sync.pack(bits), bits.size)
 
 
 @pytest.mark.parametrize("first_block", [1, 2, 3, 4])
@@ -353,7 +379,7 @@ def test_miss_pair_on_every_block_edge(first_block):
             stream = base.copy()
             for j in (i, i + 1):
                 stream[j * fb: j * fb + 12] ^= 1
-            got = synchronizer.locate_frames(sync.pack(stream), stream.size)
+            got = located(synchronizer, sync.pack(stream), stream.size)
             assert got == reference_locate_frames(stream, synchronizer)
             assert got[1] == 1 and i * fb in got[0] and (i + 1) * fb not in got[0]
 
@@ -396,7 +422,7 @@ def test_acquisition_chunks_match_reference(case):
     kind, gamma, bits, chunk_bits = case
     synchronizer = FrameSynchronizer(kind, gamma)
     with mock.patch.object(sync, "_SCAN_CHUNK_BITS", chunk_bits):
-        got = synchronizer.locate_frames(sync.pack(bits), bits.size)
+        got = located(synchronizer, sync.pack(bits), bits.size)
     assert got == reference_locate_frames(bits, synchronizer)
 
 
