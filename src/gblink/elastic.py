@@ -25,12 +25,14 @@ Stepping: each scalar step (`_Sim._step`) solves the next occupancy event
 tick in closed form and applies the write ticks up to it and the reads
 between them at once; `_Sim._cycles` crosses whole (burst, gap) pairs and
 whole flow-control cycles in one integer loop, and jumps a continuous
-writer's whole periods (at most pw cycles each).  A continuous writer is one
-burst that outlasts the run.  So a run takes a few steps (up to priming, then
-the tail after the cycles), more only at stops whose latency leaves their
-burst, and its cost does not grow with the horizon.  Results are
-bit-identical to naive per-tick stepping, which the test suite checks
-against an independent reference simulator.
+writer's whole periods (at most pw cycles each).  The loop carries base =
+occupancy + reads - write ticks, which a gap lowers by its length: before
+a burst's write tick j, occupancy is base + floor(j (pr - pw) / pr).  A
+continuous writer is one burst that outlasts the run.  So a run takes a few
+steps (up to priming, then the tail after the cycles), more only at stops
+whose latency leaves their burst, and its cost does not grow with the
+horizon.  Results are bit-identical to naive per-tick stepping, which the
+test suite checks against an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -243,13 +245,17 @@ class _Sim:
         """Apply at once the whole flow-control cycles, resume tick to resume
         tick, and whole (burst, gap) pairs ahead of an active, primed writer
         in a burst, taking each gap and next burst from `lengths` as `_draw`
-        would.  A burst's peak is its last commit, or its first when reads are
-        at least as fast.  Below the upper threshold the pair's low is the
-        occupancy at the next burst, as gap reads only lower occupancy and
-        while commits rise each read leaves no less than the one before; a low
-        below 0 means -low reads found the FIFO empty.  Otherwise a faster
-        writer stops back to back, each at the tick solved as in `_step`;
-        commits rise by at most one a tick, so it peaks at tick j,
+        would.  The walk carries base = occ + m - k at write tick k and read
+        m, which a gap of g ticks lowers by g: occupancy before a burst's tick
+        j is base + j - ceil(j pw / pr) = base + floor(j (pr - pw) / pr), and
+        m = base + k - occ where the walk ends.  A burst's peak is its last
+        commit, or its first when reads are at least as fast.  Below the upper
+        threshold the pair's low is the occupancy at the next burst, as gap
+        reads only lower occupancy and while commits rise each read leaves no
+        less than the one before; a low below 0 means -low reads found the
+        FIFO empty, and they raise base by -low.  Otherwise a faster writer
+        stops back to back, each at the tick solved as in `_step`; commits
+        rise by at most one a tick, so it peaks at tick j,
         `resume_latency_cycles` commits later, the burst (frozen while the
         writer is paused) loses the ticks up to it, and the writer resumes
         after read j + base - lower, which leaves `lower`, its low, as
@@ -265,30 +271,29 @@ class _Sim:
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
         cap, k_last, faster, gain = cfg.capacity_bytes, self.k_last, pw < pr, pr - pw
-        k, m, occ, b = self.kw, self.next_read, self.occ, self.burst_left
+        k, occ, b = self.kw, self.occ, self.burst_left
+        base = occ + self.next_read - k
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
         i = len(lengths)
         r0, k0, base0, s0, power = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
         while True:
             if faster:
-                base = occ + m - k
                 peak = base + 1 + (k + b - 1) * gain // pr  # the burst's last commit
             else:
                 peak = occ + 1                           # its first (reads before k are applied)
             if peak < upper:
                 if i < 2:
                     break
-                k1 = k + b + lengths[i - 1]
+                g = lengths[i - 1]
+                k1 = k + b + g
                 if k1 > k_last:
                     break
-                m1 = -(-k1 * pw // pr)                   # the first read at or after k1
-                occ1 = occ + b - (m1 - m)
-                if occ1 < 0:
-                    gaps, occ1 = gaps - occ1, 0
-                if occ1 < low:
-                    low = occ1
-                k, m, occ = k1, m1, occ1
-                i -= 2
+                k, i, base = k1, i - 2, base - g
+                occ = base + k * gain // pr
+                if occ < 0:                              # -occ reads found the FIFO empty
+                    gaps, base, occ = gaps - occ, base - occ, 0
+                if occ < low:
+                    low = occ
                 b = lengths[i]
                 if peak > top:
                     top = peak
@@ -317,11 +322,11 @@ class _Sim:
                                       stops + n * (stops - s0))
                 elif stops - s0 == power:
                     r0, k0, base0, s0, power = r, k, base, stops, 2 * power
-            m = base + k - occ
             if j < k + b:                                # at a cycle it cannot apply
                 break
         if stops and lower < low:
             low = lower
+        m = base + k - occ
         reads = m - self.next_read
         st.output_bytes += reads - gaps
         st.bytes_written += occ - self.occ + reads - gaps    # by conservation

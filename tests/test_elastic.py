@@ -143,6 +143,11 @@ REFERENCE_CASES = [
     pytest.param(FifoConfig(capacity_bytes=64, upper_threshold=48, lower_threshold=16,
                             read_clock_hz=50e6, resume_latency_cycles=40),
                  20_000, "bursty", 17, id="overflow-bursty"),
+    # the faster writer's pair walk both stops (25 times) and finds the
+    # FIFO empty at a burst start (3205 underflows) in one run
+    pytest.param(FifoConfig(capacity_bytes=256, upper_threshold=120, lower_threshold=8,
+                            read_clock_hz=110e6),
+                 40_000, "bursty", 18, id="stop-and-starve-bursty"),
 ]
 
 
@@ -150,6 +155,34 @@ REFERENCE_CASES = [
 def test_matches_per_tick_reference(cfg, duration, pattern, seed):
     assert simulate_fifo(cfg, duration, pattern, seed) == \
         reference_simulate(cfg, duration, pattern, seed)
+
+
+def test_stop_and_starve_case_does_both():
+    """The case that walks pairs through stops and starved reads keeps both."""
+    cfg, duration, pattern, seed = next(
+        c.values for c in REFERENCE_CASES if c.id == "stop-and-starve-bursty")
+    st = simulate_fifo(cfg, duration, pattern, seed)
+    assert st.stop_assertions > 0 and st.underflow_events > 0
+
+
+@st.composite
+def clock_periods(draw):
+    """`elastic._periods` of a random clock pair, the writer faster, equal or
+    slower."""
+    write_hz = draw(st.integers(1, 10**12)) / 100
+    side = draw(st.sampled_from([-1, 0, 1]))
+    read_hz = max(0.01, write_hz + side * draw(st.integers(1, 10**12)) / 100)
+    return elastic._periods(FifoConfig(write_clock_hz=write_hz, read_clock_hz=read_hz))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock_periods(), st.integers(0, 10**20))
+def test_base_invariant_identity(periods, k):
+    """The pair walk's identity: k writes less the ceil(k pw / pr) reads
+    before write tick k is floor(k (pr - pw) / pr), whichever clock is
+    faster."""
+    pw, pr = periods
+    assert k - -(-k * pw // pr) == k * (pr - pw) // pr
 
 
 @st.composite
@@ -345,6 +378,24 @@ def test_long_bursty_run_fixture():
         output_gaps_after_priming=0,
         bytes_written=9999944,
         final_occupancy=1725,
+    )
+
+
+def test_longer_bursty_run_fixture():
+    """Frozen result of a default bursty run of 1e8 read cycles (2947 stop
+    assertions, ~125k (burst, gap) pairs walked whole), which pins the long
+    pair walk."""
+    st = simulate_fifo(FifoConfig(), 10**8, "bursty", 0)
+    assert st == FifoStats(
+        max_occupancy=3084,
+        min_occupancy_after_priming=288,
+        overflow_events=0,
+        underflow_events=0,
+        stop_assertions=2947,
+        output_bytes=99998219,
+        output_gaps_after_priming=0,
+        bytes_written=100000149,
+        final_occupancy=1930,
     )
 
 
