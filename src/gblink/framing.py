@@ -13,6 +13,8 @@ preamble's own sequence would reproduce the preamble verbatim inside scrambled
 constant data), at the phase with the lowest worst-case preamble mimicry.
 Each `FrameKind` freezes both as bytes; `tests/framing_oracle.py` holds the
 LFSR and the scrambler selection, and the tests pin every constant against it.
+`FrameKind.codewords` is the one view of a frame's codeword region, shared by
+`build_frames`, `parse_frame` and the link harness's error accounting.
 
 Bit order everywhere is MSB-first within a byte (one documented constant,
 shared with the correlators and the scrambler).
@@ -79,6 +81,13 @@ class FrameKind:
         """Information bits per transmitted channel bit."""
         return self.payload_bytes / self.frame_bytes
 
+    def codewords(self, frames: np.ndarray) -> np.ndarray:
+        """The (..., codewords_per_frame, 255) view of the codeword bytes of (..., frame_bytes) rows."""
+        if frames.shape[-1] != self.frame_bytes:
+            raise ValueError(f"frames must have {self.frame_bytes} bytes, got {frames.shape[-1]}")
+        return frames[..., self.preamble_bytes: self.frame_bytes - self.dummy_bytes].reshape(
+            *frames.shape[:-1], self.codewords_per_frame, rs.BLOCK_BYTES)
+
 
 # Padded m-sequences, hex of the MSB-first bits.  Preambles: x^5+x^2+1
 # (period 31) and x^6+x+1 (period 63), all-ones seed, one trailing zero pad
@@ -110,53 +119,33 @@ def scramble(data: np.ndarray, seq: bytes) -> np.ndarray:
     return arr ^ np.frombuffer((seq * arr.shape[-1])[: arr.shape[-1]], dtype=np.uint8)
 
 
-def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
-    """Batch build: (B, payload_bytes) uint8 -> (B, frame_bytes) uint8.
+def _zero_frame(kind: FrameKind) -> np.ndarray:
+    """The zero payload's frame: the preamble, then the scrambled zero body (zero codewords)."""
+    return np.concatenate([np.frombuffer(kind.preamble, dtype=np.uint8),
+                           scramble(np.zeros(kind.body_bytes, dtype=np.uint8), kind.scrambler)])
 
-    A frame is the preamble followed by the scrambled body: the RS codewords
-    of the payload's 239-byte slices, then the dummy byte(s).
-    """
+
+def build_frames(payloads: np.ndarray, kind: FrameKind) -> np.ndarray:
+    """Batch build: (B, payload_bytes) uint8 -> (B, frame_bytes) uint8.  A frame is the preamble,
+    then the scrambled body: the RS codewords of the payload's 239-byte slices and the dummy byte(s)."""
     payloads = np.atleast_2d(np.asarray(payloads, dtype=np.uint8))
     if payloads.shape[1] != kind.payload_bytes:
         raise ValueError(f"payloads must have {kind.payload_bytes} columns")
     nfrm, pre, end = payloads.shape[0], kind.preamble_bytes, kind.frame_bytes - kind.dummy_bytes
-    seq = scramble(np.zeros(kind.body_bytes, dtype=np.uint8), kind.scrambler)  # a scrambled zero body
-    frames = np.empty((nfrm, kind.frame_bytes), dtype=np.uint8)
-    frames[:, :pre] = np.frombuffer(kind.preamble, dtype=np.uint8)
-    # the codewords scrambled straight into the frames; the dummy bytes, zeros, scramble to its tail
-    codewords = rs.encode_blocks(payloads.reshape(-1, rs.MESSAGE_BYTES)).reshape(nfrm, -1)
-    np.bitwise_xor(codewords, seq[: end - pre], out=frames[:, pre: end])
-    frames[:, end:] = seq[end - pre:]
+    zero, frames = _zero_frame(kind), np.empty((nfrm, kind.frame_bytes), dtype=np.uint8)
+    frames[:, :pre] = zero[:pre]
+    # the codewords scrambled straight into the frames; the dummy bytes, zeros, scramble to the tail
+    codewords = rs.encode_blocks(payloads.reshape(-1, rs.MESSAGE_BYTES)).reshape(nfrm, -1, rs.BLOCK_BYTES)
+    np.bitwise_xor(codewords, kind.codewords(zero), out=kind.codewords(frames))
+    frames[:, end:] = zero[end:]
     return frames
 
 
-def parse_frames(frames: np.ndarray, kind: FrameKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descramble and RS-decode byte-aligned frames.
-
-    Returns (payloads, corrected, ok): (F, payload_bytes) uint8, the corrected
-    byte count per frame and the per-frame success mask.  A frame with any
-    uncorrectable codeword is not ok; it counts 0 corrections and its payload
-    row is the uncorrected message bytes of every codeword.  Preamble content
-    is the synchronizer's business and is not re-checked here.
-    """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.uint8))
-    if frames.shape[1] != kind.frame_bytes:
-        raise ValueError(f"frames must have {kind.frame_bytes} columns, got {frames.shape[1]}")
-    ncw = kind.codewords_per_frame
-    body = scramble(frames[:, kind.preamble_bytes:], kind.scrambler)
-    codewords = body[:, : ncw * rs.BLOCK_BYTES].reshape(-1, rs.BLOCK_BYTES)
-    messages, corrected, ok = rs.decode_blocks(codewords)
-    ok = ok.reshape(-1, ncw).all(axis=1)
-    failed = np.repeat(~ok, ncw)
-    messages[failed] = codewords[failed, : rs.MESSAGE_BYTES]
-    corrected = np.where(ok, corrected.reshape(-1, ncw).sum(axis=1), 0)
-    return messages.reshape(-1, kind.payload_bytes), corrected, ok
-
-
 def parse_frame(frame: bytes, kind: FrameKind) -> tuple[bytes, int]:
-    """Single-frame parse_frames: returns (payload, corrected bytes) and
-    raises FrameError if any codeword is uncorrectable."""
-    payloads, corrected, ok = parse_frames(np.frombuffer(frame, dtype=np.uint8), kind)
-    if not ok[0]:
+    """One frame's codewords, descrambled, through `rs.decode_blocks`: returns (payload, corrected
+    bytes), or raises FrameError if any is uncorrectable.  The preamble is not re-checked here."""
+    codewords = kind.codewords(np.frombuffer(frame, dtype=np.uint8)) ^ kind.codewords(_zero_frame(kind))
+    messages, corrected, ok = rs.decode_blocks(codewords)
+    if not ok.all():
         raise FrameError("frame has an uncorrectable codeword")
-    return payloads[0].tobytes(), int(corrected[0])
+    return messages.tobytes(), int(corrected.sum())

@@ -207,10 +207,9 @@ def _receive(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.
 
 def _account(cfg: ExperimentConfig, errors: np.ndarray, raw_errors: int, found: np.ndarray,
              sync_losses: int) -> LinkReport:
-    """The report, from a frames x codewords x 255 view of the error bytes (see Stages)."""
+    """The report, from the `FrameKind.codewords` view of the error bytes (see Stages)."""
     kind, frames = cfg.frame_kind, cfg.frames
-    codewords = errors[1: 1 + frames * kind.frame_bytes].reshape(frames, -1)[
-        :, kind.preamble_bytes: kind.frame_bytes - kind.dummy_bytes].reshape(frames, -1, rs.BLOCK_BYTES)
+    codewords = kind.codewords(errors[1: 1 + frames * kind.frame_bytes].reshape(frames, -1))
     weight = (codewords != 0).sum(axis=2, dtype=np.int16)  # error bytes; twice as fast as an intp sum
     frame, cw = np.nonzero(found[:, None] & (weight > rs.CORRECTABLE_BYTES))
     residual, corrected, ok = rs.decode_blocks(codewords[frame, cw])

@@ -12,21 +12,21 @@ fixtures stay stable.
 Byte 0 of a block is the highest-order coefficient of the codeword polynomial
 (first transmitted byte), matching the shift-register encoder ordering.
 
-Encoding and decoding are batch-first.  Parity, syndromes and the Chien
-search are GF(2^8)-linear maps, each a row gather from a position-major
-product table (row 256 j + x: byte x at input j) and one XOR reduce over the
-positions (`_gf256_apply`).  Blocks with nonzero syndromes go
-through one corrector, _FIX_ROWS blocks a pass: the reformulated inversionless
-Berlekamp-Massey, RiBM (Sarwate & Shanbhag, "High-speed architectures for
-Reed-Solomon decoders", IEEE TVLSI 2001), in 16 fixed steps on one (2, 26, R)
-state (delta_0 .. delta_24 and a zero over gamma, theta_0 .. theta_24), which
-ends holding the locator Lambda and the modified evaluator Omega^h; the table
-Chien search; Forney's formula e_p = X_p^-15 Omega^h(X_p^-1) / Lambda'(X_p^-1),
-exponent 15 (p + 1) in the log domain, at the located roots; and a re-check
-that each block is a codeword, made by adding the corrections' syndromes to
-the received ones.  The corrector is coefficient-major (syndromes (16, R),
-Lambda (9, R)), so each XOR reduce combines whole rows; each product is one
-gather from the flattened `_MUL`.
+Encoding and decoding are batch-first.  Parity, syndromes (of the remainder mod
+g, the parity bytes XOR the message's parity) and the Chien search are
+GF(2^8)-linear maps, each a row gather from a position-major product table (row
+256 j + x: byte x at input j) and one XOR reduce over the positions
+(`_gf256_apply`).  Blocks with nonzero syndromes go through one corrector,
+_FIX_ROWS blocks a pass: the reformulated inversionless Berlekamp-Massey, RiBM
+(Sarwate & Shanbhag, "High-speed architectures for Reed-Solomon decoders", IEEE
+TVLSI 2001), in 16 fixed steps on one (2, 26, R) state (delta_0 .. delta_24 and
+a zero over gamma, theta_0 .. theta_24), which ends holding the locator Lambda
+and the modified evaluator Omega^h; the table Chien search; Forney's formula
+e_p = X_p^-15 Omega^h(X_p^-1) / Lambda'(X_p^-1), exponent 15 (p + 1) in the log
+domain, at the located roots; and a re-check that each block is a codeword,
+made by adding the corrections' syndromes to the received ones.  The corrector
+is coefficient-major (syndromes (16, R), Lambda (9, R)), so each XOR reduce
+combines whole rows; each product is one `_mul` gather.
 
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
@@ -73,7 +73,7 @@ def _generator_poly() -> list[int]:
 
 GENERATOR_POLY = _generator_poly()
 
-# gathered bytes per table-kernel pass: _ROWS rows of 4 kB (a syndrome row gathers 4080 B), 0.5 MB;
+# gathered bytes per table-kernel pass: _ROWS rows of 4 kB (a Chien row gathers 4080 B), 0.5 MB;
 # at 0.75-1 MB a pass, a 400-frame encode page-faulted its temporaries back in on every call
 _ROWS = 128
 _FIX_ROWS = 8 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
@@ -92,7 +92,7 @@ def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
 def _gf256_apply(values: np.ndarray, table: np.ndarray, n_out: int) -> np.ndarray:
     """The (N, n_out) outputs of a `_gf256_table` map, a row gather and an XOR reduce a pass."""
     step = max(1, (_ROWS << 12) // (table.nbytes >> 8))  # table.nbytes >> 8: gathered bytes a row
-    offsets = 256 * np.arange(values.shape[1], dtype=np.uint16)[:, None]
+    offsets = np.arange(0, values.shape[1] << 8, 256, dtype=np.uint16)[:, None]
     out = np.empty((values.shape[0], table.shape[1]), dtype=np.uint64)
     for lo in range(0, values.shape[0], step):
         products = np.take(table, values[lo: lo + step].T + offsets, axis=0)  # (n_in, R, words)
@@ -117,9 +117,9 @@ def _parity_rows() -> np.ndarray:
 _PARITY_TABLE = _gf256_table(_parity_rows())
 
 # Syndromes: S_i = sum_j r_j alpha^(i deg_j), where deg_j = 254 - j is the
-# polynomial degree carried by byte j of a block.
+# polynomial degree carried by byte j; g(alpha^i) = 0, so a remainder mod g has them too.
 _SYND_POWERS = _EXP_NP[(np.arange(PARITY_BYTES)[:, None] * np.arange(BLOCK_BYTES - 1, -1, -1)) % 255]
-_SYND_TABLE = _gf256_table(_SYND_POWERS.T)
+_REM_TABLE = _gf256_table(_SYND_POWERS[:, MESSAGE_BYTES:].T)
 # Chien search: column p evaluates Lambda at X_p^-1 = alpha^(p + 1), the
 # inverse locator of byte p, so a zero in column p puts an error on byte p.
 _CHIEN_POWERS = _EXP_NP[(np.arange(CORRECTABLE_BYTES + 1)[:, None] * np.arange(1, BLOCK_BYTES + 1)) % 255]
@@ -135,11 +135,13 @@ def encode_blocks(messages: np.ndarray) -> np.ndarray:
 
 
 def syndromes_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Syndromes S_i = r(alpha^i), i = 0..15, for a (B, 255) uint8 batch."""
+    """Syndromes S_i = r(alpha^i), i = 0..15, for a (B, 255) uint8 batch, from each block's
+    remainder mod g: its parity bytes XOR the encoder's parity of its message bytes."""
     blk = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     if blk.shape[1] != BLOCK_BYTES:
         raise ValueError(f"blocks must have {BLOCK_BYTES} columns, got {blk.shape[1]}")
-    return _gf256_apply(blk, _SYND_TABLE, PARITY_BYTES)
+    rem = _gf256_apply(blk[:, :MESSAGE_BYTES], _PARITY_TABLE, PARITY_BYTES) ^ blk[:, MESSAGE_BYTES:]
+    return _gf256_apply(rem, _REM_TABLE, PARITY_BYTES)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +165,7 @@ def _key_equation(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k = np.zeros(synd.shape[1], dtype=np.int64)
     for r in range(PARITY_BYTES):
         live = min(3 * CORRECTABLE_BYTES + 1, 2 * PARITY_BYTES - r)  # no later step reads the rest
-        products = _MUL.ravel().take(state[::-1, :1].astype(np.uint16) << 8 | state[:, 1: live + 1])
+        products = _mul(state[::-1, :1], state[:, 1: live + 1])
         grow = (k >= 0) & (state[0, 0] != 0)
         np.copyto(state[1], state[0], where=grow)  # reads delta before this step's update
         np.bitwise_xor(products[0], products[1], out=state[0, :live])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framing_oracle
-from gblink import channel, framing, sync
+from gblink import channel, framing, rs, sync
 from gblink.framing import P32, P64
 
 # Worst-case score per cyclic phase of the P32 scrambler candidate set,
@@ -165,11 +165,8 @@ class TestFrameRoundTrip:
         n = 10_000 // (2 if kind is P64 else 1)
         payloads = rng.integers(0, 256, (n, kind.payload_bytes), dtype=np.uint8)
         frames = framing.build_frames(payloads, kind)
-        parsed, corrected, ok = framing.parse_frames(frames, kind)
-        assert np.array_equal(parsed, payloads) and ok.all() and not corrected.any()
-        for i in range(0, n, max(1, n // 200)):
-            payload, nerr = framing.parse_frame(frames[i].tobytes(), kind)
-            assert payload == payloads[i].tobytes() and nerr == 0
+        for frame, payload in zip(frames, payloads):
+            assert framing.parse_frame(frame.tobytes(), kind) == (payload.tobytes(), 0)
 
     def test_corrections_reported(self, kind):
         rng = np.random.default_rng(8)
@@ -198,7 +195,9 @@ class TestFrameRoundTrip:
         with pytest.raises(ValueError):
             framing.parse_frame(bytes(10), kind)
         with pytest.raises(ValueError):
-            framing.parse_frames(np.zeros((2, kind.frame_bytes + 1), np.uint8), kind)
+            framing.parse_frame(bytes(kind.frame_bytes + 1), kind)
+        with pytest.raises(ValueError, match=f"{kind.frame_bytes} bytes"):
+            kind.codewords(np.zeros((2, kind.frame_bytes + 1), np.uint8))
 
 
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
@@ -213,29 +212,24 @@ def test_preamble_never_inside_scrambled_body(kind, fill):
     assert int(counts.max()) < kind.default_gamma
 
 
-def test_parse_frames_one_failed_codeword_passes_frame_through():
-    """P64: one codeword uncorrectable, the other corrected.  The frame is not
-    ok, counts no corrections and delivers both codewords uncorrected."""
-    rng = np.random.default_rng(10)
-    payloads = rng.integers(0, 256, (3, P64.payload_bytes), dtype=np.uint8)
-    frames = framing.build_frames(payloads, P64)
-    pre = P64.preamble_bytes
-    frames[1, pre + rng.choice(255, 20, replace=False)] ^= 0x5A        # codeword 0 fails
-    frames[1, pre + 255 + rng.choice(255, 3, replace=False)] ^= 0x81  # codeword 1 corrects
-    frames[2, pre + rng.choice(510, 6, replace=False)] ^= 0x11
-    parsed, corrected, ok = framing.parse_frames(frames, P64)
-    assert ok.tolist() == [True, False, True]
-    assert corrected.tolist() == [0, 0, 6]
-    assert np.array_equal(parsed[[0, 2]], payloads[[0, 2]])
-    body = framing.scramble(frames[1, pre:], P64.scrambler)
-    passthrough = np.r_[body[:239], body[255:255 + 239]]
-    assert np.array_equal(parsed[1], passthrough)
-    assert not np.array_equal(parsed[1, 239:], payloads[1, 239:])
-    with pytest.raises(framing.FrameError):
-        framing.parse_frame(frames[1].tobytes(), P64)
-
-
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
-def test_parse_frames_empty_batch(kind):
-    parsed, corrected, ok = framing.parse_frames(np.zeros((0, kind.frame_bytes), np.uint8), kind)
-    assert parsed.shape == (0, kind.payload_bytes) and corrected.size == 0 and ok.size == 0
+def test_codewords_view(kind):
+    """The codeword bytes of built frames, descrambled by the zero payload's
+    frame (the preamble and the scrambled zero body), are the RS codewords of
+    the payloads; the view shares the frames' memory, so writes through it
+    land in the codeword region and nowhere else."""
+    rng = np.random.default_rng(12)
+    payloads = rng.integers(0, 256, (6, kind.payload_bytes), dtype=np.uint8)
+    frames = framing.build_frames(payloads, kind)
+    body = framing.scramble(np.zeros(kind.body_bytes, np.uint8), kind.scrambler)
+    zero = np.concatenate([as_array(kind.preamble), body])
+    view = kind.codewords(frames)
+    assert view.shape == (6, kind.codewords_per_frame, 255)
+    encoded = rs.encode_blocks(payloads.reshape(-1, 239)).reshape(view.shape)
+    assert np.array_equal(view ^ kind.codewords(zero), encoded)
+    assert kind.codewords(frames.reshape(2, 3, -1)).shape == (2, 3, kind.codewords_per_frame, 255)
+    outside = np.ones(kind.frame_bytes, bool)
+    outside[kind.preamble_bytes: kind.preamble_bytes + 255 * kind.codewords_per_frame] = False
+    before = frames.copy()
+    view[...] = 0
+    assert not frames[:, ~outside].any() and np.array_equal(frames[:, outside], before[:, outside])

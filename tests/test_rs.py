@@ -52,7 +52,7 @@ def poly_mod_oracle(dividend: list[int], divisor: list[int]) -> list[int]:
 TABLE_DIGESTS = {
     "_MUL": "003d1a609783d2740b9b3f00b0cd9e43e42c4f3eedc5ff54ec1709996d52e1e0",
     "_PARITY_TABLE": "645df5eaa9cb2c4c9bf7cf42c3769a95d7e8e5babbe6c2919c397c4cb78a03fb",
-    "_SYND_TABLE": "0a71b5c534da5d7288e012733fb791682db5e05520524aefd999490dad000040",
+    "_REM_TABLE": "1fcf94405b6d14a3aeb8394b043f88619bf01e0afd0e4fea0b5a5f3dac32fff5",
     "_CHIEN_TABLE": "951b54ae2fd3be4211ed5a3c734c6041bbf75e56449ad12468bb8a72fa16c4fc",
     "_SYND_POWERS": "b312b13a0421a015050016c1ff2a7bd3a796042e26a5bc242eef21f45ead6b8a",
     "_CHIEN_POWERS": "fad18cd6ff7719fc95b8b3401986d33abf4a51ceebca414e7268f0e47e6bc9ec",
@@ -65,7 +65,7 @@ def test_tables_frozen(name):
     """The three kernel tables are hashed word-major, (words, n_in * 256):
     the transpose of the position-major layout the kernel reads."""
     table = np.asarray(getattr(rs, name), dtype=np.uint8 if name == "GENERATOR_POLY" else None)
-    if name in ("_PARITY_TABLE", "_SYND_TABLE", "_CHIEN_TABLE"):
+    if name in ("_PARITY_TABLE", "_REM_TABLE", "_CHIEN_TABLE"):
         table = np.ascontiguousarray(table.T)
     data = table.astype(table.dtype.newbyteorder("<")).tobytes()
     assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[name]
@@ -159,13 +159,14 @@ def _alpha_powers() -> list[int]:
 @pytest.mark.parametrize("name", ["parity", "syndromes", "chien"])
 def test_code_tables_match_scalar_sum(name):
     """Parity rows are checked against long division by the encoder tests;
-    syndrome column i weights byte j by alpha^(i (254 - j)), and Chien column
-    p evaluates the locator at alpha^(p + 1)."""
+    syndrome column i weights remainder byte k, of degree 15 - k, by
+    alpha^(i (15 - k)), and Chien column p evaluates the locator at
+    alpha^(p + 1)."""
     alpha = _alpha_powers()
     table, coeffs = {
         "parity": (rs._PARITY_TABLE, rs._parity_rows()),
-        "syndromes": (rs._SYND_TABLE, np.array(
-            [[alpha[i * (254 - j) % 255] for i in range(16)] for j in range(255)], np.uint8)),
+        "syndromes": (rs._REM_TABLE, np.array(
+            [[alpha[i * (15 - k) % 255] for i in range(16)] for k in range(16)], np.uint8)),
         "chien": (rs._CHIEN_TABLE, np.array(
             [[alpha[i * (p + 1) % 255] for p in range(255)] for i in range(9)], np.uint8)),
     }[name]
@@ -450,7 +451,7 @@ def test_key_equation_matches_scalar_berlekamp_massey():
 def test_rows_past_the_radius_stop_at_the_root_count():
     """50 codewords with 12 byte errors each: no row's locator has as many
     roots as its length, so the corrector returns before Forney and the
-    re-check, and the decode makes no `_mul` call."""
+    re-check, and the decode makes no `_mul` call past the 16 RiBM steps."""
     rng = np.random.default_rng(47)
     blocks = rs.encode_blocks(rng.integers(0, 256, (50, 239), dtype=np.uint8))
     for blk in blocks:
@@ -458,7 +459,7 @@ def test_rows_past_the_radius_stop_at_the_root_count():
     with mock.patch.object(rs, "_mul", wraps=rs._mul) as mul:
         _, corrected, ok = rs.decode_blocks(blocks)
     assert not ok.any() and not corrected.any()
-    assert mul.call_count == 0
+    assert mul.call_count == rs.PARITY_BYTES
 
 
 def test_syndromes_match_table_gather():
@@ -476,9 +477,10 @@ def test_decode_blocks_matches_oracle_seeded():
 
 
 @st.composite
-def _corrupted_block(draw) -> np.ndarray:
+def _corrupted_block(draw, first: int = 0, last: int = 254) -> np.ndarray:
+    """A codeword with 0-20 byte errors, all on bytes first .. last."""
     message = np.frombuffer(draw(st.binary(min_size=239, max_size=239)), np.uint8)
-    positions = draw(st.lists(st.integers(0, 254), max_size=20, unique=True))
+    positions = draw(st.lists(st.integers(first, last), max_size=min(20, last - first + 1), unique=True))
     values = draw(st.lists(st.integers(1, 255), min_size=len(positions),
                            max_size=len(positions)))
     block = rs.encode_blocks(message)[0]
@@ -490,6 +492,42 @@ def _corrupted_block(draw) -> np.ndarray:
 @given(st.lists(_corrupted_block(), min_size=1, max_size=80))
 def test_decode_blocks_matches_oracle_hypothesis(blocks):
     _assert_matches_oracle(np.stack(blocks))
+
+
+# errors in the parity bytes only, the message bytes only, or anywhere: the
+# remainder is the parity bytes XOR the message's parity, and each side gets some
+_ERROR_SPANS = [(rs.MESSAGE_BYTES, 254), (0, rs.MESSAGE_BYTES - 1), (0, 254)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_ERROR_SPANS).flatmap(lambda span: _corrupted_block(*span)),
+                min_size=1, max_size=80))
+def test_syndromes_match_oracle_hypothesis(blocks):
+    blocks = np.stack(blocks)
+    expected = np.stack([rs_oracle.syndromes(blk) for blk in blocks])
+    assert np.array_equal(rs.syndromes_blocks(blocks), expected)
+
+
+def test_recheck_rejects_wrong_forney_values():
+    """Forney reads its powers X_p^-k from `_CHIEN_POWERS` at call time (the
+    Chien table was built from it at import), so shifting them one byte
+    position keeps every located position but, in nearly every row with 2-8
+    errors, makes some error value wrong.  The re-check alone then stands
+    between those values and an ok row: every row Forney got wrong fails,
+    every other row decodes, and no row is ok with a wrong message."""
+    rng = np.random.default_rng(53)
+    msgs = rng.integers(0, 256, (400, 239), dtype=np.uint8)
+    codewords = rs.encode_blocks(msgs)
+    blocks, weights = codewords.copy(), rng.integers(1, rs.CORRECTABLE_BYTES + 1, len(msgs))
+    for blk, w in zip(blocks, weights):
+        blk[rng.choice(255, w, replace=False)] ^= rng.integers(1, 256, w).astype(np.uint8)
+    with mock.patch.object(rs, "_CHIEN_POWERS", np.roll(rs._CHIEN_POWERS, 1, axis=1)):
+        messages, corrected, ok = rs.decode_blocks(blocks)
+        fixed, _, _ = rs._correct_rows(blocks, np.ascontiguousarray(rs.syndromes_blocks(blocks).T))
+    wrong = (fixed != codewords).any(axis=1)  # a row Forney left with a wrong byte
+    assert not wrong[weights == 1].any() and wrong[weights >= 2].mean() > 0.95
+    assert not ok[wrong].any() and not corrected[wrong].any() and ok[~wrong].all()
+    assert np.array_equal(messages[ok], msgs[ok])
 
 
 def test_crafted_miscorrection():
