@@ -100,7 +100,7 @@ _FIFO_OPTIONS = {
     "read_hz": ("read_clock_hz", "read clock in Hz"),
     "latency": ("resume_latency_cycles", "stop-signal turnaround in write cycles"),
 }
-_MAX_CYCLES = 1e11  # bursty: ~0.9 s per 1e9 cycles on 2 x86 cores, so ~1.5 min; exact as floats
+_MAX_CYCLES = 1e11  # bursty: ~0.7 s per 1e9 cycles on 2 x86 cores, so ~1.2 min; exact as floats
 _MAX_FRAMES = 250_000  # a run peaks at ~2 kB a P32 frame and ~3.7 kB a P64 one: under 1 GB
 _KINDS = tuple(tag.lower() for tag in FRAME_KINDS)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

@@ -24,15 +24,12 @@ Semantics
 Stepping: each scalar step (`_Sim._step`) solves the next occupancy event
 tick in closed form and applies the write ticks up to it and the reads
 between them at once; `_Sim._cycles` crosses whole (burst, gap) pairs and
-whole flow-control cycles in one integer loop, and jumps a continuous
-writer's whole periods (at most pw cycles each).  The loop carries base =
-occupancy + reads - write ticks, which a gap lowers by its length: before
-a burst's write tick j, occupancy is base + floor(j (pr - pw) / pr).  A
-continuous writer is one burst that outlasts the run.  So a run takes a few
-steps (up to priming, then the tail after the cycles), more only at stops
-whose latency leaves their burst, and its cost does not grow with the
-horizon.  Results are bit-identical to naive per-tick stepping, which the
-test suite checks against an independent reference simulator.
+flow-control cycles in one integer loop and jumps a continuous writer's whole
+periods (a continuous writer is one burst that outlasts the run).  So a run
+takes a few steps, more only at stops whose latency leaves their burst, and
+its cost does not grow with the horizon.  Results are bit-identical to naive
+per-tick stepping, which the test suite checks against an independent
+reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -78,11 +75,14 @@ class FifoConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 < self.lower_threshold < self.upper_threshold < self.capacity_bytes:
             raise ValueError("need 0 < lower < upper < capacity")
+        ticks = []
         for name in ("write_clock_hz", "read_clock_hz"):
-            ticks = getattr(self, name) * TICK_SCALE
-            if not (math.isfinite(ticks) and round(ticks) >= 1):
+            t = getattr(self, name) * TICK_SCALE
+            if not (math.isfinite(t) and round(t) >= 1):
                 raise ValueError(f"{name} must be finite and round to at least "
                                  f"1/{TICK_SCALE} Hz, got {getattr(self, name)}")
+            ticks.append(round(t))
+        object.__setattr__(self, "_tick_periods", tuple(t // math.gcd(*ticks) for t in ticks[::-1]))
         if self.resume_latency_cycles < 0:
             raise ValueError("resume latency must be non-negative")
 
@@ -100,13 +100,7 @@ class FifoStats:
     final_occupancy: int = 0
 
 
-def _periods(cfg: FifoConfig) -> tuple[int, int]:
-    fw = round(cfg.write_clock_hz * TICK_SCALE)
-    fr = round(cfg.read_clock_hz * TICK_SCALE)
-    g = math.gcd(fw, fr)
-    return fr // g, fw // g
-
-
+_periods = operator.attrgetter("_tick_periods")  # (pw, pr), reduced once by FifoConfig
 _ACTIVE, _STOPPING, _PAUSED = 0, 1, 2
 
 
@@ -126,7 +120,7 @@ class _Sim:
         self.k_last = self.t_end // self.pw   # last write tick within the horizon
         self.bursty = write_pattern == "bursty"
         self.rng = np.random.default_rng(seed) if self.bursty else None
-        self.lengths: list[int] = []
+        self.lengths: list[int] = [] if self.bursty else [0]
         self.stats = FifoStats()
 
         self.kw = 0                 # next write tick; every read before it is applied
@@ -136,16 +130,22 @@ class _Sim:
         self.primed = False
         self.next_read = 0          # next unprocessed read tick index (once primed)
         # one of burst_left and gap_left is positive; a continuous writer is
-        # one burst that outlasts the run (k + burst_left > k_last + 1)
+        # one burst that outlasts the run (k + burst_left > k_last + 1), so
+        # the gap of 0 after it in `lengths` is never reached
         self.burst_left = self._draw() if self.bursty else self.k_last + 2
         self.gap_left = 0
 
+    def _refill(self, left: int) -> int:
+        """Put the next 256 (burst, gap) pairs, drawn as the scalar calls would
+        by one `integers` call, below the first `left` lengths, which pop first
+        (the rest are taken), and return how many lengths are left now."""
+        self.lengths[:] = self.rng.integers(*_REFILL_BOUNDS).tolist()[::-1] + self.lengths[:left]
+        return len(self.lengths)
+
     def _draw(self) -> int:
-        """The next burst or gap length.  They alternate, burst first, so they
-        are drawn ahead in pairs: one `integers` call with per-element bounds
-        yields the values the scalar calls would, in the same order."""
+        """The next burst or gap length, burst first, as `_refill` drew them."""
         if not self.lengths:
-            self.lengths = self.rng.integers(*_REFILL_BOUNDS).tolist()[::-1]
+            self._refill(0)
         return self.lengths.pop()
 
     def _step(self) -> None:
@@ -242,50 +242,47 @@ class _Sim:
         st.underflow_events += gaps
 
     def _cycles(self) -> None:
-        """Apply at once the whole flow-control cycles, resume tick to resume
-        tick, and whole (burst, gap) pairs ahead of an active, primed writer
-        in a burst, taking each gap and next burst from `lengths` as `_draw`
-        would.  The walk carries base = occ + m - k at write tick k and read
-        m, which a gap of g ticks lowers by g: occupancy before a burst's tick
-        j is base + j - ceil(j pw / pr) = base + floor(j (pr - pw) / pr), and
-        m = base + k - occ where the walk ends.  A burst's peak is its last
-        commit, or its first when reads are at least as fast.  Below the upper
-        threshold the pair's low is the occupancy at the next burst, as gap
-        reads only lower occupancy and while commits rise each read leaves no
-        less than the one before; a low below 0 means -low reads found the
-        FIFO empty, and they raise base by -low.  Otherwise a faster writer
-        stops back to back, each at the tick solved as in `_step`; commits
-        rise by at most one a tick, so it peaks at tick j,
-        `resume_latency_cycles` commits later, the burst (frozen while the
-        writer is paused) loses the ticks up to it, and the writer resumes
-        after read j + base - lower, which leaves `lower`, its low, as
-        ceil(j pw / pr) + floor(j (pr - pw) / pr) = j.  A resume at (k, m) has
-        the future of one at (k + pr t, m + pw t), so a continuous writer's
-        resumes fall in pw classes, one per m mod pw: Brent's cycle search
-        finds their period and whole periods up to k_last are crossed at once.
-        Stop before a cycle whose latency runs to the burst's last tick or
-        past it, whose peak overflows or whose resume tick is past k_last,
-        before a pair that ends past k_last or is not drawn yet, and where a
+        """Apply at once the whole (burst, gap) pairs and flow-control cycles,
+        resume tick to resume tick, ahead of an active, primed writer in a
+        burst.  Pairs come off `lengths` as `_draw` takes them, refilled as it
+        does once less than a pair is left.  The walk carries base = occ +
+        m - k at write tick k and read m, which a gap of g ticks lowers by g:
+        occupancy before a burst's tick j is base + j - ceil(j pw / pr) =
+        base + floor(j (pr - pw) / pr), and m = base + k - occ where the walk
+        ends.  A burst peaks at its last commit, or its first when reads are
+        at least as fast.  Below the upper threshold the pair's low is the
+        occupancy at the next burst, as gap reads only lower occupancy and
+        while commits rise each read leaves no less than the one before; a
+        low below 0 means -low reads found the FIFO empty, and they raise base
+        by -low.  Otherwise a faster writer stops back to back: at the tick j
+        solved as in `_step`, it peaks `resume_latency_cycles` commits later
+        (they rise by at most one a tick) and resumes after read j + base -
+        lower, which leaves `lower`, its low, as ceil(j pw / pr) + floor(j
+        (pr - pw) / pr) = j.  The burst, frozen while paused, ends later by
+        the paused ticks, by which base falls: its end plus base holds.  A
+        resume at (k, m) has the future of one at (k + pr t, m + pw t), so a
+        continuous writer's resumes fall in pw classes, one per m mod pw:
+        Brent's cycle search finds their period and whole periods up to
+        k_last are crossed at once.  Stop before a cycle whose latency runs to
+        the burst's last tick or past it, whose peak overflows or whose resume
+        tick is past k_last, before a pair that ends past k_last, and where a
         slower writer reaches the upper threshold.
         """
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
         cap, k_last, faster, gain = cfg.capacity_bytes, self.k_last, pw < pr, pr - pw
-        k, occ, b = self.kw, self.occ, self.burst_left
+        k, occ, b, i = self.kw, self.occ, self.burst_left, len(lengths)
         base = occ + self.next_read - k
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
-        i = len(lengths)
-        r0, k0, base0, s0, power = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
+        r0, k0, base0, s0, s1 = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
         while True:
-            if faster:
-                peak = base + 1 + (k + b - 1) * gain // pr  # the burst's last commit
-            else:
-                peak = occ + 1                           # its first (reads before k are applied)
+            if i < 2 and self.bursty:                    # draw the next pairs
+                i = self._refill(i)
+            e = k + b                                    # the burst's end
+            peak = base + 1 + (e - 1) * gain // pr if faster else occ + 1  # last or first commit
             if peak < upper:
-                if i < 2:
-                    break
                 g = lengths[i - 1]
-                k1 = k + b + g
+                k1 = e + g
                 if k1 > k_last:
                     break
                 k, i, base = k1, i - 2, base - g
@@ -300,29 +297,32 @@ class _Sim:
                 continue
             if not faster:
                 break
+            run, eb, u = stops, e - 1 + base, upper - 1  # eb: the burst's last tick + base
             while True:
-                j = -(-(upper - base - 1) * pr // gain)  # the stop tick
+                j = -((base - u) * pr // gain)           # the stop tick
                 if j < k:
                     j = k
-                elif j >= k + b:
-                    break                                # the burst ends first
                 jp = j + latency                         # the peak's tick
+                s = jp + base
+                jr, r = divmod((s - lower) * pr, pw)     # resume at jr + 1, class r
                 peak = base + 1 + jp * gain // pr
-                jr, r = divmod((jp + base - lower) * pr, pw)  # resume at jr + 1, class r
-                if jp >= k + b - 1 or peak > cap or jr >= k_last:
+                if s >= eb or jr >= k_last or peak > cap:
                     break
-                b -= jp + 1 - k
-                base += jp - jr
-                k, occ, stops = jr + 1, lower, stops + 1
                 if peak > top:
                     top = peak
+                base += jp - jr
+                k = jr + 1
+                stops += 1
                 if r == r0:                              # jump the whole periods
                     n = (k_last - k) // (k - k0)
                     k, base, stops = (k + n * (k - k0), base + n * (base - base0),
                                       stops + n * (stops - s0))
-                elif stops - s0 == power:
-                    r0, k0, base0, s0, power = r, k, base, stops, 2 * power
-            if j < k + b:                                # at a cycle it cannot apply
+                elif stops == s1:                        # a new tortoise, twice as far
+                    r0, k0, base0, s0, s1 = r, k, base, stops, 3 * stops - 2 * s0
+            b = eb + 1 - base - k
+            if stops > run:                              # each resume leaves `lower`
+                occ = lower
+            if j + base <= eb:                           # at a cycle it cannot apply
                 break
         if stops and lower < low:
             low = lower

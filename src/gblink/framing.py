@@ -23,6 +23,7 @@ shared with the correlators and the scrambler).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,40 +44,40 @@ class FrameKind:
     dummy_bytes: int
     default_gamma: int
 
-    @property
+    @cached_property
     def preamble_bits(self) -> int:
         return len(self.preamble) * 8
 
-    @property
+    @cached_property
     def preamble_bytes(self) -> int:
         return len(self.preamble)
 
-    @property
+    @cached_property
     def payload_bytes(self) -> int:
         return self.codewords_per_frame * rs.MESSAGE_BYTES
 
-    @property
+    @cached_property
     def body_bytes(self) -> int:
         return self.codewords_per_frame * rs.BLOCK_BYTES + self.dummy_bytes
 
-    @property
+    @cached_property
     def frame_bytes(self) -> int:
         return self.preamble_bytes + self.body_bytes
 
-    @property
+    @cached_property
     def frame_bits(self) -> int:
         return self.frame_bytes * 8
 
-    @property
+    @cached_property
     def span_bytes(self) -> int:
         """Bytes covered by one detection decision (P1 + D1 + P2)."""
         return self.preamble_bytes + self.frame_bytes
 
-    @property
+    @cached_property
     def source_rate_bps(self) -> float:
         return CHANNEL_RATE_BPS * self.payload_bytes / self.frame_bytes
 
-    @property
+    @cached_property
     def code_rate(self) -> float:
         """Information bits per transmitted channel bit."""
         return self.payload_bytes / self.frame_bytes

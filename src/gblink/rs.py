@@ -77,6 +77,7 @@ GENERATOR_POLY = _generator_poly()
 # at 0.75-1 MB a pass, a 400-frame encode page-faulted its temporaries back in on every call
 _ROWS = 128
 _FIX_ROWS = 8 * _ROWS  # errored rows per corrector pass: fewer numpy calls per row, under 2 MB
+_OFFSETS = np.arange(0, BLOCK_BYTES << 8, 256, dtype=np.uint16)[:, None]  # input j's first row, 256 j
 
 
 def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
@@ -92,7 +93,7 @@ def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
 def _gf256_apply(values: np.ndarray, table: np.ndarray, n_out: int) -> np.ndarray:
     """The (N, n_out) outputs of a `_gf256_table` map, a row gather and an XOR reduce a pass."""
     step = max(1, (_ROWS << 12) // (table.nbytes >> 8))  # table.nbytes >> 8: gathered bytes a row
-    offsets = np.arange(0, values.shape[1] << 8, 256, dtype=np.uint16)[:, None]
+    offsets = _OFFSETS[:values.shape[1]]
     out = np.empty((values.shape[0], table.shape[1]), dtype=np.uint64)
     for lo in range(0, values.shape[0], step):
         products = np.take(table, values[lo: lo + step].T + offsets, axis=0)  # (n_in, R, words)

@@ -56,6 +56,18 @@ def test_run_emits_csv_row(tmp_path):
     assert 0 <= float(fields[1]) < 0.01
 
 
+@pytest.mark.xfail(strict=True, reason="auto-sizing aims at about 100 raw errors, not coded "
+                   "ones, so this row comes from 32 frames")
+def test_auto_sized_run_sees_frame_errors(tmp_path):
+    """An auto-sized coded P32 run at Eb/N0 8 dB, where long runs give a FER
+    near 0.0018, must run until its row rests on frame errors; today it
+    prints FER 0.0 and coded BER 0.0."""
+    out = tmp_path / "run.csv"
+    assert run_cli(["run", "--seed", "1", "--ebn0", "8", "--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().strip().splitlines())))
+    assert float(row["fer"]) > 0 and float(row["coded_ber"]) > 0
+
+
 def test_seed_is_required(capsys):
     rc = run_cli(["run", "--channel", "awgn", "--ebn0", "8", "--frames", "5"])
     assert rc == 2

@@ -3,6 +3,7 @@ analytically, so every case here is also checked against an independent
 per-tick reference that walks the merged clock timeline one event at a time.
 """
 
+import dataclasses
 import math
 import time
 
@@ -166,13 +167,43 @@ def test_stop_and_starve_case_does_both():
 
 
 @st.composite
-def clock_periods(draw):
-    """`elastic._periods` of a random clock pair, the writer faster, equal or
-    slower."""
+def clock_configs(draw):
+    """A config with a random clock pair, the writer faster, equal or slower."""
     write_hz = draw(st.integers(1, 10**12)) / 100
     side = draw(st.sampled_from([-1, 0, 1]))
     read_hz = max(0.01, write_hz + side * draw(st.integers(1, 10**12)) / 100)
-    return elastic._periods(FifoConfig(write_clock_hz=write_hz, read_clock_hz=read_hz))
+    return FifoConfig(write_clock_hz=write_hz, read_clock_hz=read_hz)
+
+
+def clock_periods():
+    """`elastic._periods` of `clock_configs`."""
+    return clock_configs().map(elastic._periods)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock_configs())
+def test_periods_reduced_from_rounded_ticks(cfg):
+    """The pair `FifoConfig` keeps is the rounded ticks' reduced periods."""
+    assert elastic._periods(cfg) == periods(cfg)
+
+
+def test_stored_periods_are_not_a_field():
+    """The reduced pair stays out of the fields, so repr, ==, hash, asdict
+    and replace see the six fields alone, and replace reduces it anew."""
+    cfg = FifoConfig()
+    assert repr(cfg) == ("FifoConfig(capacity_bytes=4096, upper_threshold=3072, "
+                         "lower_threshold=1024, write_clock_hz=125000000.0, "
+                         "read_clock_hz=100540000.0, resume_latency_cycles=64)")
+    values = dict(capacity_bytes=4096, upper_threshold=3072, lower_threshold=1024,
+                  write_clock_hz=125e6, read_clock_hz=100.54e6, resume_latency_cycles=64)
+    assert dataclasses.asdict(cfg) == values
+    assert [f.name for f in dataclasses.fields(cfg)] == list(values)
+    same = FifoConfig(read_clock_hz=100_540_000)
+    assert cfg == same and hash(cfg) == hash(same) == hash(tuple(values.values()))
+    faster = dataclasses.replace(cfg, read_clock_hz=130e6)
+    assert faster == FifoConfig(read_clock_hz=130e6) and faster != cfg
+    assert elastic._periods(cfg) == periods(cfg) == (5027, 6250)
+    assert elastic._periods(faster) == periods(faster) == (26, 25)
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,6 +477,49 @@ def steps(monkeypatch):
 
     monkeypatch.setattr(elastic._Sim, "_step", counted)
     return calls
+
+
+def test_bursty_walk_draws_its_own_pairs(monkeypatch):
+    """The pair walk refills `lengths` itself once less than a pair is left,
+    so the default 1.5M-cycle bursty run (seeds 0-2) hands no scalar step an
+    empty `lengths`, and it takes 5-7 `_cycles` passes, not the 11-14 it
+    took when each refill ended a pass."""
+    empty, passes = [], []
+    step, cycles = elastic._Sim._step, elastic._Sim._cycles
+
+    def counted_step(sim):
+        empty.append(not sim.lengths)
+        return step(sim)
+
+    def counted_cycles(sim):
+        passes.append(None)
+        return cycles(sim)
+
+    monkeypatch.setattr(elastic._Sim, "_step", counted_step)
+    monkeypatch.setattr(elastic._Sim, "_cycles", counted_cycles)
+    for seed in range(3):
+        empty.clear()
+        passes.clear()
+        simulate_fifo(FifoConfig(), 1_500_000, "bursty", seed)
+        assert empty and not any(empty), seed
+        assert len(passes) <= 7, seed
+
+
+def test_walk_refills_keep_lengths_bounded(monkeypatch):
+    """A refill inside a pass drops the lengths the walk has taken, so a
+    bursty run whose reader starves between bursts, one pass over ~10^4 pairs
+    without a stop, never holds more than one refill and the length left."""
+    sizes = []
+    refill = elastic._Sim._refill
+
+    def counted(sim, left):
+        left = refill(sim, left)
+        sizes.append(len(sim.lengths))
+        return left
+
+    monkeypatch.setattr(elastic._Sim, "_refill", counted)
+    simulate_fifo(FifoConfig(read_clock_hz=130e6), 10**7, "bursty", 1)
+    assert len(sizes) > 10 and max(sizes) <= 513
 
 
 def test_bursty_run_steps_per_event(steps):
