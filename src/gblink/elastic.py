@@ -21,15 +21,16 @@ Semantics
   * `duration_cycles` counts read-clock cycles from t = 0; the simulation
     horizon is the last of those ticks.
 
-Stepping: each scalar step (`_Sim._step`) solves the next occupancy event
-tick in closed form and applies the write ticks up to it and the reads
-between them at once; `_Sim._cycles` crosses whole (burst, gap) pairs and
-flow-control cycles in one integer loop and jumps a continuous writer's whole
-periods (a continuous writer is one burst that outlasts the run).  So a run
-takes a few steps, more only at stops whose latency leaves their burst, and
-its cost does not grow with the horizon.  Results are bit-identical to naive
-per-tick stepping, which the test suite checks against an independent
-reference simulator.
+Stepping: `_Sim` keeps the next write tick kw, the occupancy, the pause tick,
+whether reads have started and the pattern position; once they have, the
+ceil(kw pw / pr) reads before kw are applied.  A scalar step (`_Sim._step`)
+solves the next occupancy event tick in closed form and applies the write
+ticks up to it and the reads between them at once; `_Sim._cycles` crosses
+whole (burst, gap) pairs and flow-control cycles in one integer loop and jumps
+a continuous writer's whole periods.  So a run takes a few steps, more only at
+stops whose latency leaves their burst, and its cost does not grow with the
+horizon.  Results are bit-identical to per-tick stepping, which the tests
+check against an independent reference simulator.
 
 Bursty write pattern: bursts of 64..1522 bytes separated by idle gaps of
 12..255 write cycles, drawn from the seeded generator (Ethernet-flavoured
@@ -62,6 +63,7 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class FifoConfig:
+    """An upper threshold below half the capacity stalls: the writer stops before any read."""
     capacity_bytes: int = 4096
     upper_threshold: int = 3072
     lower_threshold: int = 1024
@@ -101,7 +103,6 @@ class FifoStats:
 
 
 _periods = operator.attrgetter("_tick_periods")  # (pw, pr), reduced once by FifoConfig
-_ACTIVE, _STOPPING, _PAUSED = 0, 1, 2
 
 
 class _Sim:
@@ -123,12 +124,10 @@ class _Sim:
         self.lengths: list[int] = [] if self.bursty else [0]
         self.stats = FifoStats()
 
-        self.kw = 0                 # next write tick; every read before it is applied
+        self.kw = 0                 # next write tick
         self.occ = 0
-        self.state = _ACTIVE
-        self.pause_at = 0           # the write tick at which a stopping writer pauses
+        self.pause_at = None        # None while active; stopping before this write tick, paused from it
         self.primed = False
-        self.next_read = 0          # next unprocessed read tick index (once primed)
         # one of burst_left and gap_left is positive; a continuous writer is
         # one burst that outlasts the run (k + burst_left > k_last + 1), so
         # the gap of 0 after it in `lengths` is never reached
@@ -151,10 +150,11 @@ class _Sim:
     def _step(self) -> None:
         """Run the write ticks from kw on up to and including the next one
         that holds an occupancy event, and every read before the tick after
-        it.  The step ends earlier on a burst, gap or pause tick, and a paused
-        writer's before the tick at which it resumes.  Only the last tick can
-        hold an event: a one-tick write that finds the FIFO full is an
-        overflow and commits nothing, the commit that reaches half the
+        it, from read ceil(kw pw / pr) or, at priming, the first after the
+        priming commit.  It ends earlier on a burst, gap or pause tick, and a
+        paused writer's on the tick it resumes at, resuming it.  Only the last
+        tick can hold an event: a one-tick write that finds the FIFO full is
+        an overflow and commits nothing, the commit that reaches half the
         capacity primes the reads, and an active writer's commit that reaches
         the upper threshold asserts stop.
 
@@ -170,15 +170,15 @@ class _Sim:
         find it so.
         """
         cfg, st, pw, pr = self.cfg, self.stats, self.pw, self.pr
-        k0, occ0, state = self.kw, self.occ, self.state
-        writing = state != _PAUSED and self.burst_left > 0
-        k1 = self.k_last + 1
-        if state == _STOPPING:
-            k1 = min(k1, self.pause_at)
+        k0, occ0, pause = self.kw, self.occ, self.pause_at
+        m0 = -(-k0 * pw // pr)                # the reads before k0, once primed
+        paused = pause is not None and k0 >= pause
+        writing = not paused and self.burst_left > 0
+        k1 = self.k_last + 1 if pause is None or paused else min(self.k_last + 1, pause)
         if writing:
             # the first tick whose commit lifts occupancy to `level`: priming,
             # the upper threshold while active, the capacity while stopping
-            level = cfg.upper_threshold if state == _ACTIVE else cfg.capacity_bytes
+            level = cfg.upper_threshold if pause is None else cfg.capacity_bytes
             k1 = min(k1, k0 + self.burst_left)
             if not self.primed:
                 k1 = min(k1, k0 + min(level, cfg.capacity_bytes // 2) - occ0)
@@ -187,25 +187,22 @@ class _Sim:
             elif pw < pr:
                 # occupancy before write tick j is base + j - ceil(j pw / pr),
                 # so a commit at j leaves base + 1 + floor(j (pr - pw) / pr)
-                base = occ0 + self.next_read - k0
+                base = occ0 + m0 - k0
                 k1 = min(k1, -(-(level - base - 1) * pr // (pr - pw)) + 1)
             self.burst_left -= k1 - k0
             if self.burst_left == 0:
                 self.gap_left = self._draw()
-        elif state != _PAUSED:                # the pattern is frozen while paused
+        elif not paused:                      # the pattern is frozen while paused
             k1 = min(k1, k0 + self.gap_left)
             self.gap_left -= k1 - k0
             if self.gap_left == 0:
                 self.burst_left = self._draw()
         elif self.primed:
-            # the read that brings occupancy down to the lower threshold; the
-            # writer resumes at the first write tick after it, which is past
-            # kw because `run` resumes a writer already at or below it
-            m = self.next_read + occ0 - cfg.lower_threshold - 1
+            # the first write tick after the read that brings occupancy down
+            # to the lower threshold, past kw as a step resumes a writer it
+            # leaves at or below it
+            m = m0 + occ0 - cfg.lower_threshold - 1
             k1 = min(k1, m * pr // pw + 1)
-        if state == _STOPPING and k1 == self.pause_at:
-            self.state = _PAUSED
-        self.kw, m0 = k1, self.next_read
         w = k1 - k0 if writing else 0         # bytes committed
         if w and occ0 == cfg.capacity_bytes:  # a full FIFO ends a step at one tick
             st.overflow_events += 1
@@ -218,61 +215,59 @@ class _Sim:
                 top -= m1 - m0
             elif top >= cfg.capacity_bytes // 2:
                 self.primed = True
-                self.next_read = m0 = m1
+                m0 = m1
                 st.min_occupancy_after_priming = top
             st.max_occupancy = max(st.max_occupancy, top)
-            if state == _ACTIVE and top >= cfg.upper_threshold:
+            if pause is None and top >= cfg.upper_threshold:
                 st.stop_assertions += 1
                 self.pause_at = k1 + cfg.resume_latency_cycles
-                self.state = _STOPPING if cfg.resume_latency_cycles else _PAUSED
         reads = min(k1 * pw - 1, self.t_end) // pr + 1 - m0 if self.primed else 0
-        if reads <= 0:
-            self.occ += w
-            return
-        self.next_read = m0 + reads
-        low = occ0 - reads                    # left by the last read, before clamping
-        if w:
-            low += (self.next_read - 1) * pr // pw - k0 + 1   # writes up to it
-        if low < st.min_occupancy_after_priming:
-            st.min_occupancy_after_priming = max(0, low)
-        net = occ0 + w - reads
-        gaps = max(0, -net)                   # reads that found the FIFO empty
-        self.occ = net + gaps
-        st.output_bytes += reads - gaps
-        st.underflow_events += gaps
+        gaps = max(0, reads - occ0 - w)       # reads that found the FIFO empty
+        self.kw, self.occ = k1, occ0 + w - reads + gaps
+        if reads:
+            low = occ0 - reads                # left by the last read, before clamping
+            if w:
+                low += (m0 + reads - 1) * pr // pw - k0 + 1   # writes up to it
+            if low < st.min_occupancy_after_priming:
+                st.min_occupancy_after_priming = max(0, low)
+            st.output_bytes += reads - gaps
+            st.underflow_events += gaps
+        if self.pause_at is not None and self.pause_at <= k1 and self.occ <= cfg.lower_threshold:
+            self.pause_at = None              # the paused writer resumes
 
     def _cycles(self) -> None:
         """Apply at once the whole (burst, gap) pairs and flow-control cycles,
         resume tick to resume tick, ahead of an active, primed writer in a
         burst.  Pairs come off `lengths` as `_draw` takes them, refilled as it
-        does once less than a pair is left.  The walk carries base = occ +
-        m - k at write tick k and read m, which a gap of g ticks lowers by g:
-        occupancy before a burst's tick j is base + j - ceil(j pw / pr) =
-        base + floor(j (pr - pw) / pr), and m = base + k - occ where the walk
-        ends.  A burst peaks at its last commit, or its first when reads are
-        at least as fast.  Below the upper threshold the pair's low is the
-        occupancy at the next burst, as gap reads only lower occupancy and
-        while commits rise each read leaves no less than the one before; a
-        low below 0 means -low reads found the FIFO empty, and they raise base
-        by -low.  Otherwise a faster writer stops back to back: at the tick j
-        solved as in `_step`, it peaks `resume_latency_cycles` commits later
-        (they rise by at most one a tick) and resumes after read j + base -
-        lower, which leaves `lower`, its low, as ceil(j pw / pr) + floor(j
-        (pr - pw) / pr) = j.  The burst, frozen while paused, ends later by
-        the paused ticks, by which base falls: its end plus base holds.  A
-        resume at (k, m) has the future of one at (k + pr t, m + pw t), so a
-        continuous writer's resumes fall in pw classes, one per m mod pw:
-        Brent's cycle search finds their period and whole periods up to
-        k_last are crossed at once.  Stop before a cycle whose latency runs to
-        the burst's last tick or past it, whose peak overflows or whose resume
-        tick is past k_last, before a pair that ends past k_last, and where a
-        slower writer reaches the upper threshold.
+        does once less than a pair is left.  The walk carries base = occ + m
+        - k at write tick k and read m = ceil(k pw / pr), which a gap of g
+        ticks lowers by g: occupancy before a burst's tick j is base + j -
+        ceil(j pw / pr) = base + floor(j (pr - pw) / pr).  A burst peaks at
+        its last commit, or its first when reads are at least as fast.  Below
+        the upper threshold the pair's low is the occupancy at the next burst,
+        as gap reads only lower occupancy and while commits rise each read
+        leaves no less than the one before; a low below 0 means -low reads
+        found the FIFO empty, and they raise base by -low.  Otherwise a faster
+        writer stops back to back: at the tick j solved as in `_step`, it
+        peaks `resume_latency_cycles` commits later (they rise by at most one
+        a tick) and resumes after read j + base - lower, which leaves `lower`,
+        its low, as ceil(j pw / pr) + floor(j (pr - pw) / pr) = j.  The burst,
+        frozen while paused, ends later by the paused ticks, by which base
+        falls: its end plus base holds.  A resume at (k, m) has the future of
+        one at (k + pr t, m + pw t), so a continuous writer's resumes fall in
+        pw classes, one per m mod pw: Brent's cycle search finds their period
+        and whole periods up to k_last are crossed at once.  Stop before a
+        cycle whose latency runs to the burst's last tick or past it, whose
+        peak overflows or whose resume tick is past k_last, before a pair that
+        ends past k_last, and where a slower writer reaches the upper
+        threshold.
         """
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
         cap, k_last, faster, gain = cfg.capacity_bytes, self.k_last, pw < pr, pr - pw
         k, occ, b, i = self.kw, self.occ, self.burst_left, len(lengths)
-        base = occ + self.next_read - k
+        base = occ - k * gain // pr
+        start = k + base                                 # m + occ, raised by writes and empty reads
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
         r0, k0, base0, s0, s1 = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
         while True:
@@ -326,22 +321,19 @@ class _Sim:
                 break
         if stops and lower < low:
             low = lower
-        m = base + k - occ
-        reads = m - self.next_read
-        st.output_bytes += reads - gaps
-        st.bytes_written += occ - self.occ + reads - gaps    # by conservation
+        written = k + base - start - gaps                # by conservation
+        st.output_bytes += written + self.occ - occ
+        st.bytes_written += written
         st.underflow_events += gaps
         st.stop_assertions += stops
         st.max_occupancy, st.min_occupancy_after_priming = top, low
-        self.kw, self.next_read, self.occ, self.burst_left = k, m, occ, b
+        self.kw, self.occ, self.burst_left = k, occ, b
         del lengths[i:]
 
     def run(self) -> FifoStats:
         while self.kw <= self.k_last:
-            if self.state == _PAUSED and self.occ <= self.cfg.lower_threshold:
-                self.state = _ACTIVE
             # a continuous writer no faster than the reads has no cycles to cross
-            if self.state == _ACTIVE and self.primed and self.burst_left > 0 and (
+            if self.pause_at is None and self.primed and self.burst_left > 0 and (
                     self.bursty or self.pw < self.pr):
                 self._cycles()
             self._step()

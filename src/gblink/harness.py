@@ -34,7 +34,8 @@ converted through the code rate (or taken as-is with `uncoded=True`);
 `DistanceChannel` gives a per-channel-bit ratio from the link budget at rate
 1; `noise_point` is that mapping, for runs and frame-count sizing alike.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
-negative seed, a fractional frame count) when constructed.
+negative seed, a fractional frame count) or of the wrong type (a string
+`frame_kind`) when constructed.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("frames", "master_seed", "bit_offset"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, kind, what in (("channel", Channel, "an AWGN, BSC or distance channel"),
+                                 ("frame_kind", FrameKind, "a FrameKind"), ("uncoded", bool, "a bool")):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", FrameSynchronizer(self.frame_kind, self.gamma).gamma)
         if self.frames < 1:

@@ -149,6 +149,12 @@ REFERENCE_CASES = [
     pytest.param(FifoConfig(capacity_bytes=256, upper_threshold=120, lower_threshold=8,
                             read_clock_hz=110e6),
                  40_000, "bursty", 18, id="stop-and-starve-bursty"),
+    # the upper threshold is below half the capacity, so the writer stops
+    # and pauses before the reads start, and it never resumes
+    *(pytest.param(FifoConfig(capacity_bytes=64, upper_threshold=20, lower_threshold=8,
+                              resume_latency_cycles=latency), 5_000, pattern, 19,
+                   id=f"stall-{pattern}-latency-{latency}")
+      for pattern in ("continuous", "bursty") for latency in (0, 5)),
 ]
 
 
@@ -156,6 +162,16 @@ REFERENCE_CASES = [
 def test_matches_per_tick_reference(cfg, duration, pattern, seed):
     assert simulate_fifo(cfg, duration, pattern, seed) == \
         reference_simulate(cfg, duration, pattern, seed)
+
+
+def test_stall_cases_stall():
+    """An upper threshold below half the capacity stops the writer before
+    priming: one stop, the latency's writes over the threshold, no reads."""
+    for c in REFERENCE_CASES:
+        if c.id.startswith("stall-"):
+            top = 20 + c.values[0].resume_latency_cycles
+            assert simulate_fifo(*c.values) == FifoStats(
+                max_occupancy=top, stop_assertions=1, bytes_written=top, final_occupancy=top)
 
 
 def test_stop_and_starve_case_does_both():

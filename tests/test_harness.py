@@ -285,7 +285,8 @@ def test_config_validation():
                                      master_seed=1)).raw_errors == 0
     base = dict(channel=BscChannel(1e-3), frames=1, master_seed=1)
     for name, bad in [("frames", 2.5), ("master_seed", 1.5), ("bit_offset", 2.5),
-                      ("gamma", 27.5), ("frames", True), ("master_seed", "1")]:
+                      ("gamma", 27.5), ("frames", True), ("master_seed", "1"),
+                      ("uncoded", "false"), ("frame_kind", "P32"), ("channel", 0.5)]:
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{**base, name: bad})
     # numpy integers are integers, and are stored as Python ints
