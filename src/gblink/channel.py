@@ -108,7 +108,7 @@ def bsc_flips(size: int, p: float, seed: int | np.random.SeedSequence):
     rng, log_keep = np.random.default_rng(seed), math.log1p(-p)
     last = -1  # where the last gap ended
     while last < size - 1:
-        left = size - 1 - last  # a draw sized to the gaps left usually ends the loop
+        left = size - 1 - last  # a draw sized to the gaps left usually ends the loop; any size is exact
         g = np.log1p(-rng.random(min(_GAP_CHUNK, int(left * p + 4 * math.sqrt(left * p)) + 16)))
         with np.errstate(over="ignore"):  # divide: an underflowing p gives +inf, never NaN
             g /= log_keep

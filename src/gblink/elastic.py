@@ -128,11 +128,10 @@ class _Sim:
         self.occ = 0
         self.pause_at = None        # None while active; stopping before this write tick, paused from it
         self.primed = False
-        # one of burst_left and gap_left is positive; a continuous writer is
-        # one burst that outlasts the run (k + burst_left > k_last + 1), so
+        # gap_left is drawn by the step that ends a burst; a continuous writer
+        # is one burst that outlasts the run (k + burst_left > k_last + 1), so
         # the gap of 0 after it in `lengths` is never reached
         self.burst_left = self._draw() if self.bursty else self.k_last + 2
-        self.gap_left = 0
 
     def _refill(self, left: int) -> int:
         """Put the next 256 (burst, gap) pairs, drawn as the scalar calls would
@@ -228,7 +227,7 @@ class _Sim:
             low = occ0 - reads                # left by the last read, before clamping
             if w:
                 low += (m0 + reads - 1) * pr // pw - k0 + 1   # writes up to it
-            if low < st.min_occupancy_after_priming:
+            if low < st.min_occupancy_after_priming:  # <= would do: a tie changes nothing
                 st.min_occupancy_after_priming = max(0, low)
             st.output_bytes += reads - gaps
             st.underflow_events += gaps
@@ -260,7 +259,7 @@ class _Sim:
         cycle whose latency runs to the burst's last tick or past it, whose
         peak overflows or whose resume tick is past k_last, before a pair that
         ends past k_last, and where a slower writer reaches the upper
-        threshold.
+        threshold.  Stopping sooner is exact too, as is updating an extreme at a tie.
         """
         cfg, st, lengths, pw, pr = self.cfg, self.stats, self.lengths, self.pw, self.pr
         upper, lower, latency = cfg.upper_threshold, cfg.lower_threshold, cfg.resume_latency_cycles
@@ -269,9 +268,9 @@ class _Sim:
         base = occ - k * gain // pr
         start = k + base                                 # m + occ, raised by writes and empty reads
         top, low, gaps, stops = st.max_occupancy, st.min_occupancy_after_priming, 0, 0
-        r0, k0, base0, s0, s1 = -1, 0, 0, 0, 0 if self.bursty else 1  # tortoise; none if bursty
+        r0, k0, base0, s0, s1 = -1, 0, 0, 0, 0 if self.bursty else 1  # r0 = -1: none yet; never if bursty
         while True:
-            if i < 2 and self.bursty:                    # draw the next pairs
+            if i < 2 and self.bursty:                    # draw; i is odd, the burst's gap on top
                 i = self._refill(i)
             e = k + b                                    # the burst's end
             peak = base + 1 + (e - 1) * gain // pr if faster else occ + 1  # last or first commit
@@ -282,7 +281,7 @@ class _Sim:
                     break
                 k, i, base = k1, i - 2, base - g
                 occ = base + k * gain // pr
-                if occ < 0:                              # -occ reads found the FIFO empty
+                if occ < 0:                              # -occ reads found the FIFO empty; no-op at 0
                     gaps, base, occ = gaps - occ, base - occ, 0
                 if occ < low:
                     low = occ
@@ -312,7 +311,7 @@ class _Sim:
                     n = (k_last - k) // (k - k0)
                     k, base, stops = (k + n * (k - k0), base + n * (base - base0),
                                       stops + n * (stops - s0))
-                elif stops == s1:                        # a new tortoise, twice as far
+                elif stops == s1:                        # a tortoise twice as far; any spacing is exact
                     r0, k0, base0, s0, s1 = r, k, base, stops, 3 * stops - 2 * s0
             b = eb + 1 - base - k
             if stops > run:                              # each resume leaves `lower`

@@ -3,12 +3,12 @@ ground-truth error accounting, plus parameter sweeps to CSV.
 
 Seeding: every run derives three independent child streams (payload bytes,
 alignment junk bits, channel noise), those of `SeedSequence(master_seed).spawn(3)`;
-a stage builds child i as `SeedSequence(master_seed, spawn_key=(i,))`.  The
-payload bytes are the raw output of the first child's PCG64 bit generator,
-the bytes `default_rng(child).integers(0, 256, n, np.uint8)` would draw.  Sweep
-point i runs with the first state word of `SeedSequence((master_seed, i))` as
-its own master seed.  Identical configs therefore produce byte-identical CSV,
-and sweep points may execute in any order or in parallel.
+a stage builds child i as `SeedSequence(master_seed, spawn_key=(i,))`.  The payload
+bytes are the raw output of the first child's PCG64 bit generator, the bytes
+`default_rng(child).integers(0, 256, n, np.uint8)` would draw.  Sweep point i runs
+with the first state word of `SeedSequence((master_seed, i))` (the same for any
+count drawn) as its own master seed.  Identical configs therefore produce
+byte-identical CSV, and sweep points may execute in any order or in parallel.
 
 Stages: `run_link` composes four functions over plain arrays.  `_transmit`
 returns the Tx byte stream and its bit count.  `_errors` returns the channel's
@@ -206,7 +206,7 @@ def _receive(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.
     located, sync_losses = synchronizer.locate_frames(stream, nbits, 8 - lo)
     frame, off = np.divmod(located - lo, kind.frame_bits)
     found = np.zeros(cfg.frames, dtype=bool)
-    found[frame[(off == 0) & (frame >= 0) & (frame < cfg.frames)]] = True
+    found[frame[off == 0]] = True  # a start is a frame and a preamble before the end: frame < frames
     return found, sync_losses
 
 
@@ -230,7 +230,7 @@ def _account(cfg: ExperimentConfig, errors: np.ndarray, raw_errors: int, found: 
         coded_errors=int(np.bitwise_count(passed).sum() + np.bitwise_count(residual[good]).sum()),
         coded_bits=frames * kind.payload_bytes * 8, frame_errors=frames - int(right.sum()),
         frames=frames, sync_losses=sync_losses, corrected_bytes_total=int(weight[delivered].sum()))
-    report.validate()
+    report.validate()  # a guard: each count is in range by construction
     return report
 
 
@@ -256,7 +256,7 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
     if param not in ("channel", "gamma"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     configs = [_point_config(cfg, param, v, i) for i, v in enumerate(values)]
-    if jobs > 1:
+    if jobs > 1:  # a pool of one would give the same rows, slower
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             reports = list(pool.map(run_link, configs))

@@ -23,10 +23,10 @@ TVLSI 2001), in 16 fixed steps on one (2, 26, R) state (delta_0 .. delta_24 and
 a zero over gamma, theta_0 .. theta_24), which ends holding the locator Lambda
 and the modified evaluator Omega^h; the table Chien search; Forney's formula
 e_p = X_p^-15 Omega^h(X_p^-1) / Lambda'(X_p^-1), exponent 15 (p + 1) in the log
-domain, at the located roots; and a re-check that each block is a codeword,
-made by adding the corrections' syndromes to the received ones.  The corrector
-is coefficient-major (syndromes (16, R), Lambda (9, R)), so each XOR reduce
-combines whole rows; each product is one `_mul` gather.
+domain, where a locator has as many roots as its length; and a re-check that
+each block is a codeword, by adding the corrections' syndromes to the received
+ones.  The corrector is coefficient-major (syndromes (16, R), Lambda (9, R)),
+so each XOR reduce combines whole rows; each product is one `_mul` gather.
 
 All operations are pure functions; the lookup tables are built once at import
 and never mutated, so everything here is safe for concurrent use.
@@ -56,7 +56,7 @@ def _powers() -> np.ndarray:
 
 
 _EXP_NP = _powers()
-_LOG_NP = np.zeros(256, dtype=np.int64)  # log 0 is never read
+_LOG_NP = np.zeros(256, dtype=np.int64)  # log 0 reads 0; Forney reads it only in rows the re-check fails
 _LOG_NP[_EXP_NP] = np.arange(255)
 _MUL = np.zeros((256, 256), dtype=np.uint8)
 _MUL[1:, 1:] = _EXP_NP[(_LOG_NP[1:, None] + _LOG_NP[None, 1:]) % 255]
@@ -93,7 +93,7 @@ def _gf256_table(coeffs: np.ndarray) -> np.ndarray:
 def _gf256_apply(values: np.ndarray, table: np.ndarray, n_out: int) -> np.ndarray:
     """The (N, n_out) outputs of a `_gf256_table` map, a row gather and an XOR reduce a pass."""
     step = max(1, (_ROWS << 12) // (table.nbytes >> 8))  # table.nbytes >> 8: gathered bytes a row
-    offsets = _OFFSETS[:values.shape[1]]
+    offsets = _OFFSETS[:values.shape[1]]  # entries past the input width go unread
     out = np.empty((values.shape[0], table.shape[1]), dtype=np.uint64)
     for lo in range(0, values.shape[0], step):
         products = np.take(table, values[lo: lo + step].T + offsets, axis=0)  # (n_in, R, words)
@@ -157,8 +157,8 @@ def _key_equation(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     is delta_0 .. delta_24 and a zero, row 1 gamma and theta_0 .. theta_24, so
     a step's products gamma delta_(i+1) and delta_0 theta_i are one gather,
     and one masked copy of row 0 sets gamma = delta_0 and theta_i =
-    delta_(i+1) where the length grows; k = r - 2L after r steps.  A locator
-    longer than 8 runs off the registers and fails the length check.
+    delta_(i+1) where the length grows; k = r - 2L after r steps.  With 9
+    coefficients held, a locator longer than 8 fails the root count.
     """
     state = np.zeros((2, 3 * CORRECTABLE_BYTES + 2, synd.shape[1]), dtype=np.uint8)
     state[0, :PARITY_BYTES] = state[1, 1: PARITY_BYTES + 1] = synd
@@ -179,26 +179,26 @@ def _key_equation(synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _correct_rows(blocks: np.ndarray, synd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Correct a (R, 255) batch of blocks with nonzero (16, R) syndromes.
 
-    Returns the corrected blocks, the corrected byte counts and the success
-    mask.  A row succeeds when its locator has 1-8 distinct roots among the
-    byte positions (Chien), every root has a nonzero locator derivative, and
-    the blocks corrected by Forney's formula have zero syndromes.
+    Returns the corrected blocks, byte counts and success mask.  A row succeeds
+    when its locator has L distinct roots (Chien), L its length, and its corrected
+    block has zero syndromes.  So L <= 8, as 9 held coefficients have at most 8
+    roots or all 255; Lambda' != 0 at the roots, as BM keeps its degree <= L; and
+    a zero Omega^h at a root fails the re-check, as passing corrections (weight
+    L <= 8) are the syndromes' one pattern, of nonzero Forney values.
     """
     lam, omega, length = _key_equation(synd)
     rows, pos = np.divmod(np.flatnonzero(_gf256_apply(lam.T, _CHIEN_TABLE, BLOCK_BYTES) == 0), BLOCK_BYTES)
-    good = (length <= CORRECTABLE_BYTES) & (np.bincount(rows, minlength=length.size) == length)
+    good = np.bincount(rows, minlength=length.size) == length
     if not good.any():  # all past the radius, as nearly every row a link call hands over is
         return blocks, length, good
-    rows, pos = rows[good[rows]], pos[good[rows]]  # row-sorted roots of the rows still good
+    rows, pos = rows[good[rows]], pos[good[rows]]  # row-sorted roots of the good rows; others fail anyway
 
     # Forney with the RiBM evaluator and first consecutive root alpha^0 (module
     # docstring); Lambda'(x) is the odd-degree part of Lambda divided by x.
     powers = _CHIEN_POWERS[:CORRECTABLE_BYTES, pos]  # X_p^-k, (8, E)
     om = np.bitwise_xor.reduce(_mul(omega[:, rows], powers), axis=0)
     dlam = np.bitwise_xor.reduce(_mul(lam[1::2, rows], powers[::2]), axis=0)
-    good[rows[dlam == 0]] = False
-    logs = (PARITY_BYTES - 1) * (pos + 1) + _LOG_NP[om] - _LOG_NP[dlam]
-    value = np.where(om == 0, 0, _EXP_NP[logs % 255])
+    value = _EXP_NP[((PARITY_BYTES - 1) * (pos + 1) + _LOG_NP[om] - _LOG_NP[dlam]) % 255]
     fixed = blocks.copy()
     fixed[rows, pos] ^= value
 
@@ -243,4 +243,4 @@ def rs_decode(received: bytes) -> tuple[bytes, int]:
     messages, corrected, ok = decode_blocks(np.frombuffer(received, dtype=np.uint8)[None, :])
     if not ok[0]:
         raise RsDecodeFailure("block has more errors than the code can correct")
-    return messages[0].tobytes(), int(corrected[0])
+    return messages[0].tobytes(), int(corrected[0])  # one row, so [0] and [-1] are the same

@@ -24,8 +24,8 @@ import numpy as np
 from .elastic import _integer
 from .framing import FrameKind
 
-_SCAN_CHUNK_BITS = 8 * 4096
-_TRACK_FIRST_FRAMES = 128
+_SCAN_CHUNK_BITS = 8 * 4096  # these sizes, their growth and how far a scan reads set
+_TRACK_FIRST_FRAMES = 128    # only the cost: any give the same starts
 _OFFSETS = np.arange(8, dtype=np.uint64)[:, None]  # a column: the offsets lead the words
 
 
@@ -60,7 +60,7 @@ def _mismatches(packed: np.ndarray, q, r, word: int, shift: int) -> np.ndarray:
     """Mismatches with the preamble word of the windows at bit 8 q + r of a stream packed by
     `pack`: the 64-bit word at byte q, shifted by r and topped up from the ninth byte.  An int
     array q gathers, a slice reads a strided view in place; r (array or int) broadcasts."""
-    window = np.ndarray((packed.size - 7,), ">u8", packed, strides=(1,))[q] << r
+    window = np.ndarray((packed.size - 7,), ">u8", packed, strides=(1,))[q] << r  # q < size - 8 always
     return np.bitwise_count((window | packed[8:][q] >> (8 - r)) >> shift ^ word)
 
 
@@ -135,7 +135,7 @@ class FrameSynchronizer:
             if double_miss.size == 0:
                 break
             losses += 1
-            pos, chunk = end + 1, min(frame_bits, _SCAN_CHUNK_BITS)
+            pos, chunk = end + 1, min(frame_bits, _SCAN_CHUNK_BITS)  # as from end: its window just missed
         return np.concatenate(runs), losses
 
 

@@ -266,6 +266,8 @@ class TestRsResidual:
         assert channel.rs_residual_ber(5e-324) == 0.0  # a positive byte error rate, a tail that underflows
         values = [channel.rs_residual_ber(p) for p in (1e-4, 1e-3, 1e-2, 0.1)]
         assert all(a < b for a, b in zip(values, values[1:]))
+        # p = 1: only the j = n term, every byte bad, each with all 8 of its bits
+        assert channel.rs_residual_ber(1.0) == 1.0
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_validation(self, p):

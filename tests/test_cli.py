@@ -100,10 +100,10 @@ def test_bad_config_line(tmp_path, capsys):
     conf = tmp_path / "broken.conf"
     conf.write_text("frames 10\n")
     assert run_cli(["run", "--config", str(conf), "--seed", "1"]) == 2
-    assert "expected" in capsys.readouterr().err
+    assert f"{conf}:1: expected 'key = value'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line,named", [("ebno = 2", ["ebno"]),
+@pytest.mark.parametrize("line,named", [("ebno = 2", ["unknown key ebno"]),
                                         ("uncoded = maybe", ["uncoded", "maybe"])],
                          ids=["unknown-key", "bad-value"])
 def test_config_error_names_key(line, named, tmp_path, capsys):

@@ -155,6 +155,15 @@ REFERENCE_CASES = [
                               resume_latency_cycles=latency), 5_000, pattern, 19,
                    id=f"stall-{pattern}-latency-{latency}")
       for pattern in ("continuous", "bursty") for latency in (0, 5)),
+    # a gap ends with exactly one read that found the FIFO empty: the pair
+    # walk's low of -1 is one underflow and an occupancy of 0
+    pytest.param(FifoConfig(capacity_bytes=64, upper_threshold=48, lower_threshold=16,
+                            read_clock_hz=125e6), 5_000, "bursty", 3, id="empty-by-one-bursty"),
+    # equal clocks and every resume commit asserts stop again: the pair walk
+    # must hand each stop to the scalar step, as its stop loop needs pw < pr
+    pytest.param(FifoConfig(capacity_bytes=64, upper_threshold=21, lower_threshold=20,
+                            write_clock_hz=125e6, read_clock_hz=125e6),
+                 5_000, "bursty", 20, id="restop-equal-clocks-bursty"),
 ]
 
 

@@ -18,14 +18,15 @@ P32_SCORE_TABLE[14] = 24
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
 class TestFrameKind:
     def test_sizes(self, kind):
-        expected = {"P32": (260, 264, 4, 32, 239, 1), "P64": (518, 526, 8, 64, 478, 2)}[kind.tag]
-        frame_bytes, span, pre_bytes, pre_bits, payload, ncw = expected
+        expected = {"P32": (260, 264, 4, 32, 239, 1, 28), "P64": (518, 526, 8, 64, 478, 2, 49)}[kind.tag]
+        frame_bytes, span, pre_bytes, pre_bits, payload, ncw, gamma = expected
         assert kind.frame_bytes == frame_bytes
         assert kind.span_bytes == span
         assert kind.preamble_bytes == len(kind.preamble) == len(kind.scrambler) == pre_bytes
         assert kind.preamble_bits == pre_bits
         assert kind.payload_bytes == payload
         assert kind.codewords_per_frame == ncw
+        assert kind.default_gamma == gamma  # the README's frame geometry table
 
     def test_rates(self, kind):
         mbps = kind.source_rate_bps / 1e6

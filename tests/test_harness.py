@@ -260,8 +260,17 @@ def test_auto_frames_capped_at_subnormal_ber(ber):
         assert harness.frames_for_target_errors(BscChannel(ber), kind, False) == harness.FRAMES_CAP
 
 
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+def test_bsc_flipping_every_bit(kind):
+    """At p = 1 every channel bit is an error, no inverted preamble locks, and
+    every payload bit passes through inverted: each count meets its bound."""
+    rep = run_link(ExperimentConfig(BscChannel(1.0), frames=3, master_seed=1, frame_kind=kind, bit_offset=3))
+    assert rep.raw_errors == rep.raw_bits and rep.coded_errors == rep.coded_bits
+    assert rep.frame_errors == rep.frames and rep.sync_losses == rep.corrected_bytes_total == 0
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frames must be >= 1"):
         run_link(ExperimentConfig(channel=AwgnChannel(8.0), frames=0, master_seed=1))
     with pytest.raises(ValueError):
         run_link(ExperimentConfig(channel=AwgnChannel(8.0), frames=1, master_seed=1,

@@ -56,11 +56,14 @@ def test_bpsk_map():
 
 def test_diff_demod_hand_values():
     assert list(modem.diff_demod(np.array([1.0, 1.0, -1.0, -1.0, 1.0]))) == [0, 1, 0, 1]
+    # a zero statistic, a quarter turn or a zero sample, is no flip: only Re(...) < 0 is
+    assert list(modem.diff_demod(np.array([1, 1j, -1, 0, -1j]))) == [0, 0, 0, 0]
 
 
 def test_diff_demod_requires_reference():
     with pytest.raises(ValueError):
         modem.diff_demod(np.array([1.0]))
+    assert modem.diff_demod(np.array([1.0, -1.0])).tolist() == [1]  # the reference and one bit
 
 
 def test_noiseless_chain_identity_and_sign_flip():

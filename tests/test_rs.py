@@ -478,9 +478,10 @@ def test_decode_blocks_matches_oracle_seeded():
 
 @st.composite
 def _corrupted_block(draw, first: int = 0, last: int = 254) -> np.ndarray:
-    """A codeword with 0-20 byte errors, all on bytes first .. last."""
+    """A codeword with 0-40 byte errors, all on bytes first .. last: within
+    the radius, past it, and far past it."""
     message = np.frombuffer(draw(st.binary(min_size=239, max_size=239)), np.uint8)
-    positions = draw(st.lists(st.integers(first, last), max_size=min(20, last - first + 1), unique=True))
+    positions = draw(st.lists(st.integers(first, last), max_size=min(40, last - first + 1), unique=True))
     values = draw(st.lists(st.integers(1, 255), min_size=len(positions),
                            max_size=len(positions)))
     block = rs.encode_blocks(message)[0]
@@ -506,6 +507,35 @@ def test_syndromes_match_oracle_hypothesis(blocks):
     blocks = np.stack(blocks)
     expected = np.stack([rs_oracle.syndromes(blk) for blk in blocks])
     assert np.array_equal(rs.syndromes_blocks(blocks), expected)
+
+
+@st.composite
+def _syndrome_row(draw) -> np.ndarray:
+    """16 syndromes: random ones with a zero prefix of any length, or a
+    codeword's with 0-40 byte errors."""
+    if draw(st.booleans()):
+        synd = np.frombuffer(draw(st.binary(min_size=16, max_size=16)), np.uint8).copy()
+        synd[:draw(st.integers(0, rs.PARITY_BYTES))] = 0
+        return synd
+    return rs.syndromes_blocks(draw(_corrupted_block()))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_syndrome_row(), min_size=1, max_size=64))
+def test_key_equation_locator_fits_its_length(rows):
+    """The facts `_correct_rows` leans on instead of two checks: Chien finds
+    at most 8 roots of the 9 held coefficients (255 only if all were 0), so
+    no root count equals a length L of 9-16; and where L <= 8, Lambda_0 != 0
+    and no coefficient lies above L, so L distinct roots are simple ones.
+    Past the radius Lambda_0 may be 0: the held coefficients are then not
+    the locator's alone (syndromes 0 x 10, 92, 0, 0, 151, 0, 0 give L = 11)."""
+    lam, _, length = rs._key_equation(np.ascontiguousarray(np.stack(rows).T))
+    roots = np.count_nonzero(rs._gf256_apply(lam.T, rs._CHIEN_TABLE, rs.BLOCK_BYTES) == 0, axis=1)
+    assert (roots <= rs.CORRECTABLE_BYTES).all()
+    short = length <= rs.CORRECTABLE_BYTES
+    assert lam[0, short].all()
+    above = np.where(np.arange(rs.CORRECTABLE_BYTES + 1)[:, None] > length, lam, 0)
+    assert not above[:, short].any()
 
 
 def test_recheck_rejects_wrong_forney_values():

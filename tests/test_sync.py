@@ -486,8 +486,8 @@ def test_match_counts_rejects_preamble_length():
             sync.match_counts(packed, np.arange(4), np.zeros(n, np.uint8))
 
 
-@pytest.mark.parametrize("starts", [[-1, -8], [0, 33], [64], [0.0, 8.0], [True]],
-                         ids=["negative", "past-the-stream", "past-the-pad", "float", "bool"])
+@pytest.mark.parametrize("starts", [[-1, -8], [-1], [0, 33], [64], [0.0, 8.0], [True]],
+                         ids=["negative", "minus-one", "past-the-stream", "past-the-pad", "float", "bool"])
 def test_match_counts_rejects_starts_off_the_stream(starts):
     """A 64-bit stream holds 33 windows of 32 bits, at starts 0 to 32: a negative start
     (which would wrap round to the pad), one whose window passes the stream, and a start
