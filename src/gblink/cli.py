@@ -126,8 +126,9 @@ def _add_link_options(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--distance", type=float, default=10.0,
                    help="Tx-Rx distance in m for the distance channel (default %(default)g)")
     p.add_argument("--frames", type=int,
-                   help=f"frames per run, at most {_MAX_FRAMES}; default auto-sizes for ~100 expected "
-                        f"raw error events at the operating point, capped at {harness.FRAMES_CAP}")
+                   help=f"frames per run, at most {_MAX_FRAMES}; default: the first run of "
+                        f"{harness.FRAMES_CAP} >> k frames, k = 14 .. 0, that counts 100 frame "
+                        f"errors (raw errors with --uncoded), else the {harness.FRAMES_CAP}-frame run")
     p.add_argument("--gamma", type=int, help="sync threshold (default per frame kind)")
     p.add_argument("--seed", type=int, help="master seed; required for every run")
     p.add_argument("--uncoded", action="store_true",
@@ -148,29 +149,36 @@ def _experiment_config(args: argparse.Namespace) -> tuple[harness.ExperimentConf
         chan: harness.Channel = harness.DistanceChannel(param, budget)
     else:
         chan = {"awgn": harness.AwgnChannel, "bsc": harness.BscChannel}[args.channel](param)
-    frames = args.frames
-    if frames is None:
-        frames = harness.frames_for_target_errors(chan, kind, args.uncoded)
-    if frames > _MAX_FRAMES:
-        raise ValueError(f"--frames must be at most {_MAX_FRAMES}, got {frames}")
+    if args.frames is not None and args.frames > _MAX_FRAMES:
+        raise ValueError(f"--frames must be at most {_MAX_FRAMES}, got {args.frames}")
     return harness.ExperimentConfig(
-        channel=chan, frames=frames, master_seed=args.seed, frame_kind=kind, gamma=args.gamma,
+        channel=chan, frames=args.frames, master_seed=args.seed, frame_kind=kind, gamma=args.gamma,
         uncoded=args.uncoded, bit_offset=args.bit_offset), param
+
+
+def _write_rows(cfg: harness.ExperimentConfig, rows: list, path: str) -> None:
+    """The CSV rows, and a stderr note for each auto-sized row that stopped at the frame cap
+    short of its 100 errors (with none, the rule of three bounds the rate at 95%)."""
+    with _output(path) as fp:
+        harness.write_sweep_csv(rows, fp)
+    what, rate = ("raw errors", "raw BER") if cfg.uncoded else ("frame errors", "FER")
+    for value, rep in rows:
+        count, n = (rep.raw_errors, rep.raw_bits) if cfg.uncoded else (rep.frame_errors, rep.frames)
+        if cfg.frames is None and count < 100:
+            bound = f"; {rate} < {3 / n:.3g} at 95%" if count == 0 else ""
+            print(f"gblink: note: row {float(value)!r} stopped at the {rep.frames}-frame cap "
+                  f"with {count} {what}{bound}", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg, param = _experiment_config(args)
-    report = harness.run_link(cfg)
-    with _output(args.out) as fp:
-        harness.write_sweep_csv([(param, report)], fp)
+    _write_rows(cfg, [(param, harness.run_link(cfg))], args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg, _ = _experiment_config(args)
-    rows = harness.sweep(cfg, args.sweep, args.sweep_param, jobs=args.jobs)
-    with _output(args.out) as fp:
-        harness.write_sweep_csv(rows, fp)
+    _write_rows(cfg, harness.sweep(cfg, args.sweep, args.sweep_param, jobs=args.jobs), args.out)
     return 0
 
 

@@ -31,8 +31,7 @@ errors are the popcount of the delivered residuals.
 
 Channel variants: `AwgnChannel.ebn0_db` is per information bit and is
 converted through the code rate (or taken as-is with `uncoded=True`);
-`DistanceChannel` gives a per-channel-bit ratio from the link budget at rate
-1; `noise_point` is that mapping, for runs and frame-count sizing alike.
+`DistanceChannel` gives a per-channel-bit ratio from the link budget.
 Channels and configs reject values outside their domain (NaN, -inf dB, a
 negative seed, a fractional frame count) or of the wrong type (a string
 `frame_kind`) when constructed.
@@ -52,7 +51,7 @@ from .elastic import _integer
 from .framing import FrameKind, P32
 from .sync import FrameSynchronizer
 
-FRAMES_CAP = 20_000  # upper bound of frames_for_target_errors
+FRAMES_CAP = 20_000  # the longest auto-sized run (frames=None), which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ Channel = AwgnChannel | BscChannel | DistanceChannel
 @dataclass(frozen=True)
 class ExperimentConfig:
     channel: Channel
-    frames: int
+    frames: int | None  # None: auto-sized, see run_link
     master_seed: int
     frame_kind: FrameKind = P32
     gamma: int | None = None
@@ -96,7 +95,9 @@ class ExperimentConfig:
     bit_offset: int = 0
 
     def __post_init__(self):
-        for name in ("frames", "master_seed", "bit_offset"):
+        if self.frames is not None:
+            object.__setattr__(self, "frames", _integer("frames", self.frames))
+        for name in ("master_seed", "bit_offset"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name, kind, what in (("channel", Channel, "an AWGN, BSC or distance channel"),
                                  ("frame_kind", FrameKind, "a FrameKind"), ("uncoded", bool, "a bool")):
@@ -104,7 +105,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", FrameSynchronizer(self.frame_kind, self.gamma).gamma)
-        if self.frames < 1:
+        if self.frames is not None and self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.master_seed}")
@@ -146,18 +147,16 @@ class LinkReport:
             raise ValueError("negative counters")
 
 
-def noise_point(chan: AwgnChannel | DistanceChannel, kind: FrameKind,
-                uncoded: bool) -> tuple[float, float]:
-    """(Eb/N0 in dB, code rate) of a modem channel, the arguments of
-    `channel.noise_sigma`; the ratio per channel bit is ebn0 + 10*log10(rate)."""
-    if isinstance(chan, DistanceChannel):
-        # the link budget already references its ratio to channel bits
-        return channel_mod.snr_at_distance(chan.budget, chan.distance_m), 1.0
-    return chan.ebn0_db, 1.0 if uncoded else kind.code_rate
-
-
 def run_link(cfg: ExperimentConfig) -> LinkReport:
-    """Run one seeded link experiment and account errors against ground truth (see Stages)."""
+    """Run one seeded link experiment and account errors against ground truth (see Stages).
+    With `frames=None`, the first of the runs at FRAMES_CAP >> k frames, k = 14 .. 0, whose own
+    count (frame errors, raw errors if uncoded) reaches 100, else the run at the cap."""
+    if cfg.frames is None:
+        for n in [FRAMES_CAP >> k for k in range(14, -1, -1) if FRAMES_CAP >> k]:  # a cap < 2**14 gives 0s
+            report = run_link(replace(cfg, frames=n))
+            if (report.raw_errors if cfg.uncoded else report.frame_errors) >= 100:
+                break
+        return report
     stream, nbits = _transmit(cfg)
     errors, raw_errors = _errors(cfg, stream, nbits)
     stream ^= errors  # in place: `stream ^ errors` would allocate a second stream
@@ -185,10 +184,13 @@ def _errors(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.n
     in the frame spans and XOR them into the errors, flip x at stream bit x + 8 - lo."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
     seed = int(np.random.SeedSequence(cfg.master_seed, spawn_key=(2,)).generate_state(1, np.uint64)[0])
-    if isinstance(cfg.channel, BscChannel):
-        chunks = channel_mod.bsc_flips(nbits, cfg.channel.p, seed)
+    chan = cfg.channel
+    if isinstance(chan, BscChannel):
+        chunks = channel_mod.bsc_flips(nbits, chan.p, seed)
     else:
-        sigma = channel_mod.noise_sigma(*noise_point(cfg.channel, kind, cfg.uncoded))
+        distance = isinstance(chan, DistanceChannel)  # a link budget gives the ratio per channel bit
+        ebn0_db = channel_mod.snr_at_distance(chan.budget, chan.distance_m) if distance else chan.ebn0_db
+        sigma = channel_mod.noise_sigma(ebn0_db, 1.0 if distance or cfg.uncoded else kind.code_rate)
         chunks = channel_mod.dbpsk_flips(nbits, sigma, seed)
     errors, raw_errors = np.zeros_like(stream), 0
     for flips in chunks:
@@ -271,15 +273,3 @@ def write_sweep_csv(rows: list[tuple[float, LinkReport]], fp) -> None:
     for value, rep in rows:
         writer.writerow([repr(float(value)), repr(rep.raw_ber), repr(rep.coded_ber),
                          repr(rep.frame_error_rate), rep.sync_losses])
-
-
-def frames_for_target_errors(chan: Channel, kind: FrameKind, uncoded: bool) -> int:
-    """Frame count for ~100 expected raw error events on a channel, capped at FRAMES_CAP."""
-    if isinstance(chan, BscChannel):
-        ber = chan.p
-    else:
-        ebn0_db, code_rate = noise_point(chan, kind, uncoded)
-        ber = channel_mod.dbpsk_ber_theory(ebn0_db + 10 * math.log10(code_rate))
-    if ber * kind.frame_bits * FRAMES_CAP <= 100:  # 100 / (frame_bits ber) is inf for a subnormal ber
-        return FRAMES_CAP
-    return min(FRAMES_CAP, math.ceil(100 / (kind.frame_bits * ber)))

@@ -56,16 +56,42 @@ def test_run_emits_csv_row(tmp_path):
     assert 0 <= float(fields[1]) < 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="auto-sizing aims at about 100 raw errors, not coded "
-                   "ones, so this row comes from 32 frames")
-def test_auto_sized_run_sees_frame_errors(tmp_path):
+def test_auto_sized_run_sees_frame_errors(tmp_path, capsys):
     """An auto-sized coded P32 run at Eb/N0 8 dB, where long runs give a FER
-    near 0.0018, must run until its row rests on frame errors; today it
-    prints FER 0.0 and coded BER 0.0."""
+    near 0.0018, runs until its row rests on frame errors: here the cap, with
+    38 of them, which a note on stderr says."""
     out = tmp_path / "run.csv"
     assert run_cli(["run", "--seed", "1", "--ebn0", "8", "--out", str(out)]) == 0
     row = dict(zip(*(line.split(",") for line in out.read_text().strip().splitlines())))
     assert float(row["fer"]) > 0 and float(row["coded_ber"]) > 0
+    assert capsys.readouterr().err == \
+        "gblink: note: row 8.0 stopped at the 20000-frame cap with 38 frame errors\n"
+
+
+_BSC = ["--seed", "1", "--channel", "bsc"]
+_CLEAN_NOTE = "gblink: note: row 0.0 stopped at the 200-frame cap with 0 frame errors; FER < 0.015 at 95%\n"
+
+
+@pytest.mark.parametrize("argv,cap,err", [
+    (["run", "--p", "0"] + _BSC, 200, _CLEAN_NOTE),
+    (["run", "--p", "0", "--uncoded"] + _BSC, 200,
+     "gblink: note: row 0.0 stopped at the 200-frame cap with 0 raw errors; raw BER < 7.21e-06 at 95%\n"),
+    (["run", "--p", "1"] + _BSC, 200, ""),
+    (["run", "--p", "1"] + _BSC, 99,
+     "gblink: note: row 1.0 stopped at the 99-frame cap with 99 frame errors\n"),
+    (["run", "--p", "0", "--frames", "200"] + _BSC, 200, ""),
+    (["sweep", "--sweep", "1,0,1e-3"] + _BSC, 200,
+     _CLEAN_NOTE + _CLEAN_NOTE.replace("row 0.0", "row 0.001")),
+], ids=["clean", "clean-uncoded", "target-reached", "one-short", "fixed-frames", "sweep"])
+def test_cap_note(argv, cap, err, capsys):
+    """An auto-sized row that stops at the cap short of 100 errors still prints, exit 0,
+    with one stderr note; with no errors the rule of three bounds its rate at 95%.  At
+    p = 1 every frame is a frame error, so a 200-frame cap stops at 100 frames."""
+    with mock.patch.object(harness, "FRAMES_CAP", cap):
+        assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert len(captured.out.splitlines()) == 1 + (3 if argv[0] == "sweep" else 1)
 
 
 def test_seed_is_required(capsys):
@@ -291,19 +317,21 @@ def test_distance_channel(tmp_path):
 
 
 @pytest.mark.parametrize("argv,frames", [
-    (["--ebn0", "10"], 945),
-    (["--ebn0", "10", "--uncoded"], 2118),
-    (["--ebn0", "10", "--kind", "p64"], 492),
-    (["--channel", "distance", "--distance", "30", "--extra-loss", "15"], 199),
+    (["--ebn0", "10"], 20000),
+    (["--ebn0", "10", "--uncoded"], 2500),
+    (["--ebn0", "10", "--kind", "p64"], 20000),
+    (["--channel", "distance", "--distance", "30", "--extra-loss", "15"], 20000),
     (["--channel", "distance", "--distance", "30"], 20000),
-    (["--channel", "bsc", "--p", "1e-5"], 4808),
-    (["--channel", "bsc", "--p", "1e-3"], 49),
+    (["--channel", "bsc", "--p", "1e-5"], 20000),
+    (["--channel", "bsc", "--p", "1e-3"], 20000),
 ], ids=["awgn-coded", "awgn-uncoded", "awgn-coded-p64", "distance", "distance-capped",
         "bsc", "bsc-1e-3"])
 def test_auto_frames_pinned(argv, frames):
-    """Without --frames, the run is sized for ~100 expected raw error events."""
+    """Without --frames, the run stops at the first FRAMES_CAP >> k frames that count
+    100 frame errors (raw errors with --uncoded); these coded points count fewer at the cap."""
     cfg, _ = cli._experiment_config(cli.parse_args(["run", "--seed", "1"] + argv))
-    assert cfg.frames == frames
+    assert cfg.frames is None
+    assert harness.run_link(cfg).frames == frames
 
 
 def _assert_clean_error(args, capsys):
@@ -527,7 +555,11 @@ def test_fifo_cycles_bounded(cycles, shown, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_frames_bounded(command, capsys, monkeypatch):
-    """A frame count above the memory bound is refused before any link runs."""
+    """A frame count above the memory bound is refused before any link runs; the bound
+    itself is allowed."""
+    bound = cli.parse_args([command, "--seed", "1", "--frames", "250000"])
+    assert cli._experiment_config(bound)[0].frames == 250000
+
     def never(*args):
         raise AssertionError("run_link ran")
     monkeypatch.setattr(cli.harness, "run_link", never)

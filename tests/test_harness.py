@@ -254,10 +254,48 @@ def test_sweep_rejects_nonpositive_jobs(jobs):
 
 @pytest.mark.parametrize("ber", [1e-320, 5e-324])
 def test_auto_frames_capped_at_subnormal_ber(ber):
-    """100 / (frame_bits ber) overflows to inf for a subnormal BER; a channel
-    that clean gets the cap, as a BER of 0 does."""
-    for kind in (P32, P64):
-        assert harness.frames_for_target_errors(BscChannel(ber), kind, False) == harness.FRAMES_CAP
+    """A channel that clean counts no errors, so an auto-sized run stops at the cap."""
+    rep = run_link(ExperimentConfig(channel=BscChannel(ber), frames=None, master_seed=1))
+    assert rep.frames == harness.FRAMES_CAP
+    assert rep.raw_errors == rep.frame_errors == rep.coded_errors == 0
+
+
+@pytest.mark.parametrize("cfg,frames", [
+    (ExperimentConfig(BscChannel(0.0), None, 1), 20000),
+    (ExperimentConfig(BscChannel(1.0), None, 1), 156),
+    (ExperimentConfig(AwgnChannel(7.5), None, 1), 2500),
+    (ExperimentConfig(AwgnChannel(10.0), None, 1, uncoded=True), 2500),
+], ids=["bsc-clean", "bsc-every-bit", "awgn-7.5dB", "awgn-uncoded-10dB"])
+def test_auto_sized_run_is_the_fixed_run_where_it_stopped(cfg, frames):
+    """An auto-sized report is the fixed run at its own frame count, the first of
+    FRAMES_CAP >> k that counts 100 errors (raw ones when uncoded), else the cap."""
+    steps = []
+    with mock.patch.object(harness, "run_link", lambda c: steps.append(run_link(c)) or steps[-1]):
+        rep = run_link(cfg)
+    shifts = [1, 2, 4, 9, 19, 39, 78, 156, 312, 625, 1250, 2500, 5000, 10000, 20000]
+    assert [step.frames for step in steps] == shifts[: shifts.index(frames) + 1]
+    counts = [step.raw_errors if cfg.uncoded else step.frame_errors for step in steps]
+    assert max(counts[:-1], default=0) < 100 and (counts[-1] >= 100 or frames == harness.FRAMES_CAP)
+    assert rep == run_link(dataclasses.replace(cfg, frames=frames))
+
+
+@pytest.mark.parametrize("cap,frames", [(200, 100), (198, 198), (3, 3)])
+def test_auto_sized_run_stops_at_exactly_100(cap, frames):
+    """At p = 1 every frame is a frame error: a step of 100 frames stops the run,
+    one of 99 does not, and a cap whose shifts reach 0 frames skips those steps."""
+    with mock.patch.object(harness, "FRAMES_CAP", cap):
+        assert run_link(ExperimentConfig(BscChannel(1.0), None, 1)).frames == frames
+
+
+def test_auto_sized_sweep_sizes_each_point():
+    """Each point of an auto-sized sweep counts its own errors, and its row is
+    the fixed run of that point at the row's frame count."""
+    cfg = ExperimentConfig(AwgnChannel(8.0), None, 1)
+    rows = sweep(cfg, (6.0, 10.0))
+    assert [rep.frames for _, rep in rows] == [156, harness.FRAMES_CAP]
+    for i, (value, rep) in enumerate(rows):
+        point = harness._point_config(dataclasses.replace(cfg, frames=rep.frames), "channel", value, i)
+        assert rep == run_link(point)
 
 
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
