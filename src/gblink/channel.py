@@ -197,22 +197,28 @@ def snr_at_distance(budget: LinkBudget, distance_m: float) -> float:
     return rx_dbm + 174.0 - budget.noise_figure_db - 10 * math.log10(CHANNEL_RATE_BPS)
 
 
+def binomial_tail_ge(n: int, k: int, p: float) -> float:
+    """P[Binomial(n, p) >= k] with exact coefficients and compensated summation: summing the
+    upper tail directly keeps tiny probabilities (down to ~1e-300) free of the cancellation
+    that 1 - P[X < k] would suffer."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if k <= 0:
+        return 1.0
+    return min(1.0, math.fsum(
+        math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k, n + 1)))
+
+
 def rs_residual_ber(p: float) -> float:
     """Post-RS bit error rate estimate for an independent bit error rate p.
 
     Byte errors are binomial; blocks with more than t bad bytes are counted
     as delivering all their bad bytes (decoder failures are detected and the
-    block passes through, a conservative model).
+    block passes through, a conservative model).  By j C(n, j) = n C(n-1, j-1),
+    a delivered bad bit is a flipped bit (p) with at least t of the other
+    n - 1 bytes bad.
     """
     if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    if p == 0:
-        return 0.0
-    n, t = rs.BLOCK_BYTES, rs.CORRECTABLE_BYTES
-    pb = -math.expm1(8.0 * math.log1p(-p)) if p < 1 else 1.0  # positive for any p > 0
-    bad_bytes = math.fsum(
-        j * math.comb(n, j) * pb ** j * (1 - pb) ** (n - j)
-        for j in range(t + 1, n + 1)
-    )
-    bits_per_bad_byte = 8 * p / pb
-    return (bad_bytes / n) * (bits_per_bad_byte / 8)
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    pb = -math.expm1(8.0 * math.log1p(-p)) if p < 1 else 1.0  # log1p(-1) is a domain error
+    return p * binomial_tail_ge(rs.BLOCK_BYTES - 1, rs.CORRECTABLE_BYTES, pb)

@@ -1,5 +1,7 @@
-"""Command-line front end: link runs, sweeps, sync trade-off tables, and
-FIFO simulations, all emitting CSV (or JSON for fifo stats).
+"""Command-line front end, the one module that writes text: link runs, sweeps, sync
+trade-off tables and FIFO simulations, each as CSV through `_write_csv` (csv's CRLF
+dialect), or fifo stats as JSON.  An auto-sized row (no `--frames`) also notes on
+stderr the frames it ran, so `--frames` at that count prints it again.
 
 Each subcommand's argparse parser is the one schema of its options: type,
 choices and default are written once, in `add_argument`.  A config file
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import json
 import sys
@@ -57,13 +60,19 @@ def _output(path: str):
             yield fh
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Header and rows in csv's default dialect: CRLF line ends, a float as its repr, None empty."""
+    with _output(path) as fp:
+        csv.writer(fp).writerows([header, *rows])
+
+
 def _config_values(parser: argparse.ArgumentParser, path: str) -> dict:
     """A --config file's `key = value` lines, each converted and checked like its flag."""
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config", "out")}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.partition("#")[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -157,16 +166,17 @@ def _experiment_config(args: argparse.Namespace) -> tuple[harness.ExperimentConf
 
 
 def _write_rows(cfg: harness.ExperimentConfig, rows: list, path: str) -> None:
-    """The CSV rows, and a stderr note for each auto-sized row that stopped at the frame cap
-    short of its 100 errors (with none, the rule of three bounds the rate at 95%)."""
-    with _output(path) as fp:
-        harness.write_sweep_csv(rows, fp)
+    """The CSV rows, and a stderr note of each auto-sized row's frame count, which `--frames`
+    reruns, and its error count (with none, the rule of three bounds the rate at 95%)."""
+    _write_csv(path, ["parameter", "raw_ber", "coded_ber", "fer", "sync_losses"],
+               [[value, rep.raw_ber, rep.coded_ber, rep.frame_error_rate, rep.sync_losses]
+                for value, rep in rows])
     what, rate = ("raw errors", "raw BER") if cfg.uncoded else ("frame errors", "FER")
     for value, rep in rows:
         count, n = (rep.raw_errors, rep.raw_bits) if cfg.uncoded else (rep.frame_errors, rep.frames)
-        if cfg.frames is None and count < 100:
+        if cfg.frames is None:
             bound = f"; {rate} < {3 / n:.3g} at 95%" if count == 0 else ""
-            print(f"gblink: note: row {float(value)!r} stopped at the {rep.frames}-frame cap "
+            print(f"gblink: note: row {value!r} ran {rep.frames} frames "
                   f"with {count} {what}{bound}", file=sys.stderr)
 
 
@@ -185,9 +195,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_sync_table(args: argparse.Namespace) -> int:
     kind = FRAME_KINDS[args.kind.upper()]
     gammas = _parse_gammas(args.gammas) if args.gammas else range(0, kind.preamble_bits + 1)
-    rows = sync.tradeoff_table(kind, args.p, gammas)
-    with _output(args.out) as fp:
-        sync.write_tradeoff_csv(rows, fp)
+    _write_csv(args.out, ["gamma", "p_miss", "p_false_single", "p_false_double"],
+               [[g, *dataclasses.astuple(sp)] for g, sp in sync.tradeoff_table(kind, args.p, gammas)])
     return 0
 
 
@@ -202,12 +211,11 @@ def _cmd_fifo(args: argparse.Namespace) -> int:
                                 for opt, (name, _) in _FIFO_OPTIONS.items()})
     stats = elastic.simulate_fifo(cfg, int(args.cycles), args.pattern, args.seed)
     record = dataclasses.asdict(stats)
+    if args.format == "csv":
+        _write_csv(args.out, record, [record.values()])
+        return 0
     with _output(args.out) as fp:
-        if args.format == "json":
-            fp.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            fp.write(",".join(record) + "\n")
-            fp.write(",".join("" if v is None else str(v) for v in record.values()) + "\n")
+        fp.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 
 

@@ -1,5 +1,5 @@
 """End-to-end Monte Carlo link runs: Tx chain -> channel -> Rx chain with
-ground-truth error accounting, plus parameter sweeps to CSV.
+ground-truth error accounting, plus parameter sweeps.
 
 Seeding: every run derives three independent child streams (payload bytes,
 alignment junk bits, channel noise), those of `SeedSequence(master_seed).spawn(3)`;
@@ -39,7 +39,6 @@ negative seed, a fractional frame count) or of the wrong type (a string
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -165,7 +164,8 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
 
 def _transmit(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
     """Junk bits ending byte 0, the frames, the next frame's preamble (the last one's bank-2 window)
-    and 8 zero bytes to read ahead.  Junk bit i is bit 31 of PCG64 half-word i: `integers(0, 2, lo)`."""
+    and 8 zero bytes to read ahead.  Junk bit i is bit 31 of PCG64 half-word i: `integers(0, 2, lo)`;
+    the lo <= 7 bits pack into one byte."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
     n = cfg.frames * kind.payload_bytes
     payload_ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0,))
@@ -265,11 +265,3 @@ def sweep(cfg: ExperimentConfig, values: tuple[float, ...], param: str = "channe
     else:
         reports = [run_link(c) for c in configs]
     return list(zip(values, reports))
-
-
-def write_sweep_csv(rows: list[tuple[float, LinkReport]], fp) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["parameter", "raw_ber", "coded_ber", "fer", "sync_losses"])
-    for value, rep in rows:
-        writer.writerow([repr(float(value)), repr(rep.raw_ber), repr(rep.coded_ber),
-                         repr(rep.frame_error_rate), rep.sync_losses])

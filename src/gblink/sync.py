@@ -15,12 +15,12 @@ operating thresholds (e.g. 28 of 32, tolerating 4 errors) are on that scale.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import binomial_tail_ge
 from .elastic import _integer
 from .framing import FrameKind
 
@@ -121,7 +121,7 @@ class FrameSynchronizer:
             # overlap by one frame to see edge pairs; its windows share offset s & 7, fb bytes apart
             s = pos + int(lock[0])
             count, q = (first + nbits - s) // frame_bits, s >> 3
-            lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)
+            lo, hi = 0, min(_TRACK_FIRST_FRAMES, count)  # lo = 1 is the same: frames 0, 1 are the lock
             while True:
                 grid = slice(q + lo * fb, q + hi * fb, fb)
                 hit = _mismatches(packed, grid, s & 7, *self._key) <= n - self.gamma
@@ -137,18 +137,6 @@ class FrameSynchronizer:
             losses += 1
             pos, chunk = end + 1, min(frame_bits, _SCAN_CHUNK_BITS)  # as from end: its window just missed
         return np.concatenate(runs), losses
-
-
-def binomial_tail_ge(n: int, k: int, p: float) -> float:
-    """P[Binomial(n, p) >= k] with exact coefficients and compensated summation: summing the
-    upper tail directly keeps tiny probabilities (down to ~1e-300) free of the cancellation
-    that 1 - P[X < k] would suffer."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    if k <= 0:
-        return 1.0
-    return min(1.0, math.fsum(
-        math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k, n + 1)))
 
 
 def p_miss_single(n: int, gamma: int, p: float) -> float:
@@ -175,10 +163,3 @@ def tradeoff_table(kind: FrameKind, p: float,
     """One (gamma, probabilities) row per threshold, for the trade-off curves."""
     n = kind.preamble_bits
     return [(g, SyncProbabilities(p_miss(n, g, p), *p_false(n, g))) for g in gammas]
-
-
-def write_tradeoff_csv(rows: list[tuple[int, SyncProbabilities]], fp) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["gamma", "p_miss", "p_false_single", "p_false_double"])
-    for gamma, sp in rows:
-        writer.writerow([gamma, repr(sp.p_miss), repr(sp.p_false_single), repr(sp.p_false_double)])

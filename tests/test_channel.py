@@ -180,8 +180,9 @@ class TestBsc:
         assert peak <= n + 6 * 8 * channel._GAP_CHUNK
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            channel.bsc(np.zeros(4, np.uint8), 1.5, 0)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+                channel.bsc(np.zeros(4, np.uint8), p, 0)
 
 
 class TestDbpskTheory:
@@ -271,8 +272,23 @@ class TestRsResidual:
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_validation(self, p):
-        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        """The message names p, not the byte error rate the tail would be given."""
+        with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}$"):
             channel.rs_residual_ber(p)
+
+    def test_never_above_raw(self):
+        """A delivered bad bit is a flipped bit, so the estimate never exceeds p."""
+        assert all(channel.rs_residual_ber(p) <= p for p in np.linspace(0, 1, 4000).tolist())
+
+    def test_matches_explicit_sum(self):
+        """p * P[Bin(254, pb) >= 8] equals the model's sum over blocks with j > 8 bad bytes,
+        of j/n of their bad bytes, each holding 8 p / pb flipped bits out of 8."""
+        n = 255
+        for p in np.logspace(-30, 0, 400).tolist():
+            pb = -math.expm1(8 * math.log1p(-p)) if p < 1 else 1.0
+            bad_bytes = math.fsum(j * math.comb(n, j) * pb ** j * (1 - pb) ** (n - j)
+                                  for j in range(9, n + 1))
+            assert channel.rs_residual_ber(p) == pytest.approx(bad_bytes / n * p / pb, rel=1e-13, abs=0)
 
     def test_far_below_raw_in_coding_regime(self):
         # ~2 byte errors per codeword: block failures are rare and the

@@ -37,6 +37,11 @@ def test_sync_table_output(tmp_path):
     assert row["gamma"] == "28"
     assert float(row["p_miss"]) == sync.p_miss(32, 28, 1e-4)
     assert float(row["p_false_single"]) == sync.p_false(32, 28)[0]
+    assert out.read_bytes() == (  # CRLF line ends, each probability as its repr
+        b"gamma,p_miss,p_false_single,p_false_double\r\n"
+        b"27,1.8083493873461606e-18,5.653710104525089e-05,3.1964437946009096e-09\r\n"
+        b"28,4.018468170209114e-15,9.650597348809242e-06,9.313402918884398e-11\r\n"
+        b"29,7.175908030371067e-12,1.2780074030160904e-06,1.6333029221639317e-12\r\n")
 
 
 def test_sync_table_defaults_full_range(tmp_path):
@@ -56,6 +61,16 @@ def test_run_emits_csv_row(tmp_path):
     assert 0 <= float(fields[1]) < 0.01
 
 
+def test_sweep_csv_deterministic_bytes(tmp_path):
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        assert run_cli(["sweep", "--channel", "bsc", "--p", "2e-3", "--frames", "40", "--seed", "77",
+                        "--sweep", "1e-3,2e-3,5e-3", "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == b"parameter,raw_ber,coded_ber,fer,sync_losses"
+
+
 def test_auto_sized_run_sees_frame_errors(tmp_path, capsys):
     """An auto-sized coded P32 run at Eb/N0 8 dB, where long runs give a FER
     near 0.0018, runs until its row rests on frame errors: here the cap, with
@@ -64,29 +79,39 @@ def test_auto_sized_run_sees_frame_errors(tmp_path, capsys):
     assert run_cli(["run", "--seed", "1", "--ebn0", "8", "--out", str(out)]) == 0
     row = dict(zip(*(line.split(",") for line in out.read_text().strip().splitlines())))
     assert float(row["fer"]) > 0 and float(row["coded_ber"]) > 0
-    assert capsys.readouterr().err == \
-        "gblink: note: row 8.0 stopped at the 20000-frame cap with 38 frame errors\n"
+    assert capsys.readouterr().err == "gblink: note: row 8.0 ran 20000 frames with 38 frame errors\n"
+
+
+def test_auto_row_below_cap_names_its_frames(capsys):
+    """An auto-sized row that reaches 100 frame errors before the cap notes its frame count,
+    and `--frames` at that count prints the same row."""
+    assert run_cli(["run", "--seed", "1", "--ebn0", "7.5"]) == 0
+    auto = capsys.readouterr()
+    assert auto.err == "gblink: note: row 7.5 ran 2500 frames with 145 frame errors\n"
+    assert run_cli(["run", "--seed", "1", "--ebn0", "7.5", "--frames", auto.err.split()[5]]) == 0
+    assert capsys.readouterr() == (auto.out, "")
 
 
 _BSC = ["--seed", "1", "--channel", "bsc"]
-_CLEAN_NOTE = "gblink: note: row 0.0 stopped at the 200-frame cap with 0 frame errors; FER < 0.015 at 95%\n"
+_CLEAN_NOTE = "gblink: note: row 0.0 ran 200 frames with 0 frame errors; FER < 0.015 at 95%\n"
 
 
 @pytest.mark.parametrize("argv,cap,err", [
     (["run", "--p", "0"] + _BSC, 200, _CLEAN_NOTE),
     (["run", "--p", "0", "--uncoded"] + _BSC, 200,
-     "gblink: note: row 0.0 stopped at the 200-frame cap with 0 raw errors; raw BER < 7.21e-06 at 95%\n"),
-    (["run", "--p", "1"] + _BSC, 200, ""),
-    (["run", "--p", "1"] + _BSC, 99,
-     "gblink: note: row 1.0 stopped at the 99-frame cap with 99 frame errors\n"),
+     "gblink: note: row 0.0 ran 200 frames with 0 raw errors; raw BER < 7.21e-06 at 95%\n"),
+    (["run", "--p", "1"] + _BSC, 200, "gblink: note: row 1.0 ran 100 frames with 100 frame errors\n"),
+    (["run", "--p", "1"] + _BSC, 99, "gblink: note: row 1.0 ran 99 frames with 99 frame errors\n"),
     (["run", "--p", "0", "--frames", "200"] + _BSC, 200, ""),
     (["sweep", "--sweep", "1,0,1e-3"] + _BSC, 200,
-     _CLEAN_NOTE + _CLEAN_NOTE.replace("row 0.0", "row 0.001")),
+     "gblink: note: row 1.0 ran 100 frames with 100 frame errors\n"
+     + _CLEAN_NOTE + _CLEAN_NOTE.replace("row 0.0", "row 0.001")),
 ], ids=["clean", "clean-uncoded", "target-reached", "one-short", "fixed-frames", "sweep"])
 def test_cap_note(argv, cap, err, capsys):
-    """An auto-sized row that stops at the cap short of 100 errors still prints, exit 0,
-    with one stderr note; with no errors the rule of three bounds its rate at 95%.  At
-    p = 1 every frame is a frame error, so a 200-frame cap stops at 100 frames."""
+    """Each auto-sized row prints, exit 0, with one stderr note of its frame and error counts,
+    also when it stops at the cap short of 100 errors; with no errors the rule of three bounds
+    its rate at 95%.  At p = 1 every frame is a frame error, so a 200-frame cap stops at 100
+    frames.  A `--frames` row gets no note."""
     with mock.patch.object(harness, "FRAMES_CAP", cap):
         assert run_cli(argv) == 0
     captured = capsys.readouterr()
@@ -227,15 +252,20 @@ def test_fifo_json(tmp_path):
 
 
 def test_fifo_csv(tmp_path):
-    """A run that never primes leaves its after-priming minimum empty."""
+    """A run that never primes leaves its after-priming minimum empty.  Lines end in CRLF,
+    as in every CSV the CLI writes."""
     out = tmp_path / "fifo.csv"
-    for cycles, unprimed in [("5000", False), ("1", True)]:
+    for cycles, unprimed in [("1", True), ("5000", False)]:
         assert run_cli(["fifo", "--cycles", cycles, "--format", "csv", "--out", str(out)]) == 0
         header, row = out.read_text().strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert "max_occupancy" in record
         assert len(header.split(",")) == len(row.split(","))
         assert (record["min_occupancy_after_priming"] == "") == unprimed
+    assert out.read_bytes() == (
+        b"max_occupancy,min_occupancy_after_priming,overflow_events,underflow_events,"
+        b"stop_assertions,output_bytes,output_gaps_after_priming,bytes_written,final_occupancy\r\n"
+        b"2864,2047,0,0,0,3353,0,6216,2863\r\n")
 
 
 def test_fifo_invalid_thresholds(capsys):
@@ -259,6 +289,7 @@ def test_invalid_gamma_exits_nonzero(capsys):
          "seed must be non-negative, got -1"),
         (["fifo", "--seed", "-1", "--cycles", "100"], "seed must be non-negative, got -1"),
         (["sync-table", "--gammas", "5:x"], "--gammas 5:x: expected LO or LO:HI integers"),
+        (["sync-table", "--p", "nan"], "p must be in [0, 1], got nan"),
         # 4 pi d / wavelength underflows to 0
         (["run", "--channel", "distance", "--carrier-hz", "1e-300", "--seed", "1", "--frames", "2"],
          "path loss is -inf dB at distance 10.0 m, carrier 1e-300 Hz"),

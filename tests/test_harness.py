@@ -1,7 +1,6 @@
 """End-to-end link harness tests."""
 
 import dataclasses
-import io
 import math
 import sys
 import threading
@@ -211,17 +210,6 @@ def test_sweep_workers_capped_at_points():
         sweep(cfg, (1e-3, 2e-3, 4e-3), jobs=2)
     assert workers == [2, 2]
     assert rows == sweep(cfg, (1e-3, 2e-3))
-
-
-def test_sweep_csv_deterministic_bytes():
-    cfg = ExperimentConfig(channel=BscChannel(2e-3), frames=40, master_seed=77)
-    outputs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        harness.write_sweep_csv(sweep(cfg, (1e-3, 2e-3, 5e-3)), buf)
-        outputs.append(buf.getvalue())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].splitlines()[0] == "parameter,raw_ber,coded_ber,fer,sync_losses"
 
 
 def test_sweep_parallel_matches_serial():
