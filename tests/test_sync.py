@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gblink import channel, framing, sync
+from gblink import channel, cli, framing, sync
 from gblink.framing import P32, P64
 from gblink.sync import FrameSynchronizer
 
@@ -581,3 +581,18 @@ class TestTradeoffTable:
                 (sp.p_miss == 0.0 and m == 0)
             count = sum(math.comb(32, i) for i in range(gamma, 33))
             assert sp.p_false_single == count / 2 ** 32
+
+    def test_csv_output(self, tmp_path):
+        """The sync-table CSV holds every row of tradeoff_table, each value round-tripping."""
+        path = tmp_path / "table.csv"
+        assert cli.main(["sync-table", "--kind", "p32", "--p", "1e-4",
+                         "--gammas", "27:29", "--out", str(path)]) == 0
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "gamma,p_miss,p_false_single,p_false_double"
+        assert len(lines) == 4
+        for line, (gamma, sp) in zip(lines[1:], sync.tradeoff_table(P32, 1e-4, range(27, 30))):
+            g, pm, q1, q2 = line.split(",")
+            assert int(g) == gamma
+            assert (float(pm), float(q1), float(q2)) == dataclasses.astuple(sp)
+        assert lines[2].split(",")[0] == "28"
+        assert float(lines[2].split(",")[1]) == sync.p_miss(32, 28, 1e-4)
