@@ -66,7 +66,7 @@ def _db_to_ratio(db: float) -> float:
 def noise_sigma(ebn0_db: float, code_rate: float) -> float:
     """Per-quadrature noise deviation for unit-energy symbols; it must be finite."""
     if not 0 < code_rate <= 1:
-        raise ValueError("code_rate must be in (0, 1]")
+        raise ValueError(f"code_rate must be in (0, 1], got {code_rate}")
     power = 2.0 * code_rate * _db_to_ratio(ebn0_db)
     if power == 0.0 or math.isinf(1.0 / power):
         raise ValueError(f"Eb/N0 of {ebn0_db} dB is too low: the noise deviation overflows")
@@ -90,22 +90,22 @@ def awgn(symbols: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def bsc_flips(size: int, p: float, seed: int | np.random.SeedSequence):
+def bsc_flips(size: int, p: float, rng: np.random.Generator | int):
     """Yield, chunk by chunk, the sorted positions in [0, size) that a BSC(p)
-    flips: cumsum(1 + floor(log1p(-u) / log1p(-p))) - 1 for the uniforms u of
-    default_rng(seed), drawn at most _GAP_CHUNK at a time, which bounds the
-    temporaries and does not change the values.  The cost is in proportion to
-    p * size; p = 0 yields nothing and p = 1 every position, neither drawing
-    anything.  No chunk is empty."""
+    flips: cumsum(1 + floor(log1p(-u) / log1p(-p))) - 1 for the next uniforms u
+    of `default_rng(rng)` (a Generator passes through), at most _GAP_CHUNK at
+    a time, which bounds the temporaries: gap i is uniform i, whatever the
+    chunks and `size`.  The cost is in proportion to p * size; p = 0 yields
+    nothing and p = 1 every position, neither drawing.  No chunk is empty."""
     if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if p == 0:
         return
     if p == 1:
         for a in range(0, size, _GAP_CHUNK):
             yield np.arange(a, min(a + _GAP_CHUNK, size))
         return
-    rng, log_keep = np.random.default_rng(seed), math.log1p(-p)
+    rng, log_keep = np.random.default_rng(rng), math.log1p(-p)
     last = -1  # where the last gap ended
     while last < size - 1:
         left = size - 1 - last  # a draw sized to the gaps left usually ends the loop; any size is exact
@@ -142,15 +142,15 @@ def _wrong(a, b):
     return ((1 + a) * np.conj(1 + b)).real < 0
 
 
-def dbpsk_flips(size: int, sigma: float, seed: int):
+def dbpsk_flips(size: int, sigma: float, gaps: np.random.Generator, values: np.random.Generator):
     """Yield the sorted positions in [0, size) where a DBPSK product detector
     errs on complex AWGN of per-quadrature deviation sigma: bit k flips iff
     `_wrong(n_k, n_{k-1})`, n_{-1} = 0 being the noiseless +1 reference.
 
     Only "large" noise, |n|^2 > _R0_SQ, turns a decision.  Its samples are the
-    flips of a BSC(exp(-_R0_SQ / 2 sigma^2)), `bsc_flips` of the first child of
-    SeedSequence(seed), each with a row of the second child's uniforms for
-    `_noise_draws`: its noise and its small neighbours' (at gap 2, one shared).
+    flips of a BSC(exp(-_R0_SQ / 2 sigma^2)), `bsc_flips` of `gaps`; large sample
+    i takes row i of six `values` uniforms for `_noise_draws`, whatever the chunks
+    and `size`: its noise and its small neighbours' (at gap 2, one shared).
     Only decisions j and j + 1 of each large j are made, so the cost is per large j.
     No chunk is empty.
     """
@@ -160,17 +160,15 @@ def dbpsk_flips(size: int, sigma: float, seed: int):
     p_large = math.exp(-_R0_SQ / scale) if scale else 0.0
     if p_large == 0.0:
         return
-    gap_ss, value_ss = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in (0, 1))
-    values = np.random.default_rng(value_ss)
     pos, shifted = np.empty(_GAP_CHUNK + 1, np.int64), np.empty((2, _GAP_CHUNK + 1), complex)
     pos[0], shifted[:, 0] = -1, 0  # slot 0 holds the last large sample: position, noise, right
-    for ends in bsc_flips(size, p_large, gap_ss):
+    for ends in bsc_flips(size, p_large, gaps):
         big, left, right = _noise_draws(values.random((m := ends.size, 6)), scale).T
         pos[1: m + 1], shifted[0, 1: m + 1], shifted[1, 1: m + 1] = ends, big, right
-        gaps, prev, prev_right = ends - pos[:m], shifted[0, :m], shifted[1, :m]
+        dist, prev, prev_right = ends - pos[:m], shifted[0, :m], shifted[1, :m]
         # decision j' + 1 of the previous large j', where that is not j, then decision j
-        after = (gaps > 1) & _wrong(np.where(gaps == 2, left, prev_right), prev)
-        now = _wrong(big, np.where(gaps == 1, prev, left))
+        after = (dist > 1) & _wrong(np.where(dist == 2, left, prev_right), prev)
+        now = _wrong(big, np.where(dist == 1, prev, left))
         if after.any() or now.any():
             yield np.sort(np.concatenate([pos[:m][after] + 1, ends[now]]))
         pos[0], shifted[:, 0] = pos[m], shifted[:, m]

@@ -1,14 +1,14 @@
 """End-to-end Monte Carlo link runs: Tx chain -> channel -> Rx chain with
 ground-truth error accounting, plus parameter sweeps.
 
-Seeding: every run derives three independent child streams (payload bytes,
-alignment junk bits, channel noise), those of `SeedSequence(master_seed).spawn(3)`;
-a stage builds child i as `SeedSequence(master_seed, spawn_key=(i,))`.  The payload
-bytes are the raw output of the first child's PCG64 bit generator, the bytes
-`default_rng(child).integers(0, 256, n, np.uint8)` would draw.  Sweep point i runs
-with the first state word of `SeedSequence((master_seed, i))` (the same for any
-count drawn) as its own master seed.  Identical configs therefore produce
-byte-identical CSV, and sweep points may execute in any order or in parallel.
+Seeding: a run builds one `SeedSequence(master_seed)`.  Each random stream is a
+PCG64 on it advanced to the stream's offset, 2^64 draws apart: `_PAYLOAD`, `_JUNK`
+(made at a nonzero bit offset only), `_GAPS` and `_VALUES` (AWGN and distance only).
+No draw depends on the frame count, the bit offset or the gap chunking.  The payload
+bytes are the raw words, the bytes `Generator(...).integers(0, 256, n, np.uint8)`
+would draw.  Sweep point i's master seed is the first state word of
+`SeedSequence((master_seed, i))`, so identical configs produce byte-identical CSV
+and sweep points may run in any order or in parallel.
 
 Stages: `run_link` composes four functions over plain arrays.  `_transmit`
 returns the Tx byte stream and its bit count.  `_errors` returns the channel's
@@ -51,6 +51,7 @@ from .framing import FrameKind, P32
 from .sync import FrameSynchronizer
 
 FRAMES_CAP = 20_000  # the longest auto-sized run (frames=None), which bounds its memory
+_PAYLOAD, _JUNK, _GAPS, _VALUES = (i << 64 for i in range(4))  # stream offsets in draws (Seeding)
 
 
 @dataclass(frozen=True)
@@ -156,42 +157,43 @@ def run_link(cfg: ExperimentConfig) -> LinkReport:
             if (report.raw_errors if cfg.uncoded else report.frame_errors) >= 100:
                 break
         return report
-    stream, nbits = _transmit(cfg)
-    errors, raw_errors = _errors(cfg, stream, nbits)
+    seeds = np.random.SeedSequence(cfg.master_seed)
+    stream, nbits = _transmit(cfg, seeds)
+    errors, raw_errors = _errors(cfg, seeds, stream, nbits)
     stream ^= errors  # in place: `stream ^ errors` would allocate a second stream
     return _account(cfg, errors, raw_errors, *_receive(cfg, stream, nbits))
 
 
-def _transmit(cfg: ExperimentConfig) -> tuple[np.ndarray, int]:
+def _transmit(cfg: ExperimentConfig, seeds: np.random.SeedSequence) -> tuple[np.ndarray, int]:
     """Junk bits ending byte 0, the frames, the next frame's preamble (the last one's bank-2 window)
     and 8 zero bytes to read ahead.  Junk bit i is bit 31 of PCG64 half-word i: `integers(0, 2, lo)`;
     the lo <= 7 bits pack into one byte."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
     n = cfg.frames * kind.payload_bytes
-    payload_ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0,))
-    payload = np.random.PCG64(payload_ss).random_raw(-(-n // 8)).astype("<u8", copy=False)
+    payload = np.random.PCG64(seeds).advance(_PAYLOAD).random_raw(-(-n // 8)).astype("<u8", copy=False)
     tx_frames = framing.build_frames(payload.view(np.uint8)[:n].reshape(cfg.frames, -1), kind)
     stream = np.concatenate([np.zeros(1, np.uint8), tx_frames.ravel(),
                              np.frombuffer(kind.preamble, np.uint8), np.zeros(8, np.uint8)])
     if lo:
-        junk = np.random.PCG64(np.random.SeedSequence(cfg.master_seed, spawn_key=(1,))).random_raw(4)
+        junk = np.random.PCG64(seeds).advance(_JUNK).random_raw(4)
         stream[0] = np.packbits(junk.astype("<u8", copy=False).view("<u4")[:lo] >> 31)[0] >> (8 - lo)
     return stream, lo + 8 * (stream.size - 9)
 
 
-def _errors(cfg: ExperimentConfig, stream: np.ndarray, nbits: int) -> tuple[np.ndarray, int]:
+def _errors(cfg: ExperimentConfig, seeds: np.random.SeedSequence, stream: np.ndarray,
+            nbits: int) -> tuple[np.ndarray, int]:
     """A chunk of flips at a time, which bounds the temporaries at any error rate: count those
     in the frame spans and XOR them into the errors, flip x at stream bit x + 8 - lo."""
     kind, lo = cfg.frame_kind, cfg.bit_offset
-    seed = int(np.random.SeedSequence(cfg.master_seed, spawn_key=(2,)).generate_state(1, np.uint64)[0])
-    chan = cfg.channel
+    chan, gaps = cfg.channel, np.random.Generator(np.random.PCG64(seeds).advance(_GAPS))
     if isinstance(chan, BscChannel):
-        chunks = channel_mod.bsc_flips(nbits, chan.p, seed)
+        chunks = channel_mod.bsc_flips(nbits, chan.p, gaps)
     else:
         distance = isinstance(chan, DistanceChannel)  # a link budget gives the ratio per channel bit
         ebn0_db = channel_mod.snr_at_distance(chan.budget, chan.distance_m) if distance else chan.ebn0_db
         sigma = channel_mod.noise_sigma(ebn0_db, 1.0 if distance or cfg.uncoded else kind.code_rate)
-        chunks = channel_mod.dbpsk_flips(nbits, sigma, seed)
+        values = np.random.Generator(np.random.PCG64(seeds).advance(_VALUES))
+        chunks = channel_mod.dbpsk_flips(nbits, sigma, gaps, values)
     errors, raw_errors = np.zeros_like(stream), 0
     for flips in chunks:
         first, last = np.searchsorted(flips, [lo, lo + cfg.frames * kind.frame_bits])

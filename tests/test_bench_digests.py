@@ -13,7 +13,7 @@ import workloads as W  # noqa: E402
 
 DIGESTS = {
     "link-clean": "e0f76f7b7e5d06c1",
-    "link-waterfall": "f104f5c73a5bd117",
+    "link-waterfall": "2e086f80a5775d85",
     "fifo-regimes": "9531156d857c1cf5",
 }
 

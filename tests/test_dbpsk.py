@@ -37,13 +37,23 @@ def reference_demodulate(tx_bits: np.ndarray, sigma: float,
     return modem.diff_demod(np.concatenate(([1.0 + 0.0j], sym)))
 
 
-def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """The bits a DBPSK product detector decides: `bits` flipped at the
-    `channel.dbpsk_flips` positions."""
+def streams(seed: int) -> list[np.random.Generator]:
+    """A seed's gap and value generators, those of children 0 and 1 of SeedSequence(seed)."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in (0, 1)]
+
+
+def flipped(bits: np.ndarray, chunks) -> np.ndarray:
+    """`bits` flipped at each chunk of positions."""
     out = np.array(bits, dtype=np.uint8)
-    for flips in channel.dbpsk_flips(out.size, sigma, seed):
+    for flips in chunks:
         out[flips] ^= 1
     return out
+
+
+def dbpsk(bits: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """The bits a DBPSK product detector decides: `bits` flipped at the
+    `channel.dbpsk_flips` positions of the seed's `streams`."""
+    return flipped(bits, channel.dbpsk_flips(np.size(bits), sigma, *streams(seed)))
 
 
 def sigma_at(esn0_db):
@@ -219,7 +229,7 @@ def test_no_chunk_is_empty(esn0_db):
     """At 11 dB a chunk of 256 large samples seldom turns a decision, and at
     0 dB every chunk turns many: either way each chunk yielded holds a flip."""
     with mock.patch.object(channel, "_GAP_CHUNK", 256):
-        chunks = list(channel.dbpsk_flips(1 << 20, sigma_at(esn0_db), 9))
+        chunks = list(channel.dbpsk_flips(1 << 20, sigma_at(esn0_db), *streams(9)))
     assert chunks and all(c.size for c in chunks)
 
 
@@ -230,14 +240,14 @@ def test_deterministic_given_seed():
     assert np.array_equal(a, b) and not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("sigma", [0.0, sigma_at(40.0), sigma_at(math.inf)])
-def test_no_large_samples_draw_nothing(sigma, monkeypatch):
-    def no_draw(seed):
+class _NoDraws:
+    def __getattr__(self, name):
         raise AssertionError("a channel without large samples must draw nothing")
 
-    monkeypatch.setattr(channel.np.random, "default_rng", no_draw)
-    bits = np.array([0, 1, 1, 0], np.uint8)
-    assert np.array_equal(dbpsk(bits, sigma, 5), bits)
+
+@pytest.mark.parametrize("sigma", [0.0, sigma_at(40.0), sigma_at(math.inf)])
+def test_no_large_samples_draw_nothing(sigma):
+    assert list(channel.dbpsk_flips(4, sigma, _NoDraws(), _NoDraws())) == []
 
 
 def test_every_sample_large_is_a_coin_flip():

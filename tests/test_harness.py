@@ -18,8 +18,13 @@ from gblink.framing import P32, P64
 from gblink.harness import (AwgnChannel, BscChannel, DistanceChannel,
                             ExperimentConfig, LinkReport, run_link, sweep)
 from gblink.sync import FrameSynchronizer
-from test_dbpsk import dbpsk
+from test_dbpsk import flipped
 from test_sync import reference_locate_frames
+
+
+def stream(seed: int, offset: int) -> np.random.Generator:
+    """A run's generator at one of harness's stream offsets, built from numpy alone."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(offset))
 
 
 def test_noiseless_run_is_perfect():
@@ -208,8 +213,9 @@ def test_sweep_workers_capped_at_points():
     with mock.patch("concurrent.futures.ProcessPoolExecutor", InProcessPool):
         rows = sweep(cfg, (1e-3, 2e-3), jobs=64)
         sweep(cfg, (1e-3, 2e-3, 4e-3), jobs=2)
+        serial = sweep(cfg, (1e-3, 2e-3))  # the default, one job, makes no pool
     assert workers == [2, 2]
-    assert rows == sweep(cfg, (1e-3, 2e-3))
+    assert rows == serial
 
 
 def test_sweep_parallel_matches_serial():
@@ -352,22 +358,24 @@ class _LoggingRng:
 @pytest.mark.parametrize("chan", [AwgnChannel(math.inf), AwgnChannel(40.0), DistanceChannel(1.0)])
 def test_noiseless_runs_draw_no_noise(chan):
     """At sigma = 0, and where the rate of large noise samples underflows to 0,
-    the channel flips nothing and draws nothing: every generator the run makes
-    is logged (and every bit generator it makes itself), and at bit offset 0 the
-    payload's bit generator is the only one the run makes."""
-    default_rng, pcg64, calls = np.random.default_rng, np.random.PCG64, []
+    the channel flips nothing and draws nothing: every generator the run makes is
+    logged (and every bit generator), and at bit offset 0 the run makes the payload's,
+    the gaps' and the values' bit generators and calls no generator method."""
+    default_rng, generator, pcg64 = np.random.default_rng, np.random.Generator, np.random.PCG64
+    calls = []
     with mock.patch.object(np.random, "default_rng",
                            lambda seed: _LoggingRng(default_rng(seed), calls)), \
+            mock.patch.object(np.random, "Generator", lambda bits: _LoggingRng(generator(bits), calls)), \
             mock.patch.object(np.random, "PCG64", lambda seed: calls.append("PCG64") or pcg64(seed)):
         rep = run_link(ExperimentConfig(channel=chan, frames=5, master_seed=5))
-    assert calls == ["PCG64"]
+    assert calls == ["PCG64"] * 3
     assert rep.raw_errors == 0
 
 
 @pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
 def test_payload_bytes_are_the_generator_draw(kind):
-    """run_link takes the payload bytes straight from the payload child's bit
-    generator: they are the bytes of `default_rng(child).integers(0, 256,
+    """run_link takes the payload bytes straight from the payload stream's bit
+    generator: they are the bytes of its generator's `integers(0, 256,
     (frames, payload_bytes), uint8)`, for 1 to 70 frames, most of which do not
     fill whole 64-bit words.  This rests on how numpy packs uint8 draws."""
     for frames in range(1, 71):
@@ -375,23 +383,65 @@ def test_payload_bytes_are_the_generator_draw(kind):
                                frame_kind=kind)
         with mock.patch.object(framing, "build_frames", wraps=framing.build_frames) as build:
             run_link(cfg)
-        child = np.random.SeedSequence(cfg.master_seed).spawn(3)[0]
-        want = np.random.default_rng(child).integers(0, 256, (frames, kind.payload_bytes),
-                                                     dtype=np.uint8)
+        want = stream(cfg.master_seed, harness._PAYLOAD).integers(
+            0, 256, (frames, kind.payload_bytes), dtype=np.uint8)
         assert np.array_equal(build.call_args.args[0], want)
 
 
 def test_junk_bits_are_the_generator_draw():
     """run_link takes the lo junk bits that end byte 0 of the Tx stream straight from
-    the junk child's bit generator: they are `default_rng(child).integers(0, 2, lo)`,
+    the junk stream's bit generator: they are its generator's `integers(0, 2, lo)`,
     packed MSB-first.  This rests on how numpy draws bounded integers."""
     for seed in range(300):
         for lo in range(8):
             cfg = ExperimentConfig(channel=BscChannel(0.0), frames=1, master_seed=seed, bit_offset=lo)
-            child = np.random.SeedSequence(seed).spawn(3)[1]
-            junk = np.random.default_rng(child).integers(0, 2, lo)
+            junk = stream(seed, harness._JUNK).integers(0, 2, lo)
             want = np.packbits(np.concatenate([np.zeros(8 - lo, int), junk]))[0]
-            assert harness._transmit(cfg)[0][0] == want, (seed, lo)
+            tx = harness._transmit(cfg, np.random.SeedSequence(seed))[0]
+            assert tx[0] == want, (seed, lo)
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("kind", [P32, P64], ids=["p32", "p64"])
+@pytest.mark.parametrize("chan", [AwgnChannel(6.0), BscChannel(1e-2), DistanceChannel(250.0),
+                                  AwgnChannel(math.inf)], ids=["awgn", "bsc", "distance", "noiseless"])
+def test_one_seed_sequence_per_run(chan, kind, offset):
+    """Every random stream of a run is a bit generator on one SeedSequence."""
+    with mock.patch.object(np.random, "SeedSequence", wraps=np.random.SeedSequence) as seeds:
+        run_link(ExperimentConfig(chan, 4, 12, frame_kind=kind, bit_offset=offset))
+    assert seeds.call_count == 1
+
+
+@pytest.mark.parametrize("chunks", [(7, 1 << 14), (1 << 14, 7)], ids=["short-7", "long-7"])
+@pytest.mark.parametrize("chan", [BscChannel(2e-2), AwgnChannel(3.0)], ids=["bsc", "awgn"])
+def test_channel_draws_do_not_depend_on_run_length(chan, chunks):
+    """The flips a run places for n frames are those it places for 2n frames
+    below the n-frame run's channel bits, with the gap chunks cut elsewhere.
+    The DBPSK decision on the last channel bit is the one exception: when the
+    short run's last large sample is 2 bits before its end and the long run has
+    one at that end, the long run draws the small sample between them from the
+    later one's row, not the earlier one's."""
+    sampler = channel.bsc_flips if isinstance(chan, BscChannel) else channel.dbpsk_flips
+
+    def placed(frames, chunk):
+        flips = []
+
+        def record(*args):
+            for f in sampler(*args):
+                flips.append(f)
+                yield f
+
+        with mock.patch.object(channel, "_GAP_CHUNK", chunk), \
+                mock.patch.object(channel, sampler.__name__, record):
+            run_link(ExperimentConfig(chan, frames, 4, bit_offset=3))
+        return np.concatenate(flips)
+
+    frames = 40
+    nbits = 3 + 8 * (frames * P32.frame_bytes + P32.preamble_bytes)
+    short, long = placed(frames, chunks[0]), placed(2 * frames, chunks[1])
+    end = nbits if isinstance(chan, BscChannel) else nbits - 1  # the exception above
+    assert short.size > 100
+    assert np.array_equal(short[short < end], long[long < end])
 
 
 def test_concurrent_runs_match_serial():
@@ -429,21 +479,22 @@ def reference_link(cfg: ExperimentConfig) -> tuple[LinkReport, dict]:
     kind = cfg.frame_kind
     gamma = cfg.gamma if cfg.gamma is not None else kind.default_gamma
     frame_bits = kind.frame_bits
-    payload_ss, junk_ss, chan_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
-    payloads = np.random.default_rng(payload_ss).integers(
+    payloads = stream(cfg.master_seed, harness._PAYLOAD).integers(
         0, 256, (cfg.frames, kind.payload_bytes), dtype=np.uint8)
-    junk = np.random.default_rng(junk_ss).integers(0, 2, cfg.bit_offset).astype(np.uint8)
+    junk = stream(cfg.master_seed, harness._JUNK).integers(0, 2, cfg.bit_offset).astype(np.uint8)
     tx_bits = np.concatenate([junk, np.unpackbits(framing.build_frames(payloads, kind).reshape(-1)),
                               framing.gen_preamble(kind)])
+    gaps = stream(cfg.master_seed, harness._GAPS)
     if isinstance(cfg.channel, BscChannel):
-        rx_bits = channel.bsc(tx_bits, cfg.channel.p, int(chan_ss.generate_state(1, np.uint64)[0]))
+        flips = channel.bsc_flips(tx_bits.size, cfg.channel.p, gaps)
     else:
         if isinstance(cfg.channel, DistanceChannel):
             ebn0_db, rate = channel.snr_at_distance(cfg.channel.budget, cfg.channel.distance_m), 1.0
         else:
             ebn0_db, rate = cfg.channel.ebn0_db, 1.0 if cfg.uncoded else kind.code_rate
-        rx_bits = dbpsk(tx_bits, channel.noise_sigma(ebn0_db, rate),
-                        int(chan_ss.generate_state(1, np.uint64)[0]))
+        flips = channel.dbpsk_flips(tx_bits.size, channel.noise_sigma(ebn0_db, rate), gaps,
+                                    stream(cfg.master_seed, harness._VALUES))
+    rx_bits = flipped(tx_bits, flips)
 
     lo = cfg.bit_offset
     hi = lo + cfg.frames * frame_bits
@@ -561,9 +612,9 @@ def test_only_codewords_beyond_correction_radius_are_decoded():
     rows = np.concatenate([call.args[0] for call in decode.call_args_list])
     assert (np.count_nonzero(rows, axis=1) > rs.CORRECTABLE_BYTES).all()
     # the codewords holding a flip, from the channel's flip positions
-    seed = int(np.random.SeedSequence(cfg.master_seed).spawn(3)[2].generate_state(1, np.uint64)[0])
     nbits = cfg.bit_offset + 8 * (cfg.frames * P64.frame_bytes + P64.preamble_bytes)
-    byte = (np.concatenate(list(channel.bsc_flips(nbits, cfg.channel.p, seed))) - cfg.bit_offset) // 8
+    gaps = stream(cfg.master_seed, harness._GAPS)
+    byte = (np.concatenate(list(channel.bsc_flips(nbits, cfg.channel.p, gaps))) - cfg.bit_offset) // 8
     frame, body = np.divmod(byte, P64.frame_bytes)
     body -= P64.preamble_bytes
     inside = ((frame >= 0) & (frame < cfg.frames) & (body >= 0)
